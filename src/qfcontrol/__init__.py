@@ -49,7 +49,6 @@ from .synthesis import (
     SynthesisResult,
     assumption_report,
     hamiltonian_of_r,
-    project_cone,
     r_of_hamiltonian,
     solve_synthesis,
     synthesis_pipeline,

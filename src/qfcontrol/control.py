@@ -203,7 +203,8 @@ def quadratic_feedback(p, h1, rho, cfg, rng=None):
     else:
         candidates = [-ub, ub]
         if a > 1e-12:
-            interior = -b / a
+            # + 0.0 turns -0.0 (from b = 0) into 0.0, so logs never show "-0".
+            interior = -b / a + 0.0
             if -ub < interior < ub:
                 candidates.append(interior)
         values = [0.5 * a * u_**2 + b * u_ for u_ in candidates]

@@ -1,9 +1,12 @@
-"""Closed-loop, open-loop and filtered trajectory engines plus the ensemble runner.
+"""One trajectory step kernel behind four entry points, plus the ensemble runner.
 
 One step of the measurement-driven loop is: sample an outcome from the
 current state, collapse, compute the control from the post-measurement state,
 then apply exp(-i H1 u).  The deterministic (measurement-free) loop instead
-applies exp(-i H0) exp(-i H1 u) with the linear feedback law.
+applies exp(-i H0) exp(-i H1 u) with the linear feedback law.  One kernel,
+``_run``, executes the step in all four modes; ``run_stochastic``,
+``run_open_loop``, ``run_deterministic`` and ``run_filtered`` check the
+mode, seed the stream and call it.
 
 Every realization owns an independent random stream derived from the master
 seed with splitmix64, so ensemble results are bit-identical for any thread
@@ -144,7 +147,7 @@ def _revalidate(rho, k):
 
 
 class _Log:
-    def __init__(self, cfg, rho0):
+    def __init__(self, cfg, rho0, est0=None):
         self.cfg = cfg
         self.u = []
         self.outcome = []
@@ -153,9 +156,11 @@ class _Log:
         self.purity = []
         self.states = {}
         self.first_hit = None
-        self.record_state(0, rho0)
+        self.est_fid = None if est0 is None else []
+        self.dist = None if est0 is None else []
+        self.record_state(0, rho0, est0)
 
-    def record_state(self, k, rho):
+    def record_state(self, k, rho, est=None):
         f = fidelity_to_basis(rho, self.cfg.p.n_star)
         self.fidelity.append(f)
         self.lyapunov.append(lyapunov_v(self.cfg.p, rho))
@@ -164,12 +169,15 @@ class _Log:
             self.states[k] = rho.copy()
         if self.first_hit is None and f >= self.cfg.fidelity_threshold:
             self.first_hit = k
+        if est is not None:
+            self.est_fid.append(fidelity_to_basis(est, self.cfg.p.n_star))
+            self.dist.append(trace_distance(rho, est))
 
     def record_step(self, u, outcome):
         self.u.append(u)
         self.outcome.append(outcome)
 
-    def finish(self, rho, extra=None):
+    def finish(self, rho):
         # The last visited state is always kept, stride or not.
         self.states.setdefault(len(self.fidelity) - 1, np.asarray(rho).copy())
         diag = np.asarray(rho).diagonal().real
@@ -184,53 +192,16 @@ class _Log:
             first_hit=self.first_hit,
             absorbed_state=absorbed,
         )
-        if extra:
-            traj.estimate_fidelity = np.asarray(extra["est_fid"], dtype=float)
-            traj.trace_distance = np.asarray(extra["dist"], dtype=float)
+        if self.est_fid is not None:
+            traj.estimate_fidelity = np.asarray(self.est_fid, dtype=float)
+            traj.trace_distance = np.asarray(self.dist, dtype=float)
         return traj
-
-
-def run_deterministic(cfg, rho0):
-    """Measurement-free loop with linear feedback: rho -> U0 U1(u) rho (.)†."""
-    if cfg.mode != "deterministic" or cfg.controller.kind != "linear":
-        raise ValueError("run_deterministic needs mode=deterministic with the linear controller")
-    rho = np.asarray(rho0, dtype=complex)
-    u0 = hermitian_expm(np.asarray(cfg.h0, dtype=complex))
-    prop = HermitianPropagator(cfg.h1)
-    log = _Log(cfg, rho)
-    for k in range(cfg.steps):
-        if cfg.stop_at_threshold and log.fidelity[-1] >= cfg.fidelity_threshold:
-            break
-        u = linear_feedback(cfg.p, cfg.h1, rho, cfg.controller.kappa).u
-        rho = u0 @ prop.conjugate(rho, u) @ u0.conj().T
-        if (k + 1) % REVALIDATE_EVERY == 0:
-            rho = _revalidate(rho, k + 1)
-        log.record_step(u, np.nan)
-        log.record_state(k + 1, rho)
-    return log.finish(rho)
-
-
-def run_open_loop(cfg, rho0, seed):
-    """Repeated measure-and-collapse with no unitary in between."""
-    if cfg.mode != "open-loop":
-        raise ValueError("run_open_loop needs mode=open-loop")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rho = np.asarray(rho0, dtype=complex)
-    log = _Log(cfg, rho)
-    for k in range(cfg.steps):
-        if cfg.stop_at_threshold and float(np.max(rho.diagonal().real)) >= ABSORB_THRESHOLD:
-            break
-        out = cfg.meas.sample_outcome(rho, rng)
-        rho = cfg.meas.apply_outcome(out.mu, rho)
-        if (k + 1) % REVALIDATE_EVERY == 0:
-            rho = _revalidate(rho, k + 1)
-        log.record_step(0.0, out.mu)
-        log.record_state(k + 1, rho)
-    return log.finish(rho)
 
 
 def _control_from(cfg, prop, rho, rng):
     kind = cfg.controller.kind
+    if cfg.mode == "deterministic":
+        return linear_feedback(cfg.p, cfg.h1, rho, cfg.controller.kappa).u
     if kind == "quadratic":
         return quadratic_feedback(cfg.p, prop.h, rho, cfg.controller, rng).u
     if kind == "exact-min":
@@ -238,32 +209,11 @@ def _control_from(cfg, prop, rho, rng):
     raise ValueError(f"stochastic loop cannot use the {kind!r} controller")
 
 
-def run_stochastic(cfg, rho0, seed):
-    """Measurement-driven closed loop: collapse, control, then exp(-i H1 u)."""
-    if cfg.mode != "stochastic":
-        raise ValueError("run_stochastic needs mode=stochastic")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rho = np.asarray(rho0, dtype=complex)
-    prop = HermitianPropagator(cfg.h1)
-    log = _Log(cfg, rho)
-    for k in range(cfg.steps):
-        if cfg.stop_at_threshold and log.fidelity[-1] >= cfg.fidelity_threshold:
-            break
-        out = cfg.meas.sample_outcome(rho, rng)
-        rho_m = cfg.meas.apply_outcome(out.mu, rho)
-        u = _control_from(cfg, prop, rho_m, rng)
-        rho = prop.conjugate(rho_m, u)
-        if (k + 1) % REVALIDATE_EVERY == 0:
-            rho = _revalidate(rho, k + 1)
-        log.record_step(u, out.mu)
-        log.record_state(k + 1, rho)
-    return log.finish(rho)
-
-
-def _collapse_estimate(cfg, est, mu, dim):
+def _collapse_estimate(cfg, est, mu):
     p_est = float(cfg.meas.weights[mu] @ est.diagonal().real)
     if p_est <= P_FLOOR:
         # Recover once by mixing toward the maximally mixed state.
+        dim = est.shape[0]
         est = (1.0 - 1e-3) * est + 1e-3 * np.eye(dim) / dim
         p_est = float(cfg.meas.weights[mu] @ est.diagonal().real)
         if p_est <= P_FLOOR:
@@ -271,6 +221,75 @@ def _collapse_estimate(cfg, est, mu, dim):
                 f"observed outcome {mu} impossible under the filter state"
             )
     return cfg.meas.apply_outcome(mu, est)
+
+
+def _run(cfg, rho0, rng=None, est0=None):
+    """The one step kernel behind all four trajectory modes.
+
+    Each step measures (all modes but deterministic), takes the control from
+    the post-measurement state, or from the filter state when ``est0`` is
+    given, and propagates.  Open-loop applies no unitary and logs u = 0; the
+    deterministic loop applies exp(-i H0) after exp(-i H1 u) and logs the
+    outcome as NaN.  Open-loop stops once a basis state is absorbed, the
+    other modes once the fidelity threshold is reached.
+    """
+    open_loop = cfg.mode == "open-loop"
+    measured = cfg.mode != "deterministic"
+    rho = np.asarray(rho0, dtype=complex)
+    est = None if est0 is None else np.asarray(est0, dtype=complex)
+    prop = None if open_loop else HermitianPropagator(cfg.h1)
+    if not measured:
+        u0 = hermitian_expm(np.asarray(cfg.h0, dtype=complex))
+        u0_dag = u0.conj().T
+    log = _Log(cfg, rho, est)
+    for k in range(cfg.steps):
+        if cfg.stop_at_threshold and (
+            float(np.max(rho.diagonal().real)) >= ABSORB_THRESHOLD if open_loop
+            else log.fidelity[-1] >= cfg.fidelity_threshold
+        ):
+            break
+        mu = np.nan
+        if measured:
+            mu = cfg.meas.sample_outcome(rho, rng).mu
+            rho = cfg.meas.apply_outcome(mu, rho)
+            if est is not None:
+                est = _collapse_estimate(cfg, est, mu)
+        u = 0.0
+        if not open_loop:
+            u = _control_from(cfg, prop, rho if est is None else est, rng)
+            rho = prop.conjugate(rho, u)
+            if est is not None:
+                est = prop.conjugate(est, u)
+            if not measured:
+                rho = u0 @ rho @ u0_dag
+        if (k + 1) % REVALIDATE_EVERY == 0:
+            rho = _revalidate(rho, k + 1)
+            if est is not None:
+                est = _revalidate(est, k + 1)
+        log.record_step(u, mu)
+        log.record_state(k + 1, rho, est)
+    return log.finish(rho)
+
+
+def run_deterministic(cfg, rho0):
+    """Measurement-free loop with linear feedback: rho -> U0 U1(u) rho (.)†."""
+    if cfg.mode != "deterministic" or cfg.controller.kind != "linear":
+        raise ValueError("run_deterministic needs mode=deterministic with the linear controller")
+    return _run(cfg, rho0)
+
+
+def run_open_loop(cfg, rho0, seed):
+    """Repeated measure-and-collapse with no unitary in between."""
+    if cfg.mode != "open-loop":
+        raise ValueError("run_open_loop needs mode=open-loop")
+    return _run(cfg, rho0, np.random.Generator(np.random.PCG64(seed)))
+
+
+def run_stochastic(cfg, rho0, seed):
+    """Measurement-driven closed loop: collapse, control, then exp(-i H1 u)."""
+    if cfg.mode != "stochastic":
+        raise ValueError("run_stochastic needs mode=stochastic")
+    return _run(cfg, rho0, np.random.Generator(np.random.PCG64(seed)))
 
 
 def run_filtered(cfg, rho0_true, rho0_estimate, seed):
@@ -281,31 +300,7 @@ def run_filtered(cfg, rho0_true, rho0_estimate, seed):
     """
     if cfg.mode != "filtered":
         raise ValueError("run_filtered needs mode=filtered")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rho = np.asarray(rho0_true, dtype=complex)
-    est = np.asarray(rho0_estimate, dtype=complex)
-    dim = rho.shape[0]
-    prop = HermitianPropagator(cfg.h1)
-    log = _Log(cfg, rho)
-    extra = {"est_fid": [fidelity_to_basis(est, cfg.p.n_star)],
-             "dist": [trace_distance(rho, est)]}
-    for k in range(cfg.steps):
-        if cfg.stop_at_threshold and log.fidelity[-1] >= cfg.fidelity_threshold:
-            break
-        out = cfg.meas.sample_outcome(rho, rng)
-        rho_m = cfg.meas.apply_outcome(out.mu, rho)
-        est_m = _collapse_estimate(cfg, est, out.mu, dim)
-        u = _control_from(cfg, prop, est_m, rng)
-        rho = prop.conjugate(rho_m, u)
-        est = prop.conjugate(est_m, u)
-        if (k + 1) % REVALIDATE_EVERY == 0:
-            rho = _revalidate(rho, k + 1)
-            est = _revalidate(est, k + 1)
-        log.record_step(u, out.mu)
-        log.record_state(k + 1, rho)
-        extra["est_fid"].append(fidelity_to_basis(est, cfg.p.n_star))
-        extra["dist"].append(trace_distance(rho, est))
-    return log.finish(rho, extra=extra)
+    return _run(cfg, rho0_true, np.random.Generator(np.random.PCG64(seed)), rho0_estimate)
 
 
 def trace_distance(a, b):

@@ -12,11 +12,14 @@ Such an R is exactly the image of a control Hamiltonian H1 under
 the expected post-step energy at the basis states, which is what guarantees
 closed-loop convergence to |n_star>.
 
-The search is a small convex program solved with a first-order primal-dual
-splitting: the lambda block is a closed-form box projection, the R block is a
-gradient step followed by a Dykstra projection onto the cone.  The sparsity
-penalty ||vec(R)||_1 is linear on the cone (it equals -2 Tr R there), so its
-proximal step reduces to a trace shift before the cone projection.
+The cone is exactly the set of negated weighted graph Laplacians, so the
+solver works in non-negative edge weights w, with R(w) = -sum_e w_e L_e: every
+cone condition becomes w >= 0, and the sparsity penalty ||vec(R)||_1 becomes
+4 * sum(w).  A first-order primal-dual iteration then needs only closed-form
+steps, a box clip for lambda and a shifted non-negative clip for w.  With the
+penalty on, a non-negative least-squares solve on the identified support
+finishes the weights exactly.  :func:`cone_violations` checks a result
+against the cone as defined above.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "assumption_report",
     "cone_violations",
     "hamiltonian_of_r",
-    "project_cone",
     "r_of_hamiltonian",
     "solve_synthesis",
     "synthesis_pipeline",
@@ -53,7 +55,7 @@ class InfeasibleLambda(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Cone membership and projection
+# Cone membership
 # ---------------------------------------------------------------------------
 
 def cone_violations(r, tol=CONE_TOL):
@@ -72,67 +74,6 @@ def cone_violations(r, tol=CONE_TOL):
 
 def in_cone(r, tol=CONE_TOL):
     return all(v <= tol for v in cone_violations(r, tol).values())
-
-
-def _project_nsd(x):
-    w, v = np.linalg.eigh((x + x.T) / 2)
-    return (v * np.minimum(w, 0.0)) @ v.T
-
-
-def _project_zero_row_sums(x):
-    # Orthogonal projection, within symmetric matrices, onto {Y : Y @ 1 = 0}.
-    n = x.shape[0]
-    r = x.sum(axis=1)
-    s = r.sum()
-    return x - (np.add.outer(r, r)) / n + s / n**2
-
-
-def _project_signs(x):
-    y = np.maximum(x, 0.0)
-    np.fill_diagonal(y, np.minimum(np.diag(x), 0.0))
-    return y
-
-
-def project_cone(m, tol=1e-10, max_cycles=5000, trace_bound=None, strict=True):
-    """Dykstra projection of a symmetric matrix onto the cone.
-
-    Cycles through the negative-semidefinite cone, the zero-row-sum subspace
-    and the sign orthant (plus the optional trace halfspace Tr <= trace_bound)
-    until the per-cycle change drops below ``tol``.  Raises on non-convergence
-    with the final violation magnitudes; ``strict=False`` returns the last
-    iterate instead, which is what the synthesis solver uses for its inner
-    (inexact) projections.
-    """
-    x = np.asarray(m, dtype=float)
-    if float(np.max(np.abs(x - x.T))) > 1e-9:
-        raise ValueError("project_cone expects a symmetric input")
-    x = (x + x.T) / 2
-    n = x.shape[0]
-
-    projectors = [_project_nsd, _project_zero_row_sums, _project_signs]
-    if trace_bound is not None:
-        def _project_trace(y, beta=float(trace_bound)):
-            excess = np.trace(y) - beta
-            if excess <= 0:
-                return y
-            return y - (excess / n) * np.eye(n)
-        projectors.append(_project_trace)
-
-    increments = [np.zeros_like(x) for _ in projectors]
-    for _ in range(max_cycles):
-        start = x
-        for i, proj in enumerate(projectors):
-            y = proj(x + increments[i])
-            increments[i] = x + increments[i] - y
-            x = y
-        if float(np.max(np.abs(x - start))) <= tol:
-            return x
-    if strict:
-        raise RuntimeError(
-            f"Dykstra projection did not converge in {max_cycles} cycles; "
-            f"violations: {cone_violations(x)}"
-        )
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +165,6 @@ class SynthesisProblem:
     alpha1: float = 1.0
     alpha2: float = 0.0
     norm: str = "l2"
-    trace_bound: float | None = None
 
     def __post_init__(self):
         if self.gamma1 <= 0 or self.gamma2 <= 0:
@@ -233,8 +173,6 @@ class SynthesisProblem:
             raise ValueError("alpha weights must be non-negative")
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.trace_bound is not None and self.trace_bound >= 0:
-            raise ValueError("trace_bound must be negative")
 
 
 @dataclass
@@ -263,11 +201,6 @@ class SynthesisResult:
 
 def _residual_norm(v, norm):
     return float(np.linalg.norm(v, 1 if norm == "l1" else 2))
-
-
-def _l1_of_cone_point(r):
-    # On the cone ||vec(R)||_1 = -2 Tr(R); computed directly for reporting.
-    return float(np.sum(np.abs(r)))
 
 
 def _edge_list(n):
@@ -368,11 +301,6 @@ def solve_synthesis(problem, max_iter=50000, rel_tol=1e-9):
     knorm = float(np.sqrt(np.linalg.norm(amat, 2) ** 2 + 1.0))
     tau = 0.95 / knorm
     sig_d = 0.95 / knorm
-    trace_shift = None
-    if problem.trace_bound is not None:
-        # Tr R(w) = -2 sum(w); the halfspace Tr <= beta becomes sum(w) >=
-        # -beta/2, enforced after the nonneg clip by uniform scaling.
-        trace_shift = -problem.trace_bound / 2.0
 
     w = np.zeros(n_edges)
     lam = box_clip(np.zeros(n))
@@ -389,10 +317,6 @@ def solve_synthesis(problem, max_iter=50000, rel_tol=1e-9):
     for k in range(1, max_iter + 1):
         y = dual_proj(y + sig_d * (amat @ w_bar - lam_bar))
         w_new = np.maximum(w - tau * (amat.T @ y) - tau * a2_edge, 0.0)
-        if trace_shift is not None and w_new.sum() < trace_shift:
-            total = w_new.sum()
-            w_new = w_new * (trace_shift / total) if total > 0 else np.full(
-                n_edges, trace_shift / n_edges)
         lam_new = box_clip(lam + tau * y)
         w_bar = 2 * w_new - w
         lam_bar = 2 * lam_new - lam

@@ -148,6 +148,46 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg_path)]) == 0
 
 
+def drop_measurement(cfg):
+    del cfg["measurement"]
+
+
+def deterministic_without_h0(cfg):
+    cfg["loop"]["mode"] = "deterministic"
+    cfg["controller"]["kind"] = "linear"
+
+
+MALFORMED = {
+    "no-measurement": drop_measurement,
+    "zero-steps": lambda cfg: cfg["loop"].update(steps=0),
+    "unknown-mode": lambda cfg: cfg["loop"].update(mode="analog"),
+    "deterministic-without-h0": deterministic_without_h0,
+    "loop-not-an-object": lambda cfg: cfg.update(loop=[]),
+}
+
+
+class TestMalformedConfig:
+    """A malformed config is a config error (exit 1), never a traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_1_without_traceback(self, tmp_path, capsys, command, case):
+        cfg = experiment_config("unused", np.pi / 10)
+        cfg["h1"] = {"n": 8, "re": np.zeros((8, 8)).tolist(),
+                     "im": np.zeros((8, 8)).tolist()}
+        MALFORMED[case](cfg)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path)]
+        if command == "simulate":
+            argv += ["--out-dir", str(tmp_path / "sim")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config")
+        assert "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
+
+
 class TestExperimentConfig:
     def test_loads_inline_matrices(self, tmp_path):
         cfg = experiment_config("unused", np.pi / 10)
@@ -156,8 +196,8 @@ class TestExperimentConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         loaded = ExperimentConfig.load(path)
-        assert loaded.h1.shape == (8, 8)
-        assert loaded.mode == "stochastic"
+        assert loaded.loop.h1.shape == (8, 8)
+        assert loaded.loop.mode == "stochastic"
         assert loaded.master_seed == 42
 
     def test_invalid_rho0_rejected(self, tmp_path):

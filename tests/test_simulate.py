@@ -1,5 +1,8 @@
 """Unit tests for the trajectory engines and the ensemble runner."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -169,6 +172,15 @@ class TestIndistinguishablePairObstruction:
         assert d.linear_coeff == 0.0
         assert d.quadratic_coeff > 0.0
         assert d.u == 0.0
+        assert not np.signbit(d.u)
+
+    def test_frozen_run_logs_no_negative_zero(self, h1, tmp_path):
+        t = run_stochastic(self.loop(h1, np.pi / 4), self.pair_state(), 0)
+        assert not np.any(np.signbit(t.u))
+        path = tmp_path / "frozen.csv"
+        write_trajectories_csv(path, [t])
+        rows = path.read_text().splitlines()[2:]
+        assert all(row.split(",")[2] in ("0", "") for row in rows)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_quarter_pi_freezes_pair_state(self, h1, seed):
@@ -292,6 +304,100 @@ class TestEnsemble:
     def test_requires_realizations(self):
         with pytest.raises(ValueError):
             run_ensemble(stochastic_config(), seed_state(), 0, 1)
+
+
+def star_h1():
+    """Star coupling on n* = 2 with lambda_tilde = (-1, ..., 7, ...), in closed form.
+
+    It does not depend on the synthesis solver, so the recorded trajectories
+    below stay valid when the solver changes.
+    """
+    h1 = np.zeros((8, 8), dtype=complex)
+    for i in range(8):
+        if i != 2:
+            h1[i, 2] = h1[2, i] = np.sqrt(0.5 / (SIGMA8[i] - SIGMA8[2]))
+    return h1
+
+
+def parity_case(name):
+    """Run one fixed-seed engine case of ``engine_parity.json``."""
+    kind, _, variant = name.partition(":")
+    stop = variant != "nostop"
+    quad = ControllerConfig(kind="quadratic", u_bar=0.1)
+    pi10 = photon_box(8, 1 / 8, np.pi / 10)
+    if kind in ("quadratic-pi4", "quadratic-pi10"):
+        theta = np.pi / 4 if kind == "quadratic-pi4" else np.pi / 10
+        cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(),
+                         meas=photon_box(8, 1 / 8, theta), controller=quad,
+                         steps=300, stop_at_threshold=stop)
+        return run_stochastic(cfg, seed_state(), 0 if kind == "quadratic-pi4" else 2)
+    if kind == "random-sign":
+        ctrl = ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=5.0,
+                                tie_break="random-sign")
+        cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(),
+                         meas=pi10, controller=ctrl, steps=300)
+        # A diagonal start makes the first decision a flat concave tie.
+        return run_stochastic(cfg, np.diag(np.diag(seed_state())), 2)
+    if kind == "exact-min":
+        cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(), meas=pi10,
+                         controller=ControllerConfig(kind="exact-min", u_bar=0.1),
+                         steps=10, stop_at_threshold=False)
+        return run_stochastic(cfg, seed_state(), 3)
+    if kind == "open-loop":
+        cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
+                         meas=pi10, steps=300, stop_at_threshold=stop)
+        return run_open_loop(cfg, seed_state(), 1)
+    if kind == "filtered":
+        cfg = LoopConfig(mode="filtered", p=observable8(), h1=star_h1(), meas=pi10,
+                         controller=quad, steps=300, stop_at_threshold=False)
+        return run_filtered(cfg, seed_state(), np.eye(8, dtype=complex) / 8, 0)
+    if kind == "deterministic":
+        cfg = LoopConfig(mode="deterministic", p=observable8(), h1=star_h1(),
+                         h0=np.diag(np.linspace(0.0, 3.0, 8)).astype(complex),
+                         controller=ControllerConfig(kind="linear", kappa=0.05),
+                         steps=300)
+        return run_deterministic(cfg, seed_state())
+    raise KeyError(name)
+
+
+def parity_record(t):
+    """What the parity test compares: integers exactly, floats to 1e-12."""
+    final = t.states[max(t.states)]
+    rec = {
+        "outcomes": "".join("" if np.isnan(m) else str(int(m)) for m in t.outcome),
+        "first_hit": t.first_hit,
+        "absorbed_state": t.absorbed_state,
+        "steps_run": t.steps_run,
+        "u": float(t.u[-1]),
+        "fidelity": float(t.fidelity[-1]),
+        "lyapunov": float(t.lyapunov[-1]),
+        "purity": float(t.purity[-1]),
+        "state_re": final.real.tolist(),
+        "state_im": final.imag.tolist(),
+    }
+    if t.estimate_fidelity is not None:
+        rec["estimate_fidelity"] = float(t.estimate_fidelity[-1])
+        rec["trace_distance"] = float(t.trace_distance[-1])
+    return rec
+
+
+PARITY = json.loads((Path(__file__).parent / "engine_parity.json").read_text())
+
+
+class TestFixedSeedParity:
+    """The engine reproduces outputs recorded from the four hand-written loops."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY))
+    def test_matches_recording(self, name):
+        t = parity_case(name)
+        got, want = parity_record(t), PARITY[name]
+        assert got.keys() == want.keys()
+        for key in ("outcomes", "first_hit", "absorbed_state", "steps_run"):
+            assert got[key] == want[key], key
+        for key in got.keys() - {"outcomes", "first_hit", "absorbed_state", "steps_run"}:
+            assert np.allclose(got[key], want[key], rtol=0.0, atol=1e-12), key
+        if name == "deterministic":
+            assert t.outcome.size == t.steps_run and np.all(np.isnan(t.outcome))
 
 
 class TestArtifacts:

@@ -1,4 +1,4 @@
-"""Unit tests for cone geometry, the synthesis solver and the R <-> H1 maps."""
+"""Unit tests for cone membership, the synthesis solver and the R <-> H1 maps."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from qfcontrol import (
     assumption_report,
     hamiltonian_of_r,
     photon_box,
-    project_cone,
     r_of_hamiltonian,
     solve_synthesis,
     synthesis_pipeline,
@@ -41,22 +40,6 @@ def random_cone_point(rng, n):
 
 
 class TestCone:
-    def test_projection_lands_in_cone(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.normal(size=(6, 6))
-            x = project_cone((a + a.T) / 2)
-            assert in_cone(x, tol=1e-7)
-
-    def test_projection_fixes_cone_points(self):
-        rng = np.random.default_rng(1)
-        r = random_cone_point(rng, 5)
-        assert np.allclose(project_cone(r), r, atol=1e-8)
-
-    def test_rejects_asymmetric_input(self):
-        with pytest.raises(ValueError):
-            project_cone(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_violation_report_keys(self):
         keys = set(cone_violations(np.zeros((3, 3))))
         assert keys == {
@@ -167,8 +150,6 @@ class TestSolver:
             SynthesisProblem(sigma=p, gamma1=0.0)
         with pytest.raises(ValueError):
             SynthesisProblem(sigma=p, norm="linf")
-        with pytest.raises(ValueError):
-            SynthesisProblem(sigma=p, trace_bound=1.0)
 
 
 class TestAssumptions:
