@@ -33,7 +33,7 @@ rho0[0, 0] += 0.5
 print("initial populations:", np.real(np.diag(rho0)))
 
 cfg = LoopConfig(mode="open-loop", p=p, h1=np.zeros((8, 8)), meas=meas,
-                 steps=500, state_stride=501)
+                 steps=500)
 ens = run_ensemble(cfg, rho0, n_realizations=500, master_seed=7)
 
 counts = np.zeros(8)

@@ -49,7 +49,7 @@ cfg = LoopConfig(
 ens = run_ensemble(cfg, rho0, n_realizations=100, master_seed=42, threads=4)
 stats = convergence_statistics(ens)
 
-print(f"realizations reaching fidelity 0.99: {int(100 * stats['success_rate'])}/100")
+print(f"realizations reaching fidelity 0.99: {int(np.sum(ens.first_hit >= 0))}/100")
 print(f"median hitting time: {stats['median_hitting_time']:.0f} steps")
 # Where did each run end up?  (Open-loop collapse would spread these counts
 # in proportion to rho0's diagonal; the control funnels them to level 2.)

@@ -1,19 +1,13 @@
 """Synthesis and simulation of measurement-driven quantum feedback loops."""
 
 from .core import (
-    DEFAULT_TOL,
     DensityInvariantError,
     DiagonalObservable,
     HermitianPropagator,
-    ToleranceConfig,
     basis_state,
     commutator,
-    evolve,
-    expectation,
     fidelity_to_basis,
-    hermitian_expm,
     purity,
-    spectrum,
     validate_density,
 )
 from .control import (

@@ -24,14 +24,15 @@ import numpy as np
 
 from .core import (
     DiagonalObservable,
+    load_matrix,
     matrix_from_json,
-    matrix_to_json,
     save_matrix,
     validate_density,
 )
 from .control import ControllerConfig
 from .measurement import QndMeasurement, photon_box
 from .simulate import (
+    ENSEMBLE_MODES,
     LoopConfig,
     config_hash,
     convergence_statistics,
@@ -107,7 +108,7 @@ class ExperimentConfig:
         base = os.path.dirname(os.path.abspath(path))
         try:
             return cls.from_json(raw, base_dir=base)
-        except (AttributeError, KeyError, ValueError, TypeError) as e:
+        except (AttributeError, KeyError, OSError, ValueError, TypeError) as e:
             raise ConfigError(f"bad config {path}: {e}") from e
 
     @classmethod
@@ -116,7 +117,7 @@ class ExperimentConfig:
 
         h1_spec = raw["h1"]
         if isinstance(h1_spec, str):
-            h1 = _load_matrix_file(os.path.join(base_dir, h1_spec))
+            h1 = load_matrix(os.path.join(base_dir, h1_spec))
         else:
             h1 = matrix_from_json(h1_spec)
 
@@ -167,14 +168,6 @@ class ExperimentConfig:
 
     def hash(self):
         return config_hash(self.raw)
-
-
-def _load_matrix_file(path):
-    try:
-        with open(path) as f:
-            return matrix_from_json(json.load(f))
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read matrix {path}: {e}") from e
 
 
 def _write_json(path, obj):
@@ -263,6 +256,10 @@ def cmd_simulate(args):
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    if cfg.loop.mode not in ENSEMBLE_MODES:
+        print(f"error: bad config {args.config}: simulate runs only the modes "
+              f"{', '.join(ENSEMBLE_MODES)}, not {cfg.loop.mode!r}", file=sys.stderr)
+        return 1
 
     out_dir = args.out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -294,7 +291,7 @@ def cmd_simulate(args):
 
     print(
         f"success rate {stats['success_rate']:.2f} "
-        f"({int(stats['success_rate'] * cfg.realizations)}/{cfg.realizations} "
+        f"({int(np.sum(result.first_hit >= 0))}/{cfg.realizations} "
         f"realizations at threshold {cfg.loop.fidelity_threshold})"
     )
     return 0 if stats["success_rate"] >= cfg.success_floor else 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HermitianPropagator, basis_state, commutator
+from .core import HermitianPropagator, basis_state, commutator
 
 __all__ = [
     "ControlDecision",
@@ -108,7 +108,9 @@ def linear_feedback(p, h1, rho, kappa):
     val = 1j * kappa * complex(np.trace(commutator(p.matrix(), np.asarray(h1, dtype=complex)) @ rho))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"linear feedback came out complex (imag {val.imag:.3e})")
-    return ControlDecision(u=float(val.real), linear_coeff=float(val.real) / kappa)
+    # + 0.0 turns -0.0 (a vanishing trace) into 0.0, so logs never show "-0".
+    u = float(val.real) + 0.0
+    return ControlDecision(u=u, linear_coeff=u / kappa)
 
 
 def _as_propagator(h1):
@@ -172,10 +174,18 @@ def quadratic_feedback(p, h1, rho, cfg, rng=None):
     """Closed-form minimization of the quadratic objective (a/2) u^2 + b u.
 
     a = Tr([[H1, P], H1] rho) - (eps/4) sum_i (<i|[H1, rho]|i>)^2 and
-    b = i Tr([H1, P] rho), the exact curvature and slope at u = 0 of
-    u -> V(exp(-i H1 u) rho exp(i H1 u)), evaluated on the post-measurement
-    state by the caller.  Degenerate (|a| tiny) cases fall back to the linear
-    term; flat concave cases tie at the endpoints and follow cfg.tie_break.
+    b = i Tr([H1, P] rho), evaluated on the post-measurement state by the
+    caller.  For eps = 0 they are the exact curvature and slope at u = 0 of
+    u -> V(exp(-i H1 u) rho exp(i H1 u)).  For eps > 0 they are the formula
+    as printed in the paper, not the derivatives of V_eps.  With d_i(u) the
+    populations of the rotated state and a_0 the first term of a, the exact
+    curvature is a_0 - eps sum_i (d_i'^2 + d_i d_i''), while the printed term
+    equals +(eps/4) sum_i d_i'^2; the exact slope adds -eps sum_i d_i d_i',
+    which b leaves out.
+
+    u is clip(-b/a, -u_bar, u_bar) when a > 0, else the endpoint downhill of
+    b; with b = 0 a flat concave parabola ties at the endpoints and follows
+    cfg.tie_break, and a flat one gives u = 0.
     """
     if cfg.kind != "quadratic":
         raise ValueError("controller config is not quadratic")
@@ -195,28 +205,19 @@ def quadratic_feedback(p, h1, rho, cfg, rng=None):
     a, b = a.real, b.real
 
     ub = cfg.u_bar
-    if abs(a) <= 1e-12:
-        if abs(b) <= 1e-12:
-            u = 0.0
-        else:
-            u = -ub * float(np.sign(b))
-    else:
-        candidates = [-ub, ub]
-        if a > 1e-12:
-            # + 0.0 turns -0.0 (from b = 0) into 0.0, so logs never show "-0".
-            interior = -b / a + 0.0
-            if -ub < interior < ub:
-                candidates.append(interior)
-        values = [0.5 * a * u_**2 + b * u_ for u_ in candidates]
-        order = int(np.argmin(values))
+    if a > 1e-12:
+        # + 0.0 turns -0.0 (from b = 0) into 0.0, so logs never show "-0".
+        u = min(max(-b / a, -ub), ub) + 0.0
+    elif abs(b) > 1e-12:
+        u = -ub * float(np.sign(b))
+    elif a < -1e-12:
         # Flat concave parabola: both endpoints tie.
-        if a < 0 and abs(b) <= 1e-12:
-            if cfg.tie_break == "random-sign" and rng is not None:
-                u = ub if rng.random() < 0.5 else -ub
-            else:
-                u = ub
+        if cfg.tie_break == "random-sign" and rng is not None:
+            u = ub if rng.random() < 0.5 else -ub
         else:
-            u = float(candidates[order])
+            u = ub
+    else:
+        u = 0.0
     return ControlDecision(
         u=u,
         linear_coeff=b,

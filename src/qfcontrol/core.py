@@ -14,40 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
+    "HERMITICITY_TOL",
+    "PSD_TOL",
+    "TRACE_TOL",
     "DensityInvariantError",
     "DiagonalObservable",
     "HermitianPropagator",
     "basis_state",
     "commutator",
     "density_violations",
-    "evolve",
-    "expectation",
     "fidelity_to_basis",
-    "hermitian_expm",
     "hermitize",
     "is_hermitian",
     "purity",
-    "spectrum",
     "validate_density",
 ]
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Single source of truth for the numerical tolerances used everywhere."""
-
-    hermiticity: float = 1e-10
-    trace: float = 1e-9
-    psd: float = 1e-9          # smallest eigenvalue >= -psd
-    unitarity: float = 1e-9
-    spectrum_residual: float = 1e-8
-    degeneracy_gap: float = 1e-8
-    imag_part: float = 1e-9
-
-
-DEFAULT_TOL = ToleranceConfig()
+# Density-matrix and Hamiltonian tolerances.
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-9
+PSD_TOL = 1e-9             # smallest eigenvalue >= -PSD_TOL
 
 
 class DensityInvariantError(ValueError):
@@ -72,9 +58,9 @@ def _as_square_complex(m, name="matrix"):
     return a
 
 
-def is_hermitian(a, tol=DEFAULT_TOL.hermiticity):
+def is_hermitian(a):
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(np.max(np.abs(a - a.conj().T))) <= HERMITICITY_TOL
 
 
 def hermitize(a):
@@ -83,34 +69,34 @@ def hermitize(a):
     return (a + a.conj().T) / 2
 
 
-def density_violations(m, tol=DEFAULT_TOL):
+def density_violations(m):
     """Check the three density-matrix invariants; return [(name, magnitude)].
 
-    Empty list means the matrix is a valid density matrix at the given
+    Empty list means the matrix is a valid density matrix at the module
     tolerances.
     """
     a = _as_square_complex(m, "density matrix")
     out = []
     herm = float(np.max(np.abs(a - a.conj().T)))
-    if herm > tol.hermiticity:
+    if herm > HERMITICITY_TOL:
         out.append(("hermiticity", herm))
     tr = abs(complex(np.trace(a)) - 1.0)
-    if tr > tol.trace:
+    if tr > TRACE_TOL:
         out.append(("trace", tr))
     w = np.linalg.eigvalsh(hermitize(a))
-    if w[0] < -tol.psd:
+    if w[0] < -PSD_TOL:
         out.append(("positivity", float(-w[0])))
     return out
 
 
-def validate_density(m, tol=DEFAULT_TOL):
+def validate_density(m):
     """Return ``m`` as a complex array iff it is a valid density matrix.
 
     Raises :class:`DensityInvariantError` carrying the violation report
     otherwise.
     """
     a = _as_square_complex(m, "density matrix")
-    bad = density_violations(a, tol)
+    bad = density_violations(a)
     if bad:
         raise DensityInvariantError(bad)
     return a
@@ -134,40 +120,6 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def expectation(a, rho, tol=DEFAULT_TOL):
-    """Re Tr(a rho) for Hermitian a; asserts the imaginary part is round-off."""
-    a = np.asarray(a, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if a.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {rho.shape}")
-    val = complex(np.trace(a @ rho))
-    if abs(val.imag) > tol.imag_part:
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag:.3e}")
-    return val.real
-
-
-def hermitian_expm(h, s=1.0, tol=DEFAULT_TOL):
-    """Unitary exp(-i*s*h) for Hermitian h, via eigendecomposition."""
-    h = _as_square_complex(h, "hamiltonian")
-    if not is_hermitian(h, tol.hermiticity):
-        raise ValueError("hermitian_expm requires a Hermitian input")
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * s * w)) @ v.conj().T
-    return u
-
-
-def evolve(rho, u_mat, tol=DEFAULT_TOL):
-    """Unitary conjugation U rho U†."""
-    rho = np.asarray(rho, dtype=complex)
-    u = np.asarray(u_mat, dtype=complex)
-    if rho.shape != u.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {u.shape}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if defect > tol.unitarity:
-        raise ValueError(f"propagator is not unitary (defect {defect:.3e})")
-    return u @ rho @ u.conj().T
-
-
 def fidelity_to_basis(rho, n):
     """Population Tr(rho |n><n|) = rho_nn."""
     rho = np.asarray(rho)
@@ -180,18 +132,6 @@ def purity(rho):
     """Tr(rho^2)."""
     rho = np.asarray(rho, dtype=complex)
     return float(np.trace(rho @ rho).real)
-
-
-def spectrum(a, tol=DEFAULT_TOL):
-    """Ascending eigenvalues of a Hermitian matrix, with reconstruction check."""
-    a = _as_square_complex(a, "matrix")
-    if not is_hermitian(a, tol.hermiticity):
-        raise ValueError("spectrum requires a Hermitian input")
-    w, v = np.linalg.eigh(a)
-    resid = float(np.max(np.abs(a - (v * w) @ v.conj().T)))
-    if resid > tol.spectrum_residual:
-        raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
-    return w
 
 
 @dataclass(frozen=True)
@@ -222,15 +162,6 @@ class DiagonalObservable:
     def matrix(self):
         return np.diag(self.sigma.astype(complex))
 
-    def min_gap(self):
-        """Smallest pairwise |p_i - p_j| over i != j."""
-        s = np.sort(self.sigma)
-        return float(np.min(np.diff(s)))
-
-    def assert_nondegenerate(self, tol=DEFAULT_TOL.degeneracy_gap):
-        if self.min_gap() <= tol:
-            raise ValueError(f"spectrum is degenerate (min gap {self.min_gap():.3e})")
-
     def to_json(self):
         return {"diag": self.sigma.tolist(), "n_star": int(self.n_star)}
 
@@ -246,9 +177,9 @@ class HermitianPropagator:
     H1 is exponentiated at thousands of control values.
     """
 
-    def __init__(self, h, tol=DEFAULT_TOL):
+    def __init__(self, h):
         h = _as_square_complex(h, "hamiltonian")
-        if not is_hermitian(h, tol.hermiticity):
+        if not is_hermitian(h):
             raise ValueError("propagator requires a Hermitian Hamiltonian")
         self.h = h
         self._w, self._v = np.linalg.eigh(h)

@@ -69,9 +69,6 @@ class QndMeasurement:
         """|c[mu, n]|^2, the per-level outcome statistics."""
         return np.abs(self.coeffs) ** 2
 
-    def kraus(self, mu):
-        return np.diag(self.coeffs[mu])
-
     def outcome_probabilities(self, rho):
         """p_mu = sum_n |c[mu,n]|^2 rho_nn, clamped at 0, renormalized."""
         rho = np.asarray(rho, dtype=complex)

@@ -26,7 +26,6 @@ from .core import (
     HermitianPropagator,
     density_violations,
     fidelity_to_basis,
-    hermitian_expm,
     hermitize,
     purity,
 )
@@ -41,6 +40,7 @@ from .measurement import P_FLOOR
 
 __all__ = [
     "ABSORB_THRESHOLD",
+    "ENSEMBLE_MODES",
     "EnsembleResult",
     "FilterBreakdown",
     "LoopConfig",
@@ -61,6 +61,10 @@ __all__ = [
 ABSORB_THRESHOLD = 0.999
 
 REVALIDATE_EVERY = 50
+
+# The modes run_ensemble accepts.  A deterministic run has no stream to vary,
+# and a filtered ensemble would need an initial estimate no caller supplies.
+ENSEMBLE_MODES = ("stochastic", "open-loop")
 
 
 class FilterBreakdown(RuntimeError):
@@ -93,7 +97,6 @@ class LoopConfig:
     steps: int = 1000
     fidelity_threshold: float = 0.99
     stop_at_threshold: bool = True
-    state_stride: int = 50
 
     def __post_init__(self):
         if self.mode not in ("deterministic", "stochastic", "open-loop", "filtered"):
@@ -111,8 +114,8 @@ class Trajectory:
     """Per-step log of one realization.
 
     fidelity/lyapunov/purity have one entry per visited state (steps+1 at
-    most); u and outcome have one entry per executed step.  states maps step
-    index -> full density matrix, kept every state_stride steps.
+    most); u and outcome have one entry per executed step.  states maps the
+    last step index to the final density matrix.
     """
 
     u: np.ndarray
@@ -154,7 +157,6 @@ class _Log:
         self.fidelity = []
         self.lyapunov = []
         self.purity = []
-        self.states = {}
         self.first_hit = None
         self.est_fid = None if est0 is None else []
         self.dist = None if est0 is None else []
@@ -165,8 +167,6 @@ class _Log:
         self.fidelity.append(f)
         self.lyapunov.append(lyapunov_v(self.cfg.p, rho))
         self.purity.append(purity(rho))
-        if k % self.cfg.state_stride == 0:
-            self.states[k] = rho.copy()
         if self.first_hit is None and f >= self.cfg.fidelity_threshold:
             self.first_hit = k
         if est is not None:
@@ -178,8 +178,6 @@ class _Log:
         self.outcome.append(outcome)
 
     def finish(self, rho):
-        # The last visited state is always kept, stride or not.
-        self.states.setdefault(len(self.fidelity) - 1, np.asarray(rho).copy())
         diag = np.asarray(rho).diagonal().real
         absorbed = int(np.argmax(diag)) if float(np.max(diag)) >= ABSORB_THRESHOLD else None
         traj = Trajectory(
@@ -188,7 +186,7 @@ class _Log:
             fidelity=np.asarray(self.fidelity, dtype=float),
             lyapunov=np.asarray(self.lyapunov, dtype=float),
             purity=np.asarray(self.purity, dtype=float),
-            states=self.states,
+            states={len(self.fidelity) - 1: np.asarray(rho).copy()},
             first_hit=self.first_hit,
             absorbed_state=absorbed,
         )
@@ -239,7 +237,7 @@ def _run(cfg, rho0, rng=None, est0=None):
     est = None if est0 is None else np.asarray(est0, dtype=complex)
     prop = None if open_loop else HermitianPropagator(cfg.h1)
     if not measured:
-        u0 = hermitian_expm(np.asarray(cfg.h0, dtype=complex))
+        u0 = HermitianPropagator(cfg.h0).unitary(1.0)
         u0_dag = u0.conj().T
     log = _Log(cfg, rho, est)
     for k in range(cfg.steps):
@@ -292,7 +290,7 @@ def run_stochastic(cfg, rho0, seed):
     return _run(cfg, rho0, np.random.Generator(np.random.PCG64(seed)))
 
 
-def run_filtered(cfg, rho0_true, rho0_estimate, seed):
+def run_filtered(cfg, rho0, est0, seed):
     """Output feedback: control computed from a filter state, not the truth.
 
     The filter is updated with the same sampled outcome and the same applied
@@ -300,7 +298,7 @@ def run_filtered(cfg, rho0_true, rho0_estimate, seed):
     """
     if cfg.mode != "filtered":
         raise ValueError("run_filtered needs mode=filtered")
-    return _run(cfg, rho0_true, np.random.Generator(np.random.PCG64(seed)), rho0_estimate)
+    return _run(cfg, rho0, np.random.Generator(np.random.PCG64(seed)), est0)
 
 
 def trace_distance(a, b):
@@ -341,27 +339,22 @@ def _padded(curve, length):
     return np.concatenate([curve, np.full(length - curve.size, curve[-1])])
 
 
-def run_ensemble(cfg, rho0, n_realizations, master_seed, threads=None,
-                 rho0_estimate=None):
+def run_ensemble(cfg, rho0, n_realizations, master_seed, threads=None):
     """Run independent realizations and aggregate convergence statistics.
 
-    Realization i uses the stream seeded by derive_seed(master_seed, i);
-    results are bit-identical for any thread count because each task is
-    isolated and the reduction is ordered by realization index.
+    Only the ENSEMBLE_MODES are accepted.  Realization i uses the stream
+    seeded by derive_seed(master_seed, i); results are bit-identical for any
+    thread count because each task is isolated and the reduction is ordered
+    by realization index.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
+    if cfg.mode not in ENSEMBLE_MODES:
+        raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")
+    run = run_stochastic if cfg.mode == "stochastic" else run_open_loop
 
     def one(i):
-        seed = derive_seed(master_seed, i)
-        if cfg.mode == "stochastic":
-            return run_stochastic(cfg, rho0, seed)
-        if cfg.mode == "open-loop":
-            return run_open_loop(cfg, rho0, seed)
-        if cfg.mode == "filtered":
-            est0 = rho0_estimate if rho0_estimate is not None else rho0
-            return run_filtered(cfg, rho0, est0, seed)
-        raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")
+        return run(cfg, rho0, derive_seed(master_seed, i))
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

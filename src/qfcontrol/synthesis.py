@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DiagonalObservable, is_hermitian
+from .core import HERMITICITY_TOL, DiagonalObservable, is_hermitian
 
 __all__ = [
     "CONE_TOL",
@@ -58,7 +58,7 @@ class InfeasibleLambda(RuntimeError):
 # Cone membership
 # ---------------------------------------------------------------------------
 
-def cone_violations(r, tol=CONE_TOL):
+def cone_violations(r):
     """Violation magnitudes of the four cone membership conditions."""
     r = np.asarray(r, dtype=float)
     n = r.shape[0]
@@ -73,7 +73,7 @@ def cone_violations(r, tol=CONE_TOL):
 
 
 def in_cone(r, tol=CONE_TOL):
-    return all(v <= tol for v in cone_violations(r, tol).values())
+    return all(v <= tol for v in cone_violations(r).values())
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
         h0 = np.asarray(h0, dtype=complex)
         offmax = float(np.max(np.abs(h0 - np.diag(np.diag(h0))))) if h0.size else 0.0
         checks["diagonal"] = AssumptionCheck(
-            "diagonal", offmax <= DEFAULT_TOL.hermiticity, (),
+            "diagonal", offmax <= HERMITICITY_TOL, (),
             f"max off-diagonal magnitude of H0: {offmax:.3e}",
         )
         h = np.diag(h0).real

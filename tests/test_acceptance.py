@@ -205,7 +205,6 @@ def test_criterion_06_open_loop_absorption(report):
         h1=np.zeros((8, 8)),
         meas=photon_box(8, PHI0, np.pi / 10.0),
         steps=500,
-        state_stride=501,
     )
     rho0 = benchmark_rho0()
     t0 = time.monotonic()
@@ -333,7 +332,6 @@ def test_criterion_09_deterministic_loop(report):
             h0=h0,
             controller=ControllerConfig(kind="linear", kappa=0.05),
             steps=10_000,
-            state_stride=10_001,
         )
         traj = run_deterministic(cfg, np.outer(psi, psi.conj()))
         if traj.first_hit is not None:

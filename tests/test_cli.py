@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qfcontrol import DiagonalObservable, LoopConfig, cli, photon_box, run_ensemble
 from qfcontrol.cli import REFERENCE_SIGMA, ExperimentConfig, main
 from qfcontrol.core import load_matrix
 
@@ -148,6 +149,69 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg_path)]) == 0
 
 
+def inline_h1(cfg, value=0.0):
+    h1 = np.full((8, 8), value)
+    np.fill_diagonal(h1, 0.0)
+    cfg["h1"] = {"n": 8, "re": h1.tolist(), "im": np.zeros((8, 8)).tolist()}
+    return cfg
+
+
+class TestSimulateModes:
+    """simulate runs ensembles only; validate checks every mode."""
+
+    @staticmethod
+    def deterministic_config():
+        cfg = inline_h1(experiment_config("unused", np.pi / 10), 0.1)
+        del cfg["measurement"]
+        cfg["loop"]["mode"] = "deterministic"
+        cfg["controller"]["kind"] = "linear"
+        h0 = np.diag(np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19]))
+        cfg["h0"] = {"n": 8, "re": h0.tolist(), "im": np.zeros((8, 8)).tolist()}
+        return cfg
+
+    @staticmethod
+    def filtered_config():
+        cfg = inline_h1(experiment_config("unused", np.pi / 10), 0.1)
+        cfg["loop"]["mode"] = "filtered"
+        return cfg
+
+    @pytest.mark.parametrize("mode", ["deterministic", "filtered"])
+    def test_simulate_rejects_non_ensemble_mode(self, tmp_path, capsys, mode):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(getattr(self, f"{mode}_config")()))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config") and repr(mode) in err
+        assert not out.exists()
+
+    def test_validate_checks_deterministic_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.deterministic_config()))
+        assert main(["validate", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "nondegenerate_spectrum", "diagonal", "strong_regularity_mod_2pi",
+            "full_connectivity"]
+        assert all(": pass (required)" in line for line in lines)
+
+    def test_success_line_counts_hits_exactly(self, tmp_path, capsys, monkeypatch):
+        loop = LoopConfig(mode="open-loop", p=DiagonalObservable(np.arange(8.0), 0),
+                          h1=np.zeros((8, 8)), meas=photon_box(8, 1 / 8, np.pi / 10),
+                          steps=100)
+        rho0 = np.diag(np.r_[0.0625, np.full(7, 0.9375 / 7)]).astype(complex)
+        ens = run_ensemble(loop, rho0, 47, 7000)
+        # 3 / 47 * 47 truncates to 2.
+        assert int(np.sum(ens.first_hit >= 0)) == 3
+        monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: ens)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            inline_h1(experiment_config("unused", np.pi / 10, realizations=47))))
+        assert main(["simulate", "--config", str(path),
+                     "--out-dir", str(tmp_path / "sim")]) == 0
+        assert "(3/47 realizations" in capsys.readouterr().out
+
+
 def drop_measurement(cfg):
     del cfg["measurement"]
 
@@ -163,6 +227,7 @@ MALFORMED = {
     "unknown-mode": lambda cfg: cfg["loop"].update(mode="analog"),
     "deterministic-without-h0": deterministic_without_h0,
     "loop-not-an-object": lambda cfg: cfg.update(loop=[]),
+    "h1-file-missing": lambda cfg: cfg.update(h1="missing.json"),
 }
 
 

@@ -159,6 +159,37 @@ class TestQuadraticFeedback:
         # [H1, rho] square to real non-positive values, so a never decreases.
         assert a1 >= a0 - 1e-12
 
+    def test_epsilon_curvature_is_the_printed_formula(self):
+        """For eps > 0, a is not the curvature of V_eps; for eps = 0 it is."""
+        p = DiagonalObservable(SIGMA8, 2)
+        h1 = np.zeros((8, 8), dtype=complex)
+        for i in range(8):
+            if i != 2:
+                h1[i, 2] = h1[2, i] = np.sqrt(0.5 / (SIGMA8[i] - SIGMA8[2]))
+        rho = np.ones((8, 8), dtype=complex) / 16.0
+        rho[0, 0] += 0.5
+        prop = HermitianPropagator(h1)
+        h = 1e-4
+
+        def curvature(eps):
+            f = lambda u: lyapunov_v_eps(p, prop.conjugate(rho, u), eps)
+            return (f(h) - 2 * f(0.0) + f(-h)) / h**2
+
+        def coeff(eps):
+            cfg = ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=eps)
+            return quadratic_feedback(p, h1, rho, cfg).quadratic_coeff
+
+        assert coeff(0.0) == pytest.approx(-3.45371, abs=1e-5)
+        assert abs(coeff(0.0) - curvature(0.0)) <= 1e-6
+        assert coeff(50.0) == coeff(0.0)
+        assert curvature(50.0) == pytest.approx(-2.84122, abs=1e-4)
+        # The exact curvature a_0 - eps sum_i (d_i'^2 + d_i d_i''); d' = 0 here.
+        d = rho.diagonal().real
+        c = h1 @ rho - rho @ h1
+        d2 = -(h1 @ c - c @ h1).diagonal().real
+        assert coeff(0.0) - 50.0 * float(d @ d2) == pytest.approx(
+            curvature(50.0), abs=1e-5)
+
     def test_wrong_kind_rejected(self):
         p = DiagonalObservable(np.array([2.0, 1.0]), 1)
         with pytest.raises(ValueError):

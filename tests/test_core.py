@@ -11,12 +11,8 @@ from qfcontrol import (
     HermitianPropagator,
     basis_state,
     commutator,
-    evolve,
-    expectation,
     fidelity_to_basis,
-    hermitian_expm,
     purity,
-    spectrum,
     validate_density,
 )
 from qfcontrol.core import (
@@ -96,13 +92,6 @@ class TestBasics:
         c = commutator(a, b)
         assert np.allclose(c, -c.conj().T)
 
-    def test_expectation_real(self):
-        rng = np.random.default_rng(2)
-        a = random_hermitian(rng, 4)
-        rho = random_density(rng, 4)
-        val = expectation(a, rho)
-        assert isinstance(val, float)
-
     def test_fidelity_is_population(self):
         rho = np.diag([0.1, 0.7, 0.2]).astype(complex)
         assert fidelity_to_basis(rho, 1) == pytest.approx(0.7)
@@ -117,75 +106,54 @@ class TestBasics:
         assert np.allclose(hermitize(h), h)
 
 
+def taylor_expm(a, terms=80):
+    """Reference exp(a) by its power series, independent of eigh."""
+    out = term = np.eye(a.shape[0], dtype=complex)
+    for k in range(1, terms):
+        term = term @ a / k
+        out = out + term
+    return out
+
+
 class TestExpm:
     def test_unitarity(self):
         rng = np.random.default_rng(4)
         h = random_hermitian(rng, 6)
-        u = hermitian_expm(h, 0.37)
+        u = HermitianPropagator(h).unitary(0.37)
         assert np.allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
 
     def test_matches_series_small_angle(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 4)
         s = 1e-4
-        u = hermitian_expm(h, s)
+        u = HermitianPropagator(h).unitary(s)
         approx = np.eye(4) - 1j * s * h - 0.5 * s**2 * (h @ h)
         assert np.allclose(u, approx, atol=1e-10)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            hermitian_expm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_evolve_preserves_density(self):
-        rng = np.random.default_rng(6)
-        h = random_hermitian(rng, 4)
-        rho = random_density(rng, 4)
-        out = evolve(rho, hermitian_expm(h, 0.2))
-        assert not density_violations(out)
-
-    def test_evolve_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            evolve(np.eye(2) / 2, 2.0 * np.eye(2))
+            HermitianPropagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_propagator_matches_expm(self):
         rng = np.random.default_rng(7)
         h = random_hermitian(rng, 5)
         prop = HermitianPropagator(h)
         for u in (-0.3, 0.0, 0.11, 2.0):
-            assert np.allclose(prop.unitary(u), hermitian_expm(h, u), atol=1e-12)
+            assert np.allclose(prop.unitary(u), taylor_expm(-1j * u * h), atol=1e-12)
 
     def test_propagator_conjugate(self):
         rng = np.random.default_rng(8)
         h = random_hermitian(rng, 5)
         rho = random_density(rng, 5)
         prop = HermitianPropagator(h)
-        direct = evolve(rho, hermitian_expm(h, 0.4))
-        assert np.allclose(prop.conjugate(rho, 0.4), direct, atol=1e-12)
-
-
-class TestSpectrum:
-    def test_sorted_eigenvalues(self):
-        w = spectrum(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            spectrum(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        u = taylor_expm(-0.4j * h)
+        assert np.allclose(prop.conjugate(rho, 0.4), u @ rho @ u.conj().T, atol=1e-12)
 
 
 class TestDiagonalObservable:
     def test_requires_minimum_at_n_star(self):
         with pytest.raises(ValueError):
             DiagonalObservable(np.array([1.0, 2.0, 3.0]), 1)
-
-    def test_min_gap(self):
-        p = DiagonalObservable(np.array([5.0, 1.0, 2.5]), 1)
-        assert p.min_gap() == pytest.approx(1.5)
-
-    def test_degeneracy_detection(self):
-        p = DiagonalObservable(np.array([2.0, 1.0, 2.0 + 1e-12]), 1)
-        with pytest.raises(ValueError):
-            p.assert_nondegenerate()
 
     def test_json_round_trip(self):
         p = DiagonalObservable(np.array([4.0, 0.5, 2.0]), 1)

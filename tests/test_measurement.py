@@ -28,11 +28,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QndMeasurement(np.ones((1, 3)))
 
-    def test_kraus_is_diagonal(self):
-        m = photon_box(4, 0.3, 0.7)
-        k = m.kraus(1)
-        assert np.allclose(k, np.diag(np.diag(k)))
-
 
 class TestOutcomes:
     def test_probabilities_sum_to_one(self):

@@ -14,6 +14,7 @@ from qfcontrol import (
     config_hash,
     derive_seed,
     hamiltonian_of_r,
+    linear_feedback,
     photon_box,
     quadratic_feedback,
     run_deterministic,
@@ -121,9 +122,9 @@ class TestStochasticLoop:
         assert t.outcome.size == 50
 
     def test_final_state_always_recorded(self):
-        cfg = stochastic_config(steps=123, stop_at_threshold=False, state_stride=1000)
+        cfg = stochastic_config(steps=123, stop_at_threshold=False)
         t = run_stochastic(cfg, seed_state(), 9)
-        assert 123 in t.states
+        assert list(t.states) == [123]
         assert np.trace(t.states[123]).real == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_min_controller_runs(self):
@@ -265,6 +266,18 @@ class TestDeterministicLoop:
         with pytest.raises(ValueError):
             run_deterministic(cfg, seed_state())
 
+    def test_vanishing_feedback_logs_positive_zero(self, tmp_path):
+        """A real start state makes Tr([P, H1] rho) vanish; u must be +0.0."""
+        d = linear_feedback(observable8(), star_h1(), seed_state(), 0.05)
+        assert d.u == 0.0 and not np.signbit(d.u)
+        assert not np.signbit(d.linear_coeff)
+        t = parity_case("deterministic")
+        assert t.u[0] == 0.0 and not np.any(np.signbit(t.u[t.u == 0.0]))
+        path = tmp_path / "det.csv"
+        write_trajectories_csv(path, [t])
+        rows = path.read_text().splitlines()[2:]
+        assert all(row.split(",")[2] != "-0" for row in rows)
+
 
 class TestFilteredLoop:
     def test_filter_converges_to_truth(self):
@@ -304,6 +317,12 @@ class TestEnsemble:
     def test_requires_realizations(self):
         with pytest.raises(ValueError):
             run_ensemble(stochastic_config(), seed_state(), 0, 1)
+
+    def test_rejects_filtered_mode(self):
+        cfg = LoopConfig(mode="filtered", p=observable8(), h1=coupling8(),
+                         meas=photon_box(8, 1 / 8, np.pi / 10))
+        with pytest.raises(ValueError, match="not defined for mode 'filtered'"):
+            run_ensemble(cfg, seed_state(), 3, 1)
 
 
 def star_h1():

@@ -153,6 +153,14 @@ class TestSolver:
 
 
 class TestAssumptions:
+    def test_degenerate_spectrum_flagged(self):
+        p = DiagonalObservable(np.array([2.0, 1.0, 2.0 + 1e-12]), 1)
+        check = assumption_report(p)["nondegenerate_spectrum"]
+        assert not check.passed
+        assert check.witnesses == ((0, 2),)
+        assert assumption_report(DiagonalObservable(SIGMA8, 2))[
+            "nondegenerate_spectrum"].passed
+
     def test_photon_box_quarter_pi_flagged(self):
         p = DiagonalObservable(SIGMA8, 2)
         checks = assumption_report(p, meas=photon_box(8, 1 / 8, np.pi / 4))
