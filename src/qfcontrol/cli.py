@@ -40,11 +40,10 @@ from .simulate import (
     write_trajectories_csv,
 )
 from .synthesis import (
-    SynthesisProblem,
+    InfeasibleLambda,
     assumption_report,
     r_of_hamiltonian,
-    solve_synthesis,
-    hamiltonian_of_r,
+    synthesis_pipeline,
     verify_lambda,
 )
 
@@ -108,7 +107,7 @@ class ExperimentConfig:
         base = os.path.dirname(os.path.abspath(path))
         try:
             return cls.from_json(raw, base_dir=base)
-        except (AttributeError, KeyError, OSError, ValueError, TypeError) as e:
+        except (AttributeError, LookupError, OSError, ValueError, TypeError) as e:
             raise ConfigError(f"bad config {path}: {e}") from e
 
     @classmethod
@@ -135,6 +134,8 @@ class ExperimentConfig:
         else:
             rho0 = matrix_from_json(rho0_spec)
         rho0 = validate_density(rho0)
+        if rho0.shape != (p.dim, p.dim):
+            raise ValueError(f"rho0 has shape {rho0.shape}, but p has dimension {p.dim}")
 
         loop = raw.get("loop", {})
         h0 = None
@@ -180,6 +181,43 @@ def _fmt_vec(v):
     return "[" + ", ".join(f"{x:.6g}" for x in v) + "]"
 
 
+def _synthesize(out_dir, p, chash, phase_policy="positive", **problem):
+    """sigma -> checked H1: write synthesis.json, and h1.json when feasible.
+
+    Returns the solve and H1, which is None when the solve misses the sign
+    condition.  ``problem`` holds the solver's hyper-parameters.
+    """
+    try:
+        pipe = synthesis_pipeline(p, phase_policy, **problem)
+        result, h1 = pipe.result, pipe.h1
+    except InfeasibleLambda as e:
+        result, h1 = e.result, None
+    os.makedirs(out_dir, exist_ok=True)
+    synth = result.to_json()
+    synth["config_hash"] = chash
+    _write_json(os.path.join(out_dir, "synthesis.json"), synth)
+    if h1 is not None:
+        save_matrix(os.path.join(out_dir, "h1.json"), h1,
+                    phase_policy=phase_policy, config_hash=chash)
+    return result, h1
+
+
+def _simulate(out_dir, loop, rho0, n, master_seed, threads, chash, **extra):
+    """Ensemble -> trajectories.csv and summary.json (with ``extra`` appended).
+
+    Returns the ensemble and its convergence statistics.
+    """
+    ens = run_ensemble(loop, rho0, n, master_seed, threads=threads)
+    stats = convergence_statistics(ens)
+    os.makedirs(out_dir, exist_ok=True)
+    write_trajectories_csv(os.path.join(out_dir, "trajectories.csv"), ens.trajectories,
+                           cfg_hash=chash, master_seed=master_seed)
+    summary = {**ens.to_json(), **stats, "config_hash": chash,
+               "master_seed": master_seed, **extra}
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    return ens, stats
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------------------------
@@ -187,23 +225,21 @@ def _fmt_vec(v):
 def cmd_synthesize(args):
     try:
         with open(args.p_diag) as f:
-            pobj = json.load(f)
-        p = DiagonalObservable.from_json(pobj)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+            p = DiagonalObservable.from_json(json.load(f))
+    except (OSError, LookupError, TypeError, ValueError) as e:
+        print(f"error: bad p-diag file {args.p_diag}: {e}", file=sys.stderr)
+        return 1
+
+    problem = {"gamma1": args.gamma1, "gamma2": args.gamma2, "alpha1": args.alpha1,
+               "alpha2": 1.0 if args.sparse else args.alpha2, "norm": args.norm}
+    chash = config_hash({"p": p.to_json(), **problem})
+    try:
+        result, h1 = _synthesize(args.out_dir, p, chash, args.phase_policy, **problem)
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    problem = SynthesisProblem(
-        sigma=p,
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        alpha1=args.alpha1,
-        alpha2=(1.0 if args.sparse else args.alpha2),
-        norm=args.norm,
-    )
-    result = solve_synthesis(problem)
     ok, report = verify_lambda(result.lambda_tilde, p.n_star)
-
     print(f"lambda_tilde = {_fmt_vec(result.lambda_tilde)}")
     print(f"residual = {result.residual:.3e}  iterations = {result.iterations}")
     for i, value, rule, good in report:
@@ -212,37 +248,10 @@ def cmd_synthesize(args):
         print(f"  {where}: {value:+.6g}  ({rule}) {tag}")
     print(f"sign condition: {'satisfied' if ok else 'violated'}")
     print(f"feasible: {result.feasible}")
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    chash = config_hash(
-        {
-            "p": p.to_json(),
-            "gamma1": problem.gamma1,
-            "gamma2": problem.gamma2,
-            "alpha1": problem.alpha1,
-            "alpha2": problem.alpha2,
-            "norm": problem.norm,
-        }
-    )
-    synth = result.to_json()
-    synth["config_hash"] = chash
-    _write_json(os.path.join(args.out_dir, "synthesis.json"), synth)
-
-    if not (ok and result.feasible):
-        print(
-            "infeasible: try raising gamma1/gamma2 for more clearance, or "
-            "lowering alpha2 if the sparsity penalty is crowding out the fit",
-            file=sys.stderr,
-        )
+    if h1 is None:
+        print("infeasible: try raising gamma1/gamma2 for more clearance, or lowering "
+              "alpha2 if the sparsity penalty is crowding out the fit", file=sys.stderr)
         return 2
-
-    h1 = hamiltonian_of_r(result.r, args.phase_policy)
-    save_matrix(
-        os.path.join(args.out_dir, "h1.json"),
-        h1,
-        phase_policy=args.phase_policy,
-        config_hash=chash,
-    )
     return 0
 
 
@@ -261,37 +270,18 @@ def cmd_simulate(args):
               f"{', '.join(ENSEMBLE_MODES)}, not {cfg.loop.mode!r}", file=sys.stderr)
         return 1
 
-    out_dir = args.out_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     master_seed = args.seed if args.seed is not None else cfg.master_seed
-    chash = cfg.hash()
-
     try:
-        result = run_ensemble(
-            cfg.loop, cfg.rho0, cfg.realizations, master_seed, threads=args.threads
-        )
+        ens, stats = _simulate(args.out_dir or cfg.output_dir, cfg.loop, cfg.rho0,
+                               cfg.realizations, master_seed, args.threads, cfg.hash(),
+                               success_floor=cfg.success_floor)
     except (RuntimeError, ValueError) as e:
         print(f"simulation failure: {e}", file=sys.stderr)
         return 3
 
-    stats = convergence_statistics(result)
-    write_trajectories_csv(
-        os.path.join(out_dir, "trajectories.csv"),
-        result.trajectories,
-        cfg_hash=chash,
-        master_seed=master_seed,
-    )
-    summary = result.to_json()
-    del summary["final_fidelity"]  # already per-row in the CSV
-    summary.update(stats)
-    summary["config_hash"] = chash
-    summary["master_seed"] = master_seed
-    summary["success_floor"] = cfg.success_floor
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-
     print(
         f"success rate {stats['success_rate']:.2f} "
-        f"({int(np.sum(result.first_hit >= 0))}/{cfg.realizations} "
+        f"({int(np.sum(ens.first_hit >= 0))}/{cfg.realizations} "
         f"realizations at threshold {cfg.loop.fidelity_threshold})"
     )
     return 0 if stats["success_rate"] >= cfg.success_floor else 1
@@ -331,16 +321,14 @@ def cmd_validate(args):
 def cmd_reproduce_paper(args):
     sparse = args.case == "sparse"
     p = DiagonalObservable(REFERENCE_SIGMA, REFERENCE_N_STAR)
-    problem = SynthesisProblem(sigma=p, alpha2=(1.0 if sparse else 0.0))
-    result = solve_synthesis(problem)
-    ok, _ = verify_lambda(result.lambda_tilde, p.n_star)
-    h1 = hamiltonian_of_r(result.r, "positive")
+    chash = config_hash({"case": args.case, "seed": args.seed})
+    result, h1 = _synthesize(args.out_dir, p, chash, alpha2=(1.0 if sparse else 0.0))
+    if h1 is None:
+        print("infeasible: the reference synthesis misses the sign condition; "
+              "see synthesis.json", file=sys.stderr)
+        return 2
 
-    checks = []
-
-    checks.append(("synthesis feasible", bool(ok and result.feasible),
-                   f"residual {result.residual:.3e}"))
-
+    checks = [("synthesis feasible", result.feasible, f"residual {result.residual:.3e}")]
     if sparse:
         target = np.full(8, -1.0)
         target[REFERENCE_N_STAR] = 7.0
@@ -367,23 +355,10 @@ def cmd_reproduce_paper(args):
         controller=ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=0.0),
         steps=1000,
     )
-    ens = run_ensemble(loop, rho0, 100, args.seed, threads=args.threads)
-    stats = convergence_statistics(ens)
+    _, stats = _simulate(args.out_dir, loop, rho0, 100, args.seed, args.threads, chash)
     rate = stats["success_rate"]
     checks.append(("closed-loop success rate >= 0.95", rate >= 0.95,
                    f"measured {rate:.2f}"))
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    chash = config_hash({"case": args.case, "seed": args.seed})
-    save_matrix(os.path.join(args.out_dir, "h1.json"), h1,
-                phase_policy="positive", config_hash=chash)
-    synth = result.to_json()
-    synth["config_hash"] = chash
-    _write_json(os.path.join(args.out_dir, "synthesis.json"), synth)
-    write_trajectories_csv(
-        os.path.join(args.out_dir, "trajectories.csv"),
-        ens.trajectories, cfg_hash=chash, master_seed=args.seed,
-    )
 
     lines = [
         "# Reference 8-level benchmark report",

@@ -71,17 +71,26 @@ class FilterBreakdown(RuntimeError):
     """The filter assigned (near-)zero probability to the observed outcome."""
 
 
-def splitmix64(x):
-    """The splitmix64 mixing function; the seed-derivation contract."""
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+def _fmix64(x):
+    """The splitmix64 finalizer: a bijection of 64-bit words with fmix64(0) = 0."""
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
 
 
+def splitmix64(x):
+    """The splitmix64 mixing function; the seed-derivation contract."""
+    return _fmix64((x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+
+
 def derive_seed(master_seed, index):
-    """Per-realization stream seed: splitmix64(master_seed XOR index)."""
-    return splitmix64((int(master_seed) ^ int(index)) & 0xFFFFFFFFFFFFFFFF)
+    """Per-realization stream seed: splitmix64(fmix64(master_seed) XOR index).
+
+    Mixing the master before the XOR keeps masters that differ only in low
+    bits from sharing a set of streams; master 0 keeps splitmix64(index).
+    """
+    master = _fmix64(int(master_seed) & 0xFFFFFFFFFFFFFFFF)
+    return splitmix64(master ^ (int(index) & 0xFFFFFFFFFFFFFFFF))
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,13 @@ class LoopConfig:
             raise ValueError("deterministic mode needs a drift Hamiltonian (may be zero)")
         if self.mode != "deterministic" and self.meas is None:
             raise ValueError(f"{self.mode} mode needs a measurement")
+        dim = self.p.dim
+        for name, h in (("h1", self.h1), ("h0", self.h0)):
+            if h is not None and np.shape(h) != (dim, dim):
+                raise ValueError(f"{name} has shape {np.shape(h)}, but p has dimension {dim}")
+        if self.meas is not None and self.meas.dim != dim:
+            raise ValueError(f"the measurement has dimension {self.meas.dim}, "
+                             f"but p has dimension {dim}")
 
 
 @dataclass
@@ -322,7 +338,6 @@ class EnsembleResult:
     def to_json(self):
         return {
             "realizations": self.realizations,
-            "final_fidelity": self.final_fidelity.tolist(),
             "first_hit": self.first_hit.tolist(),
             "absorbed_state": self.absorbed_state.tolist(),
             "mean_fidelity_curve": self.mean_fidelity_curve.tolist(),

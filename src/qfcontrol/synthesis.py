@@ -51,7 +51,12 @@ LAMBDA_SUM_TOL = 1e-7
 
 
 class InfeasibleLambda(RuntimeError):
-    """The solved lambda_tilde violates the sign condition."""
+    """The solved lambda_tilde violates the sign condition; ``result`` is the solve."""
+
+    def __init__(self, result):
+        super().__init__("solved lambda_tilde fails the sign condition; adjust "
+                         "gamma1/gamma2 (or alpha weights) and re-solve")
+        self.result = result
 
 
 # ---------------------------------------------------------------------------
@@ -465,27 +470,21 @@ class PipelineResult:
     assumptions: dict
 
 
-def synthesis_pipeline(p, cfg=None, phase_policy="positive", meas=None, **solver_kwargs):
+def synthesis_pipeline(p, phase_policy="positive", meas=None, **problem):
     """Solve, verify the sign condition, and construct H1.
 
-    Refuses to emit a Hamiltonian when the solved lambda_tilde fails the sign
-    condition; the raised error suggests adjusting the hyper-parameters.
+    ``problem`` takes the SynthesisProblem fields other than sigma (gamma1,
+    gamma2, alpha1, alpha2, norm).  Refuses to emit a Hamiltonian when the
+    solved lambda_tilde fails the sign condition: the raised InfeasibleLambda
+    carries the solve as ``result``.
     """
-    if cfg is None:
-        cfg = SynthesisProblem(sigma=p)
-    if cfg.sigma is not p and not (
-        np.array_equal(cfg.sigma.sigma, p.sigma) and cfg.sigma.n_star == p.n_star
-    ):
-        raise ValueError("cfg.sigma must match the observable being synthesized for")
+    problem = SynthesisProblem(sigma=p, **problem)
     if np.sum(np.abs(p.sigma - p.sigma.min()) <= 1e-12) > 1:
         warnings.warn("minimum energy is degenerate; n_star selects one minimizer")
 
-    result = solve_synthesis(cfg, **solver_kwargs)
+    result = solve_synthesis(problem)
     if not result.feasible:
-        raise InfeasibleLambda(
-            "solved lambda_tilde fails the sign condition; "
-            "adjust gamma1/gamma2 (or alpha weights) and re-solve"
-        )
+        raise InfeasibleLambda(result)
     h1 = hamiltonian_of_r(result.r, phase_policy)
     report = assumption_report(p, h1=h1, meas=meas)
     return PipelineResult(h1=h1, r=result.r, result=result, assumptions=report)

@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from qfcontrol import DiagonalObservable, LoopConfig, cli, photon_box, run_ensemble
+from qfcontrol import (
+    DiagonalObservable,
+    InfeasibleLambda,
+    LoopConfig,
+    SynthesisProblem,
+    cli,
+    photon_box,
+    run_ensemble,
+    solve_synthesis,
+)
 from qfcontrol.cli import REFERENCE_SIGMA, ExperimentConfig, main
 from qfcontrol.core import load_matrix
 
@@ -69,13 +78,32 @@ class TestSynthesize:
         path.write_text(json.dumps(
             {"diag": [1.0, 1.0 + 1e-13, 1.0 + 2e-13], "n_star": 0}
         ))
-        code = main(["synthesize", "--p-diag", str(path),
-                     "--out-dir", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main(["synthesize", "--p-diag", str(path), "--out-dir", str(out)])
         assert code == 2
+        assert (out / "synthesis.json").exists()
+        assert not (out / "h1.json").exists()
 
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["synthesize", "--p-diag", str(tmp_path / "nope.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("p_diag, flags", [
+        ({"diag": [3.0, 1.0, 2.0], "n_star": 5}, []),
+        ([3.0, 1.0, 2.0], []),
+        (P_DIAG, ["--gamma1", "0"]),
+        (P_DIAG, ["--alpha2", "-1"]),
+    ], ids=["n-star-out-of-range", "top-level-list", "gamma1-zero", "alpha2-negative"])
+    def test_bad_input_exits_1_without_traceback(self, tmp_path, capsys, p_diag, flags):
+        path = tmp_path / "pdiag.json"
+        path.write_text(json.dumps(p_diag))
+        out = tmp_path / "out"
+        assert main(["synthesize", "--p-diag", str(path), "--out-dir", str(out),
+                     *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -200,7 +228,7 @@ class TestSimulateModes:
                           h1=np.zeros((8, 8)), meas=photon_box(8, 1 / 8, np.pi / 10),
                           steps=100)
         rho0 = np.diag(np.r_[0.0625, np.full(7, 0.9375 / 7)]).astype(complex)
-        ens = run_ensemble(loop, rho0, 47, 7000)
+        ens = run_ensemble(loop, rho0, 47, 7003)
         # 3 / 47 * 47 truncates to 2.
         assert int(np.sum(ens.first_hit >= 0)) == 3
         monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: ens)
@@ -221,6 +249,15 @@ def deterministic_without_h0(cfg):
     cfg["controller"]["kind"] = "linear"
 
 
+def zeros_json(n):
+    return {"n": n, "re": np.zeros((n, n)).tolist(), "im": np.zeros((n, n)).tolist()}
+
+
+def deterministic_with_2x2_h0(cfg):
+    deterministic_without_h0(cfg)
+    cfg["h0"] = zeros_json(2)
+
+
 MALFORMED = {
     "no-measurement": drop_measurement,
     "zero-steps": lambda cfg: cfg["loop"].update(steps=0),
@@ -228,6 +265,11 @@ MALFORMED = {
     "deterministic-without-h0": deterministic_without_h0,
     "loop-not-an-object": lambda cfg: cfg.update(loop=[]),
     "h1-file-missing": lambda cfg: cfg.update(h1="missing.json"),
+    "n-star-out-of-range": lambda cfg: cfg.update(p={**P_DIAG, "n_star": 8}),
+    "rho0-of-dimension-2": lambda cfg: cfg.update(rho0={"diag": [0.5, 0.5]}),
+    "h1-of-dimension-2": lambda cfg: cfg.update(h1=zeros_json(2)),
+    "h0-of-dimension-2": deterministic_with_2x2_h0,
+    "measurement-of-dimension-4": lambda cfg: cfg["measurement"]["photon_box"].update(n=4),
 }
 
 
@@ -238,8 +280,7 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_1_without_traceback(self, tmp_path, capsys, command, case):
         cfg = experiment_config("unused", np.pi / 10)
-        cfg["h1"] = {"n": 8, "re": np.zeros((8, 8)).tolist(),
-                     "im": np.zeros((8, 8)).tolist()}
+        cfg["h1"] = zeros_json(8)
         MALFORMED[case](cfg)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
@@ -251,6 +292,45 @@ class TestMalformedConfig:
         assert err.startswith("error: bad config")
         assert "Traceback" not in err
         assert not (tmp_path / "sim").exists()
+
+
+class TestReproducePaper:
+    def test_writes_consistent_outputs(self, tmp_path, monkeypatch):
+        # Five of the 100 realizations keep the test fast; master seed 0
+        # gives two hits and three misses among them.
+        def five(loop, rho0, n, master_seed, threads=None):
+            return run_ensemble(loop, rho0, 5, master_seed, threads=threads)
+
+        monkeypatch.setattr(cli, "run_ensemble", five)
+        out = tmp_path / "rp"
+        # theta = pi/4 cannot reach the 0.95 success rate, so that row fails.
+        assert main(["reproduce-paper", "--case", "nonsparse", "--seed", "0",
+                     "--out-dir", str(out)]) == 1
+        for name in ("synthesis.json", "h1.json", "trajectories.csv", "summary.json",
+                     "report.md"):
+            assert (out / name).stat().st_size > 0
+        summary = json.loads((out / "summary.json").read_text())
+        header, _, *rows = (out / "trajectories.csv").read_text().splitlines()
+        assert header == (f"# config_hash={summary['config_hash']} master_seed=0 "
+                          "index_convention=0-based")
+        first_hit = [-1] * summary["realizations"]
+        for row in rows:
+            i, k, _, _, fidelity = row.split(",")[:5]
+            if float(fidelity) >= 0.99 and first_hit[int(i)] < 0:
+                first_hit[int(i)] = int(k)
+        assert summary["first_hit"] == first_hit
+        assert max(first_hit) >= 0 and min(first_hit) == -1
+
+    def test_infeasible_synthesis_exits_2(self, tmp_path, monkeypatch):
+        def infeasible(p, phase_policy="positive", meas=None, **problem):
+            raise InfeasibleLambda(solve_synthesis(SynthesisProblem(sigma=p, **problem)))
+
+        monkeypatch.setattr(cli, "synthesis_pipeline", infeasible)
+        out = tmp_path / "rp"
+        assert main(["reproduce-paper", "--case", "nonsparse", "--out-dir", str(out)]) == 2
+        assert (out / "synthesis.json").exists()
+        assert not (out / "h1.json").exists()
+        assert not (out / "trajectories.csv").exists()
 
 
 class TestExperimentConfig:

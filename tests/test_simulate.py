@@ -73,6 +73,18 @@ class TestSeeding:
     def test_derive_seed_deterministic(self):
         assert derive_seed(42, 7) == derive_seed(42, 7)
 
+    def test_master_zero_streams_are_splitmix64_of_index(self):
+        assert all(derive_seed(0, i) == splitmix64(i) for i in range(256))
+
+    def test_neighbouring_masters_draw_different_ensembles(self):
+        # Seeding with splitmix64(master XOR index) gave masters 0 and 1 the
+        # same 48 streams in another order, hence the same sorted results.
+        cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
+                         meas=photon_box(8, 1 / 8, np.pi / 10), steps=60,
+                         stop_at_threshold=False)
+        a, b = (run_ensemble(cfg, seed_state(), 48, master) for master in (0, 1))
+        assert not np.array_equal(np.sort(a.final_fidelity), np.sort(b.final_fidelity))
+
 
 class TestLoopConfig:
     def test_unknown_mode(self):
