@@ -46,7 +46,7 @@ cfg = LoopConfig(
     controller=ControllerConfig(kind="quadratic", u_bar=0.1),
     steps=1000,
 )
-ens = run_ensemble(cfg, rho0, n_realizations=100, master_seed=42, threads=4)
+ens = run_ensemble(cfg, rho0, n_realizations=100, master_seed=42)
 stats = convergence_statistics(ens)
 
 print(f"realizations reaching fidelity 0.99: {int(np.sum(ens.first_hit >= 0))}/100")

@@ -78,7 +78,7 @@ for theta, label in ((np.pi / 4, "pi/4 "), (np.pi / 10, "pi/10")):
         controller=ControllerConfig(kind="quadratic", u_bar=0.1),
         steps=steps,
     )
-    ens = run_ensemble(cfg, rho0, 100, 42, threads=4)
+    ens = run_ensemble(cfg, rho0, 100, 42)
     hit = ens.first_hit >= 0
     by_1000 = int(np.sum(hit & (ens.first_hit <= 1000)))
     print(f"theta = {label}: {by_1000}/100 realizations reach fidelity 0.99 "

@@ -146,6 +146,9 @@ class ExperimentConfig:
         mode = loop.get("mode", "stochastic")
         if mode != "deterministic" and "master_seed" not in ens:
             raise ValueError("stochastic modes need ensemble.master_seed")
+        realizations = int(ens.get("realizations", 100))
+        if realizations < 1:
+            raise ValueError(f"ensemble.realizations is {realizations}, but must be at least 1")
 
         return cls(
             loop=LoopConfig(
@@ -160,7 +163,7 @@ class ExperimentConfig:
                 stop_at_threshold=bool(loop.get("stop_at_threshold", True)),
             ),
             rho0=rho0,
-            realizations=int(ens.get("realizations", 100)),
+            realizations=realizations,
             master_seed=int(ens.get("master_seed", 0)),
             success_floor=float(raw.get("success_floor", 0.0)),
             output_dir=raw.get("output_dir", "."),

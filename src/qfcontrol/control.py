@@ -23,6 +23,8 @@ from .core import HermitianPropagator, basis_state, commutator
 __all__ = [
     "ControlDecision",
     "ControllerConfig",
+    "LinearLaw",
+    "QuadraticLaw",
     "curvature_at_eigenstate",
     "exact_min_feedback",
     "expected_v_after",
@@ -101,15 +103,33 @@ def lyapunov_v_eps(p, rho, epsilon):
     return lyapunov_v(p, rho) - 0.5 * epsilon * float(d @ d)
 
 
+class LinearLaw:
+    """u = i * kappa * Tr([P, H1] rho) for one (P, H1, kappa), on a stack of states.
+
+    Tr(A rho) is summed entrywise, as sum(A.T * rho), so row r's result has
+    the same bits whatever the stack's size.
+    """
+
+    def __init__(self, p, h1, kappa):
+        if kappa <= 0:
+            raise ValueError("kappa must be positive")
+        gain = 1j * kappa * commutator(p.matrix(), np.asarray(h1, dtype=complex))
+        self._gain = gain.T.ravel()
+
+    def controls(self, rho):
+        """u for every state of a stack rho of shape (R, n, n)."""
+        val = (rho.reshape(len(rho), -1) * self._gain).sum(axis=-1)
+        off = np.abs(val.imag) > 1e-10
+        if off.any():
+            raise ValueError("linear feedback came out complex "
+                             f"(imag {val.imag[np.argmax(off)]:.3e})")
+        # + 0.0 turns -0.0 (a vanishing trace) into 0.0, so logs never show "-0".
+        return val.real + 0.0
+
+
 def linear_feedback(p, h1, rho, kappa):
     """u = i * kappa * Tr([P, H1] rho); real for Hermitian arguments."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    val = 1j * kappa * complex(np.trace(commutator(p.matrix(), np.asarray(h1, dtype=complex)) @ rho))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"linear feedback came out complex (imag {val.imag:.3e})")
-    # + 0.0 turns -0.0 (a vanishing trace) into 0.0, so logs never show "-0".
-    u = float(val.real) + 0.0
+    u = float(LinearLaw(p, h1, kappa).controls(np.asarray(rho, dtype=complex)[None])[0])
     return ControlDecision(u=u, linear_coeff=u / kappa)
 
 
@@ -170,7 +190,7 @@ def exact_min_feedback(p, h1, meas, rho, cfg):
     return ControlDecision(u=u, predicted_dv=f(u) - v_now)
 
 
-def quadratic_feedback(p, h1, rho, cfg, rng=None):
+class QuadraticLaw:
     """Closed-form minimization of the quadratic objective (a/2) u^2 + b u.
 
     a = Tr([[H1, P], H1] rho) - (eps/4) sum_i (<i|[H1, rho]|i>)^2 and
@@ -186,38 +206,76 @@ def quadratic_feedback(p, h1, rho, cfg, rng=None):
     u is clip(-b/a, -u_bar, u_bar) when a > 0, else the endpoint downhill of
     b; with b = 0 a flat concave parabola ties at the endpoints and follows
     cfg.tie_break, and a flat one gives u = 0.
-    """
-    if cfg.kind != "quadratic":
-        raise ValueError("controller config is not quadratic")
-    h1 = np.asarray(h1, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    pm = p.matrix()
-    c_hp = commutator(h1, pm)
-    a = complex(np.trace(commutator(c_hp, h1) @ rho))
-    if cfg.epsilon > 0:
-        # Diagonal entries of [H1, rho] are purely imaginary; their square is
-        # a real <= 0 number, implemented as printed.
-        diag = np.diag(commutator(h1, rho))
-        a -= (cfg.epsilon / 4.0) * complex(np.sum(diag**2))
-    b = 1j * complex(np.trace(c_hp @ rho))
-    if abs(a.imag) > 1e-9 or abs(b.imag) > 1e-10:
-        raise ValueError(f"quadratic coefficients came out complex (a={a}, b={b})")
-    a, b = a.real, b.real
 
-    ub = cfg.u_bar
-    if a > 1e-12:
-        # + 0.0 turns -0.0 (from b = 0) into 0.0, so logs never show "-0".
-        u = min(max(-b / a, -ub), ub) + 0.0
-    elif abs(b) > 1e-12:
-        u = -ub * float(np.sign(b))
-    elif a < -1e-12:
+    The law works on a stack of states rho of shape (R, n, n).  The two
+    commutators are built once; every trace is summed entrywise, as
+    sum(A.T * rho), so row r's result has the same bits whatever R is.
+    """
+
+    def __init__(self, p, h1, cfg):
+        if cfg.kind != "quadratic":
+            raise ValueError("controller config is not quadratic")
+        self.cfg = cfg
+        self._h1 = np.asarray(h1, dtype=complex)
+        c_hp = commutator(self._h1, p.matrix())
+        # Rows: the operators whose traces are a (before the eps term) and b.
+        self._ops = np.stack([commutator(c_hp, self._h1).T.ravel(), (1j * c_hp).T.ravel()])
+
+    def coefficients(self, rho):
+        """Curvature a and slope b of every state of the stack, as real arrays."""
+        ab = (rho.reshape(len(rho), 1, -1) * self._ops).sum(axis=-1)
+        if self.cfg.epsilon > 0:
+            # Diagonal entries of [H1, rho] are purely imaginary; their square
+            # is a real <= 0 number, implemented as printed.
+            h1 = self._h1
+            diag = (h1 * rho.swapaxes(1, 2)).sum(axis=-1) - (rho * h1.T).sum(axis=-1)
+            ab[:, 0] -= (self.cfg.epsilon / 4.0) * (diag**2).sum(axis=-1)
+        off = np.abs(ab.imag) > (1e-9, 1e-10)
+        if off.any():
+            r = int(np.argmax(off.any(axis=-1)))
+            raise ValueError(
+                f"quadratic coefficients came out complex (a={ab[r, 0]}, b={ab[r, 1]})")
+        return ab[:, 0].real, ab[:, 1].real
+
+    def choose(self, a, b, draw=None):
+        """u for arrays of curvature a and slope b.
+
+        ``draw(mask)`` returns one uniform per True entry of mask, from that
+        state's own stream; it is called only for random-sign ties, and
+        without it a tie takes +u_bar.
+        """
+        ub = self.cfg.u_bar
+        convex = a > 1e-12
+        sloped = np.abs(b) > 1e-12
+        # clip(-b/a) where convex; + 0.0 turns -0.0 (from b = 0) into 0.0, so
+        # logs never show "-0".
+        interior = np.minimum(np.maximum(-b / np.where(convex, a, 1.0), -ub), ub) + 0.0
+        u = np.where(convex, interior, np.where(sloped, -ub * np.sign(b), 0.0))
         # Flat concave parabola: both endpoints tie.
-        if cfg.tie_break == "random-sign" and rng is not None:
-            u = ub if rng.random() < 0.5 else -ub
-        else:
-            u = ub
-    else:
-        u = 0.0
+        tie = ~convex & ~sloped & (a < -1e-12)
+        if tie.any():
+            if self.cfg.tie_break == "random-sign" and draw is not None:
+                u[tie] = np.where(draw(tie) < 0.5, ub, -ub)
+            else:
+                u[tie] = ub
+        return u
+
+    def controls(self, rho, draw=None):
+        """u for every state of a stack rho of shape (R, n, n)."""
+        return self.choose(*self.coefficients(rho), draw)
+
+
+def quadratic_feedback(p, h1, rho, cfg, rng=None):
+    """The quadratic law (see QuadraticLaw) for one state.
+
+    A random-sign tie draws one number from ``rng``; without it a tie takes
+    +u_bar.
+    """
+    law = QuadraticLaw(p, h1, cfg)
+    a, b = law.coefficients(np.asarray(rho, dtype=complex)[None])
+    draw = None if rng is None else (lambda mask: rng.random(int(mask.sum())))
+    u = float(law.choose(a, b, draw)[0])
+    a, b = float(a[0]), float(b[0])
     return ControlDecision(
         u=u,
         linear_coeff=b,

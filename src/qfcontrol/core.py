@@ -64,9 +64,12 @@ def is_hermitian(a):
 
 
 def hermitize(a):
-    """Hermitian part (A + A†)/2, used to absorb round-off drift."""
+    """Hermitian part (A + A†)/2, used to absorb round-off drift.
+
+    A stack of shape (R, n, n) is hermitized matrix by matrix.
+    """
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def density_violations(m):
@@ -197,6 +200,15 @@ class HermitianPropagator:
         """exp(-iHu) rho exp(+iHu) without re-diagonalizing."""
         umat = self.unitary(u)
         return umat @ rho @ umat.conj().T
+
+    def conjugate_stack(self, rho, u):
+        """conjugate for a stack: rho of shape (R, n, n), one control u[r] per state.
+
+        Every product is a stacked n x n matmul, so row r's result has the
+        same bits whatever R is.
+        """
+        umat = (self._v * np.exp(-1j * u[:, None] * self._w)[:, None, :]) @ self._vh
+        return umat @ rho @ umat.conj().swapaxes(-1, -2)
 
 
 def matrix_to_json(a):

@@ -9,6 +9,7 @@ basis states invariant and make Tr(A rho) a martingale for every diagonal A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,10 +65,19 @@ class QndMeasurement:
     def dim(self):
         return int(self.coeffs.shape[1])
 
-    @property
+    @cached_property
     def weights(self):
-        """|c[mu, n]|^2, the per-level outcome statistics."""
-        return np.abs(self.coeffs) ** 2
+        """|c[mu, n]|^2, the per-level outcome statistics (read-only)."""
+        w = np.abs(self.coeffs) ** 2
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def projectors(self):
+        """c[mu] c[mu]^*, so that M_mu rho M_mu† = projectors[mu] * rho (read-only)."""
+        k = self.coeffs[:, :, None] * self.coeffs[:, None, :].conj()
+        k.flags.writeable = False
+        return k
 
     def outcome_probabilities(self, rho):
         """p_mu = sum_n |c[mu,n]|^2 rho_nn, clamped at 0, renormalized."""
@@ -87,16 +97,36 @@ class QndMeasurement:
         p = float(self.weights[mu] @ rho.diagonal().real)
         if p <= P_FLOOR:
             raise OutcomeImpossible(f"outcome {mu} has probability {p:.3e} <= floor")
-        c = self.coeffs[mu]
-        return (np.outer(c, c.conj()) * rho) / p
+        return (self.projectors[mu] * rho) / p
+
+    def apply_outcomes(self, mu, rho):
+        """apply_outcome for a stack: rho of shape (R, n, n), one outcome mu[r] per state."""
+        p = (self.weights[mu] * rho.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
+        low = p <= P_FLOOR
+        if low.any():
+            r = int(np.argmax(low))
+            raise OutcomeImpossible(f"outcome {mu[r]} has probability {p[r]:.3e} <= floor")
+        return (self.projectors[mu] * rho) / p[:, None, None]
 
     def sample_outcome(self, rho, rng):
         """Draw an outcome by inverse CDF; deterministic given the stream state."""
         p = self.outcome_probabilities(rho)
-        cdf = np.cumsum(p)
-        mu = int(np.searchsorted(cdf, rng.random(), side="right"))
-        mu = min(mu, self.m - 1)
+        mu = int(_inverse_cdf(p, rng.random()))
         return MeasurementOutcome(mu=mu, probability=float(p[mu]))
+
+    def sample_outcomes(self, rho, x):
+        """sample_outcome for a stack: rho of shape (R, n, n), one uniform x[r] per state.
+
+        Returns the outcome indices.  The probabilities are clamped,
+        checked and renormalized as in outcome_probabilities, row by row.
+        """
+        d = rho.diagonal(axis1=1, axis2=2).real
+        p = np.maximum((d[:, None, :] * self.weights).sum(axis=-1), 0.0)
+        total = p.sum(axis=-1)
+        off = np.abs(total - 1.0) > 1e-10
+        if off.any():
+            raise ValueError(f"outcome probabilities sum to {total[np.argmax(off)]}, not 1")
+        return _inverse_cdf(p / total[:, None], x)
 
     def check_distinguishability(self, tol=1e-8):
         """Level pairs whose outcome statistics coincide within tol.
@@ -140,6 +170,16 @@ class QndMeasurement:
         if c.shape != (m, n):
             raise ValueError(f"measurement file claims shape ({m}, {n}) but arrays are {c.shape}")
         return cls(c)
+
+
+def _inverse_cdf(p, x):
+    """First outcome whose cumulative probability exceeds x, capped at the last.
+
+    ``p`` holds probabilities along its last axis and ``x`` one uniform per
+    row; the count of cdf entries <= x is searchsorted(cdf, x, "right").
+    """
+    mu = (p.cumsum(axis=-1) <= np.asarray(x)[..., None]).sum(axis=-1)
+    return np.minimum(mu, p.shape[-1] - 1)
 
 
 def photon_box(n, phi0, theta):

@@ -1,42 +1,50 @@
-"""One trajectory step kernel behind four entry points, plus the ensemble runner.
+"""One batched step kernel behind four entry points, plus the ensemble runner.
 
 One step of the measurement-driven loop is: sample an outcome from the
 current state, collapse, compute the control from the post-measurement state,
 then apply exp(-i H1 u).  The deterministic (measurement-free) loop instead
 applies exp(-i H0) exp(-i H1 u) with the linear feedback law.  One kernel,
-``_run``, executes the step in all four modes; ``run_stochastic``,
-``run_open_loop``, ``run_deterministic`` and ``run_filtered`` check the
-mode, seed the stream and call it.
+``_run``, executes the step in all four modes for a stack of R realizations
+at once: an (R, n, n) state, (R, steps + 1) logs and one random stream per
+realization.  ``run_ensemble`` runs every realization through it together;
+``run_stochastic``, ``run_open_loop``, ``run_deterministic`` and
+``run_filtered`` check the mode, seed the stream and run one (R = 1).
 
 Every realization owns an independent random stream derived from the master
-seed with splitmix64, so ensemble results are bit-identical for any thread
-count.
+seed with splitmix64, and the kernel gives each row the same bits whatever
+the stack's size, so a realization's trajectory is the same run alone or in
+an ensemble of any size, split into any number of chunks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
+    PSD_TOL,
+    TRACE_TOL,
     HermitianPropagator,
     density_violations,
-    fidelity_to_basis,
     hermitize,
-    purity,
 )
 from .control import (
     ControllerConfig,
+    LinearLaw,
+    QuadraticLaw,
     exact_min_feedback,
-    linear_feedback,
-    lyapunov_v,
-    quadratic_feedback,
 )
 from .measurement import P_FLOOR
+
+# Per-state functions that the benchmark's tracer wraps where this module
+# binds them.  The batched kernel no longer calls them, so their traced
+# counts read 0; the names stay bound until the benchmark traces the kernel.
+from .control import lyapunov_v, quadratic_feedback  # noqa: F401
+from .core import fidelity_to_basis, purity  # noqa: F401
 
 __all__ = [
     "ABSORB_THRESHOLD",
@@ -61,6 +69,10 @@ __all__ = [
 ABSORB_THRESHOLD = 0.999
 
 REVALIDATE_EVERY = 50
+
+# Uniforms drawn per refill of a realization's buffer: 2 KB per live
+# realization, refilled about once per 256 steps.
+DRAW_BLOCK = 256
 
 # The modes run_ensemble accepts.  A deterministic run has no stream to vary,
 # and a filtered ensemble would need an initial estimate no caller supplies.
@@ -155,155 +167,251 @@ class Trajectory:
         return float(self.fidelity[-1])
 
 
-def _revalidate(rho, k):
-    """Absorb round-off drift; abort loudly if the state actually broke."""
+def _revalidate(rho, k, ids):
+    """Absorb round-off drift in a stack of states; abort loudly if one broke.
+
+    Hermitize and renormalize every state, then check trace and positivity
+    with one batched eigvalsh.  A state that fails is reported by
+    density_violations, with the step and its realization index.
+    """
     rho = hermitize(rho)
-    rho = rho / float(np.trace(rho).real)
-    bad = density_violations(rho)
-    if bad:
-        raise RuntimeError(f"state invariants violated at step {k}: {bad}")
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    ok = np.isfinite(rho).all(axis=(1, 2))
+    ok &= np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) <= TRACE_TOL
+    ok[ok] = np.linalg.eigvalsh(rho[ok])[:, 0] >= -PSD_TOL
+    for r in np.flatnonzero(~ok):
+        where = f"at step {k} in realization {ids[r]}"
+        try:
+            bad = density_violations(rho[r])
+        except ValueError as e:  # NaN or Inf entries
+            raise ValueError(f"state broke {where}: {e}") from e
+        if bad:
+            raise RuntimeError(f"state invariants violated {where}: {bad}")
     return rho
 
 
+class _Streams:
+    """One block of uniforms per live realization, drawn from its own stream.
+
+    rng.random(k) is bit-identical to k calls of rng.random(), so reading a
+    row's block in order, refilled from the same generator when it runs
+    out, replays that realization's stream exactly.
+    """
+
+    def __init__(self, gens, block):
+        self.gens = list(gens)
+        self.block = block
+        self.buf = np.array([g.random(block) for g in self.gens])
+        self.cur = np.zeros(len(self.gens), dtype=np.intp)
+
+    def draw(self, mask=None):
+        """The next uniform of every live realization, or of those in mask."""
+        rows = np.arange(len(self.cur)) if mask is None else np.flatnonzero(mask)
+        for r in rows[self.cur[rows] == self.block]:
+            self.buf[r] = self.gens[r].random(self.block)
+            self.cur[r] = 0
+        x = self.buf[rows, self.cur[rows]]
+        self.cur[rows] += 1
+        return x
+
+    def keep(self, mask):
+        self.gens = [g for g, live in zip(self.gens, mask) if live]
+        self.buf = self.buf[mask]
+        self.cur = self.cur[mask]
+
+
 class _Log:
-    def __init__(self, cfg, rho0, est0=None):
-        self.cfg = cfg
-        self.u = []
-        self.outcome = []
-        self.fidelity = []
-        self.lyapunov = []
-        self.purity = []
-        self.first_hit = None
-        self.est_fid = None if est0 is None else []
-        self.dist = None if est0 is None else []
-        self.record_state(0, rho0, est0)
+    """Logs of a stack of realizations as (R, steps + 1) arrays, by realization index."""
 
-    def record_state(self, k, rho, est=None):
-        f = fidelity_to_basis(rho, self.cfg.p.n_star)
-        self.fidelity.append(f)
-        self.lyapunov.append(lyapunov_v(self.cfg.p, rho))
-        self.purity.append(purity(rho))
-        if self.first_hit is None and f >= self.cfg.fidelity_threshold:
-            self.first_hit = k
+    def __init__(self, cfg, n_runs, filtered):
+        self.threshold = cfg.fidelity_threshold
+        self.n_star = cfg.p.n_star
+        self.sigma = cfg.p.sigma
+        states = (n_runs, cfg.steps + 1)
+        self.u = np.zeros((n_runs, cfg.steps))
+        self.outcome = np.zeros((n_runs, cfg.steps))
+        self.fidelity = np.zeros(states)
+        self.lyapunov = np.zeros(states)
+        self.purity = np.zeros(states)
+        self.est_fid = np.zeros(states) if filtered else None
+        self.dist = np.zeros(states) if filtered else None
+        self.steps_run = np.zeros(n_runs, dtype=int)
+        self.final = np.zeros((n_runs, cfg.p.dim, cfg.p.dim), dtype=complex)
+
+    def record_state(self, k, rows, rho, est=None):
+        """Log the states after k steps in the given rows; return their fidelities."""
+        d = rho.diagonal(axis1=1, axis2=2).real
+        f = d[:, self.n_star]
+        self.fidelity[rows, k] = f
+        self.lyapunov[rows, k] = (d * self.sigma).sum(axis=-1)
+        # Tr(rho^2) = sum_ij |rho_ij|^2 for Hermitian rho: the sum of the
+        # squares of every real and imaginary part.
+        self.purity[rows, k] = np.square(rho.view(float)).reshape(len(rho), -1).sum(axis=-1)
         if est is not None:
-            self.est_fid.append(fidelity_to_basis(est, self.cfg.p.n_star))
-            self.dist.append(trace_distance(rho, est))
+            self.est_fid[rows, k] = est[:, self.n_star, self.n_star].real
+            self.dist[rows, k] = trace_distance(rho, est)
+        return f
 
-    def record_step(self, u, outcome):
-        self.u.append(u)
-        self.outcome.append(outcome)
+    def record_step(self, k, rows, u, mu):
+        self.u[rows, k] = u
+        self.outcome[rows, k] = mu
 
-    def finish(self, rho):
-        diag = np.asarray(rho).diagonal().real
-        absorbed = int(np.argmax(diag)) if float(np.max(diag)) >= ABSORB_THRESHOLD else None
-        traj = Trajectory(
-            u=np.asarray(self.u, dtype=float),
-            outcome=np.asarray(self.outcome, dtype=float),
-            fidelity=np.asarray(self.fidelity, dtype=float),
-            lyapunov=np.asarray(self.lyapunov, dtype=float),
-            purity=np.asarray(self.purity, dtype=float),
-            states={len(self.fidelity) - 1: np.asarray(rho).copy()},
-            first_hit=self.first_hit,
-            absorbed_state=absorbed,
-        )
-        if self.est_fid is not None:
-            traj.estimate_fidelity = np.asarray(self.est_fid, dtype=float)
-            traj.trace_distance = np.asarray(self.dist, dtype=float)
-        return traj
+    def stop(self, k, ids, rho):
+        """Realizations ids end after k steps in the states rho."""
+        self.steps_run[ids] = k
+        self.final[ids] = rho
+
+    def trajectories(self):
+        out = []
+        for r, s in enumerate(self.steps_run):
+            fid = self.fidelity[r, :s + 1].copy()
+            hits = np.flatnonzero(fid >= self.threshold)
+            diag = self.final[r].diagonal().real
+            traj = Trajectory(
+                u=self.u[r, :s].copy(),
+                outcome=self.outcome[r, :s].copy(),
+                fidelity=fid,
+                lyapunov=self.lyapunov[r, :s + 1].copy(),
+                purity=self.purity[r, :s + 1].copy(),
+                states={int(s): self.final[r].copy()},
+                first_hit=int(hits[0]) if hits.size else None,
+                absorbed_state=(int(np.argmax(diag))
+                                if float(np.max(diag)) >= ABSORB_THRESHOLD else None),
+            )
+            if self.est_fid is not None:
+                traj.estimate_fidelity = self.est_fid[r, :s + 1].copy()
+                traj.trace_distance = self.dist[r, :s + 1].copy()
+            out.append(traj)
+        return out
 
 
-def _control_from(cfg, prop, rho, rng):
+def _controller(cfg, prop, draw):
+    """The configured feedback law, mapping a stack of states to their controls."""
     kind = cfg.controller.kind
     if cfg.mode == "deterministic":
-        return linear_feedback(cfg.p, cfg.h1, rho, cfg.controller.kappa).u
+        return LinearLaw(cfg.p, prop.h, cfg.controller.kappa).controls
     if kind == "quadratic":
-        return quadratic_feedback(cfg.p, prop.h, rho, cfg.controller, rng).u
+        law = QuadraticLaw(cfg.p, prop.h, cfg.controller)
+        return lambda rho: law.controls(rho, draw)
     if kind == "exact-min":
-        return exact_min_feedback(cfg.p, prop, cfg.meas, rho, cfg.controller).u
+        return lambda rho: np.array(
+            [exact_min_feedback(cfg.p, prop, cfg.meas, r, cfg.controller).u for r in rho])
     raise ValueError(f"stochastic loop cannot use the {kind!r} controller")
 
 
-def _collapse_estimate(cfg, est, mu):
-    p_est = float(cfg.meas.weights[mu] @ est.diagonal().real)
-    if p_est <= P_FLOOR:
+def _collapse_estimate(meas, est, mu):
+    p_est = (meas.weights[mu] * est.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
+    low = p_est <= P_FLOOR
+    if low.any():
         # Recover once by mixing toward the maximally mixed state.
-        dim = est.shape[0]
-        est = (1.0 - 1e-3) * est + 1e-3 * np.eye(dim) / dim
-        p_est = float(cfg.meas.weights[mu] @ est.diagonal().real)
-        if p_est <= P_FLOOR:
+        dim = est.shape[-1]
+        est = est.copy()
+        est[low] = (1.0 - 1e-3) * est[low] + 1e-3 * np.eye(dim) / dim
+        p_est = (meas.weights[mu] * est.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
+        if (p_est <= P_FLOOR).any():
+            r = int(np.argmax(p_est <= P_FLOOR))
             raise FilterBreakdown(
-                f"observed outcome {mu} impossible under the filter state"
+                f"observed outcome {mu[r]} impossible under the filter state"
             )
-    return cfg.meas.apply_outcome(mu, est)
+    return meas.apply_outcomes(mu, est)
 
 
-def _run(cfg, rho0, rng=None, est0=None):
-    """The one step kernel behind all four trajectory modes.
+def _run(cfg, rho0, gens, est0=None):
+    """The one step kernel: advance len(gens) realizations of cfg as one stack.
 
-    Each step measures (all modes but deterministic), takes the control from
-    the post-measurement state, or from the filter state when ``est0`` is
-    given, and propagates.  Open-loop applies no unitary and logs u = 0; the
-    deterministic loop applies exp(-i H0) after exp(-i H1 u) and logs the
-    outcome as NaN.  Open-loop stops once a basis state is absorbed, the
-    other modes once the fidelity threshold is reached.
+    Realization r starts from rho0 (and the filter from est0) and draws from
+    the generator gens[r]; the deterministic loop draws nothing, and its
+    gens holds one None per realization.  Each step measures (all modes but
+    deterministic), takes the control from the post-measurement state, or
+    from the filter state when ``est0`` is given, and propagates, for every
+    live realization at once.
+    Open-loop applies no unitary and logs u = 0; the deterministic loop
+    applies exp(-i H0) after exp(-i H1 u) and logs the outcome as NaN.
+    Open-loop stops once a basis state is absorbed, the other modes once
+    the fidelity threshold is reached; a realization that stops leaves the
+    stack, which is compacted by index.  Every array operation gives row r
+    the same bits whatever the stack's size, so a realization's trajectory
+    does not depend on which others run beside it.
     """
     open_loop = cfg.mode == "open-loop"
     measured = cfg.mode != "deterministic"
-    rho = np.asarray(rho0, dtype=complex)
-    est = None if est0 is None else np.asarray(est0, dtype=complex)
+    n_runs = len(gens)
+    rho = np.repeat(np.asarray(rho0, dtype=complex)[None], n_runs, axis=0)
+    est = None if est0 is None else np.repeat(np.asarray(est0, dtype=complex)[None], n_runs, axis=0)
+    streams = _Streams(gens, min(cfg.steps, DRAW_BLOCK)) if measured else None
     prop = None if open_loop else HermitianPropagator(cfg.h1)
+    if not open_loop:
+        control = _controller(cfg, prop, None if streams is None else streams.draw)
     if not measured:
         u0 = HermitianPropagator(cfg.h0).unitary(1.0)
         u0_dag = u0.conj().T
-    log = _Log(cfg, rho, est)
+    ids = np.arange(n_runs)
+    # Log rows of the live realizations: a slice, which is cheaper to write
+    # through, until the first one stops.
+    rows = slice(None)
+    log = _Log(cfg, n_runs, est is not None)
+    fid = log.record_state(0, rows, rho, est)
     for k in range(cfg.steps):
-        if cfg.stop_at_threshold and (
-            float(np.max(rho.diagonal().real)) >= ABSORB_THRESHOLD if open_loop
-            else log.fidelity[-1] >= cfg.fidelity_threshold
-        ):
-            break
+        if cfg.stop_at_threshold:
+            done = (rho.diagonal(axis1=1, axis2=2).real.max(axis=-1) >= ABSORB_THRESHOLD
+                    if open_loop else fid >= cfg.fidelity_threshold)
+            if done.any():
+                log.stop(k, ids[done], rho[done])
+                live = ~done
+                ids, rho, fid = ids[live], rho[live], fid[live]
+                rows = ids
+                est = None if est is None else est[live]
+                if streams is not None:
+                    streams.keep(live)
+                if not ids.size:
+                    break
         mu = np.nan
         if measured:
-            mu = cfg.meas.sample_outcome(rho, rng).mu
-            rho = cfg.meas.apply_outcome(mu, rho)
+            mu = cfg.meas.sample_outcomes(rho, streams.draw())
+            rho = cfg.meas.apply_outcomes(mu, rho)
             if est is not None:
-                est = _collapse_estimate(cfg, est, mu)
+                est = _collapse_estimate(cfg.meas, est, mu)
         u = 0.0
         if not open_loop:
-            u = _control_from(cfg, prop, rho if est is None else est, rng)
-            rho = prop.conjugate(rho, u)
+            u = control(rho if est is None else est)
+            rho = prop.conjugate_stack(rho, u)
             if est is not None:
-                est = prop.conjugate(est, u)
+                est = prop.conjugate_stack(est, u)
             if not measured:
                 rho = u0 @ rho @ u0_dag
         if (k + 1) % REVALIDATE_EVERY == 0:
-            rho = _revalidate(rho, k + 1)
+            rho = _revalidate(rho, k + 1, ids)
             if est is not None:
-                est = _revalidate(est, k + 1)
-        log.record_step(u, mu)
-        log.record_state(k + 1, rho, est)
-    return log.finish(rho)
+                est = _revalidate(est, k + 1, ids)
+        log.record_step(k, rows, u, mu)
+        fid = log.record_state(k + 1, rows, rho, est)
+    log.stop(cfg.steps, ids, rho)
+    return log.trajectories()
+
+
+def _generator(seed):
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def run_deterministic(cfg, rho0):
     """Measurement-free loop with linear feedback: rho -> U0 U1(u) rho (.)†."""
     if cfg.mode != "deterministic" or cfg.controller.kind != "linear":
         raise ValueError("run_deterministic needs mode=deterministic with the linear controller")
-    return _run(cfg, rho0)
+    return _run(cfg, rho0, [None])[0]
 
 
 def run_open_loop(cfg, rho0, seed):
     """Repeated measure-and-collapse with no unitary in between."""
     if cfg.mode != "open-loop":
         raise ValueError("run_open_loop needs mode=open-loop")
-    return _run(cfg, rho0, np.random.Generator(np.random.PCG64(seed)))
+    return _run(cfg, rho0, [_generator(seed)])[0]
 
 
 def run_stochastic(cfg, rho0, seed):
     """Measurement-driven closed loop: collapse, control, then exp(-i H1 u)."""
     if cfg.mode != "stochastic":
         raise ValueError("run_stochastic needs mode=stochastic")
-    return _run(cfg, rho0, np.random.Generator(np.random.PCG64(seed)))
+    return _run(cfg, rho0, [_generator(seed)])[0]
 
 
 def run_filtered(cfg, rho0, est0, seed):
@@ -314,13 +422,13 @@ def run_filtered(cfg, rho0, est0, seed):
     """
     if cfg.mode != "filtered":
         raise ValueError("run_filtered needs mode=filtered")
-    return _run(cfg, rho0, np.random.Generator(np.random.PCG64(seed)), est0)
+    return _run(cfg, rho0, [_generator(seed)], est0)[0]
 
 
 def trace_distance(a, b):
-    """(1/2) * trace norm of a - b."""
+    """(1/2) * trace norm of a - b, pair by pair for stacks of shape (R, n, n)."""
     w = np.linalg.eigvalsh(hermitize(np.asarray(a) - np.asarray(b)))
-    return 0.5 * float(np.sum(np.abs(w)))
+    return 0.5 * np.sum(np.abs(w), axis=-1)
 
 
 @dataclass
@@ -358,24 +466,20 @@ def run_ensemble(cfg, rho0, n_realizations, master_seed, threads=None):
     """Run independent realizations and aggregate convergence statistics.
 
     Only the ENSEMBLE_MODES are accepted.  Realization i uses the stream
-    seeded by derive_seed(master_seed, i); results are bit-identical for any
-    thread count because each task is isolated and the reduction is ordered
-    by realization index.
+    seeded by derive_seed(master_seed, i).  All realizations advance
+    together through the batched kernel.  ``threads`` splits them into that
+    many contiguous chunks, which run one after another: it starts no
+    threads and never changes a result, because the kernel gives each
+    realization the same bits whatever its chunk.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
     if cfg.mode not in ENSEMBLE_MODES:
         raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")
-    run = run_stochastic if cfg.mode == "stochastic" else run_open_loop
-
-    def one(i):
-        return run(cfg, rho0, derive_seed(master_seed, i))
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(one, range(n_realizations)))
-    else:
-        trajectories = [one(i) for i in range(n_realizations)]
+    chunks = np.array_split(np.arange(n_realizations), min(max(threads or 1, 1), n_realizations))
+    trajectories = []
+    for chunk in chunks:
+        trajectories += _run(cfg, rho0, [_generator(derive_seed(master_seed, i)) for i in chunk])
 
     length = cfg.steps + 1
     dim = cfg.p.dim
@@ -435,6 +539,12 @@ def config_hash(obj):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _cells(values, rows, fmt):
+    """values formatted with fmt, empty where not finite, padded to rows cells."""
+    cells = [fmt(x) if math.isfinite(x) else "" for x in values.tolist()[:rows]]
+    return cells + [""] * (rows - len(cells))
+
+
 def write_trajectories_csv(path, trajectories, cfg_hash="", master_seed=0):
     """CSV log: realization,k,u,outcome,fidelity,lyapunov,purity.
 
@@ -442,15 +552,14 @@ def write_trajectories_csv(path, trajectories, cfg_hash="", master_seed=0):
     realization; deterministic runs have no outcome).  The header comment
     carries the config hash and master seed; indices are 0-based.
     """
+    g17 = "{:.17g}".format
     with open(path, "w") as f:
         f.write(f"# config_hash={cfg_hash} master_seed={master_seed} index_convention=0-based\n")
         f.write("realization,k,u,outcome,fidelity,lyapunov,purity\n")
         for i, t in enumerate(trajectories):
-            for k in range(t.fidelity.size):
-                u = f"{t.u[k]:.17g}" if k < t.u.size and np.isfinite(t.u[k]) else ""
-                out = (f"{int(t.outcome[k])}"
-                       if k < t.outcome.size and np.isfinite(t.outcome[k]) else "")
-                f.write(
-                    f"{i},{k},{u},{out},{t.fidelity[k]:.17g},"
-                    f"{t.lyapunov[k]:.17g},{t.purity[k]:.17g}\n"
-                )
+            rows = t.fidelity.size
+            columns = zip(_cells(t.u, rows, g17), _cells(t.outcome, rows, lambda x: str(int(x))),
+                          map(g17, t.fidelity.tolist()), map(g17, t.lyapunov.tolist()),
+                          map(g17, t.purity.tolist()))
+            f.writelines(f"{i},{k},{u},{out},{fid},{v},{pur}\n"
+                         for k, (u, out, fid, v, pur) in enumerate(columns))

@@ -270,6 +270,7 @@ MALFORMED = {
     "h1-of-dimension-2": lambda cfg: cfg.update(h1=zeros_json(2)),
     "h0-of-dimension-2": deterministic_with_2x2_h0,
     "measurement-of-dimension-4": lambda cfg: cfg["measurement"]["photon_box"].update(n=4),
+    "zero-realizations": lambda cfg: cfg["ensemble"].update(realizations=0),
 }
 
 

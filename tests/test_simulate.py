@@ -11,6 +11,7 @@ from qfcontrol import (
     DiagonalObservable,
     LoopConfig,
     SynthesisProblem,
+    Trajectory,
     config_hash,
     derive_seed,
     hamiltonian_of_r,
@@ -446,6 +447,33 @@ class TestArtifacts:
         assert lines[1] == "realization,k,u,outcome,fidelity,lyapunov,purity"
         expected_rows = sum(t.fidelity.size for t in res.trajectories)
         assert len(lines) == 2 + expected_rows
+
+    def test_csv_format_is_pinned(self, tmp_path):
+        """Hand-built rows: NaN outcomes, empty final cells, +0.0 and 17 digits."""
+
+        def traj(u, outcome, fidelity, lyapunov, purity):
+            return Trajectory(u=np.array(u), outcome=np.array(outcome),
+                              fidelity=np.array(fidelity), lyapunov=np.array(lyapunov),
+                              purity=np.array(purity), states={}, first_hit=None,
+                              absorbed_state=None)
+
+        trajectories = [
+            # Deterministic: no outcome on any row.
+            traj([0.1, 0.0], [np.nan, np.nan], [1 / 3, 0.5, 0.7],
+                 [10.000000000000002, 1e-20, 3.0], [1.0, 1 - 2**-53, 2 / 3]),
+            traj([-0.1], [1.0], [0.25, 0.99], [123.456, 7.0], [0.5, 1.0]),
+        ]
+        path = tmp_path / "golden.csv"
+        write_trajectories_csv(path, trajectories, cfg_hash="0123abcd", master_seed=7)
+        assert path.read_text() == (
+            "# config_hash=0123abcd master_seed=7 index_convention=0-based\n"
+            "realization,k,u,outcome,fidelity,lyapunov,purity\n"
+            "0,0,0.10000000000000001,,0.33333333333333331,10.000000000000002,1\n"
+            "0,1,0,,0.5,9.9999999999999995e-21,0.99999999999999989\n"
+            "0,2,,,0.69999999999999996,3,0.66666666666666663\n"
+            "1,0,-0.10000000000000001,1,0.25,123.456,0.5\n"
+            "1,1,,,0.98999999999999999,7,1\n"
+        )
 
     def test_csv_identical_for_same_run(self, tmp_path):
         cfg = stochastic_config(steps=40)
