@@ -205,12 +205,12 @@ def _synthesize(out_dir, p, chash, phase_policy="positive", **problem):
     return result, h1
 
 
-def _simulate(out_dir, loop, rho0, n, master_seed, threads, chash, **extra):
+def _simulate(out_dir, loop, rho0, n, master_seed, chash, **extra):
     """Ensemble -> trajectories.csv and summary.json (with ``extra`` appended).
 
     Returns the ensemble and its convergence statistics.
     """
-    ens = run_ensemble(loop, rho0, n, master_seed, threads=threads)
+    ens = run_ensemble(loop, rho0, n, master_seed)
     stats = convergence_statistics(ens)
     os.makedirs(out_dir, exist_ok=True)
     write_trajectories_csv(os.path.join(out_dir, "trajectories.csv"), ens.trajectories,
@@ -276,7 +276,7 @@ def cmd_simulate(args):
     master_seed = args.seed if args.seed is not None else cfg.master_seed
     try:
         ens, stats = _simulate(args.out_dir or cfg.output_dir, cfg.loop, cfg.rho0,
-                               cfg.realizations, master_seed, args.threads, cfg.hash(),
+                               cfg.realizations, master_seed, cfg.hash(),
                                success_floor=cfg.success_floor)
     except (RuntimeError, ValueError) as e:
         print(f"simulation failure: {e}", file=sys.stderr)
@@ -358,7 +358,7 @@ def cmd_reproduce_paper(args):
         controller=ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=0.0),
         steps=1000,
     )
-    _, stats = _simulate(args.out_dir, loop, rho0, 100, args.seed, args.threads, chash)
+    _, stats = _simulate(args.out_dir, loop, rho0, 100, args.seed, chash)
     rate = stats["success_rate"]
     checks.append(("closed-loop success rate >= 0.95", rate >= 0.95,
                    f"measured {rate:.2f}"))
@@ -429,7 +429,6 @@ def build_parser():
     sim.add_argument("--out-dir", default=None)
     sim.add_argument("--seed", type=int, default=None,
                      help="override the config's master seed")
-    sim.add_argument("--threads", type=int, default=None)
     sim.set_defaults(func=cmd_simulate)
 
     val = sub.add_parser("validate", help="check structural assumptions")
@@ -441,7 +440,6 @@ def build_parser():
     rep.add_argument("--case", choices=("nonsparse", "sparse"), required=True)
     rep.add_argument("--seed", type=int, default=42)
     rep.add_argument("--out-dir", default=".")
-    rep.add_argument("--threads", type=int, default=None)
     rep.set_defaults(func=cmd_reproduce_paper)
 
     return parser

@@ -4,25 +4,31 @@ Three controllers are provided:
 
 - linear:     u = i * kappa * Tr([P, H1] rho), the measurement-free law.
 - exact-min:  u = argmin over [-u_bar, u_bar] of the exact expected
-              post-step Lyapunov value (grid + golden-section refinement).
+              post-step Lyapunov value, a trigonometric polynomial in u
+              evaluated in closed form (grid, then Newton steps).
 - quadratic:  closed-form minimization of the second-order expansion of the
               same objective, the fast approximation used in practice.
 
-All of them are pure functions of the current state; any tie-break
-randomness draws from the caller's stream.
+Each works on a stack of states of shape (R, n, n) (``LinearLaw``,
+``ExactMinLaw``, ``QuadraticLaw``) and has a one-state wrapper.  All of them
+are pure functions of the current state; any tie-break randomness draws from
+the caller's stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import HermitianPropagator, basis_state, commutator
+from .measurement import P_FLOOR
 
 __all__ = [
     "ControlDecision",
     "ControllerConfig",
+    "ExactMinLaw",
     "LinearLaw",
     "QuadraticLaw",
     "curvature_at_eigenstate",
@@ -34,7 +40,10 @@ __all__ = [
     "quadratic_feedback",
 ]
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# The exact-min search: the best of GRID_POINTS evenly spaced controls over
+# [-u_bar, u_bar], then NEWTON_STEPS Newton steps inside its grid bracket.
+GRID_POINTS = 129
+NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,9 @@ class ControllerConfig:
     def __post_init__(self):
         if self.kind not in ("linear", "exact-min", "quadratic"):
             raise ValueError(f"unknown controller kind {self.kind!r}")
+        for name in ("kappa", "u_bar", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "linear" and self.kappa <= 0:
             raise ValueError("linear feedback requires kappa > 0")
         if self.kind in ("exact-min", "quadratic") and self.u_bar <= 0:
@@ -149,45 +161,118 @@ def expected_v_after(p, h1, meas, rho, u, epsilon=0.0):
     )
 
 
-def exact_min_feedback(p, h1, meas, rho, cfg):
-    """Minimize the exact expected post-step Lyapunov value over [-u_bar, u_bar].
+class ExactMinLaw:
+    """argmin over [-u_bar, u_bar] of the exact E[V_eps] after measuring, then rotating.
 
-    Coarse 129-point grid, ties broken toward 0 then +u_bar, then
-    golden-section refinement of the bracketing interval down to width 1e-8.
+    With H1 = W diag(e) W^dagger and X_mu = M_mu rho M_mu^dagger the
+    unnormalized branch of outcome mu (probability p_mu = Tr X_mu), the
+    populations of exp(-i H1 u) X_mu exp(i H1 u) are
+
+        d_mu,i(u) = Re sum_jk W_ij conj(W_ik) (W^dagger X_mu W)_jk exp(-i (e_j - e_k) u),
+
+    and the objective is
+
+        f(u) = sum_mu [sigma . d_mu(u) - (eps / 2 p_mu) d_mu(u) . d_mu(u)]
+
+    over the branches with p_mu > P_FLOOR, the dead-branch rule of
+    QndMeasurement.expected_update; it equals expected_v_after.  f' and f''
+    follow term by term, so eps = 0 and eps > 0 take the same path.
+
+    u starts at the best of GRID_POINTS evenly spaced controls, ties broken
+    toward 0, then toward +u_bar.  NEWTON_STEPS steps follow, each moving to
+    the minimum over the grid bracket (the neighbouring grid points) of the
+    second-order model at the current u: the Newton point when f'' > 0,
+    else the bracket end downhill of f'.  If f ends above the grid point's
+    value, the grid point is kept.
+
+    The eigendecomposition comes from the propagator's cache.  Every product
+    is a stacked matmul and every sum runs along a contiguous last axis, so
+    row r's result has the same bits whatever the stack's size.
     """
-    if cfg.kind != "exact-min":
-        raise ValueError("controller config is not exact-min")
-    prop = _as_propagator(h1)
 
-    def f(u):
-        return expected_v_after(p, prop, meas, rho, u, cfg.epsilon)
+    def __init__(self, p, h1, meas, cfg):
+        if cfg.kind != "exact-min":
+            raise ValueError("controller config is not exact-min")
+        self.cfg = cfg
+        self._sigma = p.sigma
+        self._meas = meas
+        e, w = _as_propagator(h1).eigh
+        n = e.size
+        self._w, self._wh = w, w.conj().T
+        # mix[i, jk] = W_ij conj(W_ik): the population map of the eigenbasis.
+        self._mix = (w[:, :, None] * w.conj()[:, None, :]).reshape(n, n * n)
+        self._omega = (e[:, None] - e[None, :]).ravel()
+        self.grid = np.linspace(-cfg.u_bar, cfg.u_bar, GRID_POINTS)
+        self._grid_phase = np.exp(-1j * self.grid[:, None] * self._omega)
+        # Grid indices in order of preference: closest to 0, then positive.
+        self._preference = np.lexsort((-self.grid, np.abs(self.grid)))
 
-    grid = np.linspace(-cfg.u_bar, cfg.u_bar, 129)
-    vals = np.array([f(u) for u in grid])
-    best = np.flatnonzero(vals <= vals.min() + 0.0)
-    # Ties: prefer the point closest to 0, then the positive one.
-    best_idx = int(best[np.lexsort((-grid[best], np.abs(grid[best])))[0]])
+    def _branches(self, rho):
+        """The (R, n^2, m n) table whose product with a phase row gives every d_mu,i.
 
-    lo = grid[max(best_idx - 1, 0)]
-    hi = grid[min(best_idx + 1, grid.size - 1)]
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > 1e-8:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    u = float((a + b) / 2)
-    if f(u) > vals[best_idx]:
-        u = float(grid[best_idx])
-    v_now = lyapunov_v_eps(p, rho, cfg.epsilon)
-    return ControlDecision(u=u, predicted_dv=f(u) - v_now)
+        Also returns the coefficients of f on d and on d * d, each (R, m n):
+        sigma_i and -eps / (2 p_mu) on live branches, 0 on dead ones.
+        """
+        meas = self._meas
+        n_runs, n = len(rho), rho.shape[-1]
+        pop = rho.diagonal(axis1=1, axis2=2).real
+        p = (pop[:, None, :] * meas.weights).sum(axis=-1)
+        live = p > P_FLOOR
+        x = meas.projectors * rho[:, None]
+        y = self._wh @ x @ self._w
+        table = (y.reshape(n_runs, -1, 1, n * n) * self._mix).reshape(n_runs, -1, n * n)
+        lin = np.where(live[:, :, None], self._sigma, 0.0).reshape(n_runs, -1)
+        quad = np.where(live, -0.5 * self.cfg.epsilon / np.where(live, p, 1.0), 0.0)
+        quad = np.repeat(quad, n, axis=1)
+        return table.swapaxes(1, 2), lin, quad
+
+    def objective(self, rho, u):
+        """f, f' and f'' at u[r] for every state of a stack rho of shape (R, n, n)."""
+        return self._derivatives(self._branches(rho), np.asarray(u, dtype=float))
+
+    def _derivatives(self, branches, u):
+        table, lin, quad = branches
+        phase = np.exp(-1j * u[:, None] * self._omega)
+        rows = np.stack([phase, -1j * self._omega * phase, -self._omega**2 * phase], axis=1)
+        d, d1, d2 = (rows @ table).real.swapaxes(0, 1)
+        f = (lin * d + quad * d * d).sum(axis=-1)
+        df = (lin * d1 + 2.0 * quad * d * d1).sum(axis=-1)
+        d2f = (lin * d2 + 2.0 * quad * (d1 * d1 + d * d2)).sum(axis=-1)
+        return f, df, d2f
+
+    def minimize(self, rho):
+        """The chosen u and f(u) for every state of a stack rho of shape (R, n, n)."""
+        branches = self._branches(rho)
+        table, lin, quad = branches
+        d = (self._grid_phase @ table).real
+        values = (lin[:, None] * d + quad[:, None] * d * d).sum(axis=-1)
+        floor = values.min(axis=-1)
+        tied = values <= floor[:, None]
+        best = self._preference[np.argmax(tied[:, self._preference], axis=-1)]
+        lo = self.grid[np.maximum(best - 1, 0)]
+        hi = self.grid[np.minimum(best + 1, GRID_POINTS - 1)]
+        u = self.grid[best]
+        for _ in range(NEWTON_STEPS):
+            _, df, d2f = self._derivatives(branches, u)
+            convex = d2f > 0
+            newton = u - df / np.where(convex, d2f, 1.0)
+            downhill = np.where(df > 0, lo, np.where(df < 0, hi, u))
+            u = np.minimum(np.maximum(np.where(convex, newton, downhill), lo), hi)
+        f = self._derivatives(branches, u)[0]
+        worse = f > floor
+        # + 0.0 turns -0.0 into 0.0, so logs never show "-0".
+        return np.where(worse, self.grid[best], u) + 0.0, np.where(worse, floor, f)
+
+    def controls(self, rho):
+        """u for every state of a stack rho of shape (R, n, n)."""
+        return self.minimize(rho)[0]
+
+
+def exact_min_feedback(p, h1, meas, rho, cfg):
+    """The exact-min law (see ExactMinLaw) for one state."""
+    u, f = ExactMinLaw(p, h1, meas, cfg).minimize(np.asarray(rho, dtype=complex)[None])
+    return ControlDecision(u=float(u[0]),
+                           predicted_dv=float(f[0]) - lyapunov_v_eps(p, rho, cfg.epsilon))
 
 
 class QuadraticLaw:
@@ -284,19 +369,16 @@ def quadratic_feedback(p, h1, rho, cfg, rng=None):
     )
 
 
-def curvature_at_eigenstate(p, h1, meas, n, step=1e-3):
-    """Central second difference of the expected post-step energy at u = 0.
+def curvature_at_eigenstate(p, h1, meas, n):
+    """f''(0) of the exact expected post-step energy at rho = |n><n|, eps = 0.
 
-    Evaluated at rho = |n><n| with epsilon = 0; equals (R sigma)_n for
-    R = r_of_hamiltonian(H1), which is the mechanism behind the convergence
-    guarantee: negative curvature off the target, positive at it.
+    The measurement is part of the objective (see ExactMinLaw).  It equals
+    (R sigma)_n for R = r_of_hamiltonian(H1), which is the mechanism behind
+    the convergence guarantee: negative curvature off the target, positive
+    at it.
     """
     prop = _as_propagator(h1)
     if not 0 <= n < prop.dim:
         raise IndexError(f"basis index {n} out of range")
-    rho = basis_state(n, prop.dim)
-
-    def f(u):
-        return expected_v_after(p, prop, meas, rho, u, 0.0)
-
-    return (f(step) - 2.0 * f(0.0) + f(-step)) / step**2
+    law = ExactMinLaw(p, prop, meas, ControllerConfig(kind="exact-min"))
+    return float(law.objective(basis_state(n, prop.dim)[None], np.zeros(1))[2][0])

@@ -59,8 +59,12 @@ def _as_square_complex(m, name="matrix"):
 
 
 def is_hermitian(a):
+    """Whether a equals its conjugate transpose within HERMITICITY_TOL.
+
+    A NaN or Inf entry fails too: it makes its entry of a - a† NaN or Inf.
+    """
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) <= HERMITICITY_TOL
+    return bool(np.abs(a - a.conj().T).max() <= HERMITICITY_TOL)
 
 
 def hermitize(a):
@@ -153,6 +157,8 @@ class DiagonalObservable:
         object.__setattr__(self, "sigma", sig)
         if sig.ndim != 1 or sig.size < 2:
             raise ValueError("sigma must be a vector of at least two energies")
+        if not np.isfinite(sig).all():
+            raise ValueError("sigma contains NaN or Inf entries")
         if not 0 <= self.n_star < sig.size:
             raise IndexError(f"n_star {self.n_star} out of range")
         if sig[self.n_star] > sig.min() + 1e-12:
@@ -191,6 +197,11 @@ class HermitianPropagator:
     @property
     def dim(self):
         return self.h.shape[0]
+
+    @property
+    def eigh(self):
+        """The cached eigenvalues and eigenvectors (as columns), as numpy.linalg.eigh gives them."""
+        return self._w, self._v
 
     def unitary(self, u):
         """exp(-i * H * u)."""

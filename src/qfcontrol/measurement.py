@@ -52,8 +52,8 @@ class QndMeasurement:
             raise ValueError("coeffs must be an (m, n) array")
         if c.shape[0] < 2:
             raise ValueError("a measurement needs at least two outcomes")
-        colsums = np.sum(np.abs(c) ** 2, axis=0)
-        worst = float(np.max(np.abs(colsums - 1.0)))
+        colsums = (np.abs(c) ** 2).sum(axis=0)
+        worst = float(np.abs(colsums - 1.0).max())
         if worst > COMPLETENESS_TOL:
             raise ValueError(f"completeness violated by {worst:.3e}")
 
@@ -87,7 +87,8 @@ class QndMeasurement:
         p = self.weights @ rho.diagonal().real
         p = np.maximum(p, 0.0)
         total = p.sum()
-        if abs(total - 1.0) > 1e-10:
+        # Written so that a NaN total fails the check too.
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
         return p / total
 
@@ -123,7 +124,7 @@ class QndMeasurement:
         d = rho.diagonal(axis1=1, axis2=2).real
         p = np.maximum((d[:, None, :] * self.weights).sum(axis=-1), 0.0)
         total = p.sum(axis=-1)
-        off = np.abs(total - 1.0) > 1e-10
+        off = ~(np.abs(total - 1.0) <= 1e-10)
         if off.any():
             raise ValueError(f"outcome probabilities sum to {total[np.argmax(off)]}, not 1")
         return _inverse_cdf(p / total[:, None], x)
@@ -192,4 +193,4 @@ def photon_box(n, phi0, theta):
     if n < 2:
         raise ValueError("dimension must be at least 2")
     phases = phi0 + theta * np.arange(n)
-    return QndMeasurement(np.vstack([np.cos(phases), np.sin(phases)]).astype(complex))
+    return QndMeasurement(np.array([np.cos(phases), np.sin(phases)], dtype=complex))

@@ -13,7 +13,7 @@ realization.  ``run_ensemble`` runs every realization through it together;
 Every realization owns an independent random stream derived from the master
 seed with splitmix64, and the kernel gives each row the same bits whatever
 the stack's size, so a realization's trajectory is the same run alone or in
-an ensemble of any size, split into any number of chunks.
+an ensemble of any size.
 """
 
 from __future__ import annotations
@@ -31,19 +31,20 @@ from .core import (
     HermitianPropagator,
     density_violations,
     hermitize,
+    is_hermitian,
 )
 from .control import (
     ControllerConfig,
+    ExactMinLaw,
     LinearLaw,
     QuadraticLaw,
-    exact_min_feedback,
 )
 from .measurement import P_FLOOR
 
 # Per-state functions that the benchmark's tracer wraps where this module
 # binds them.  The batched kernel no longer calls them, so their traced
 # counts read 0; the names stay bound until the benchmark traces the kernel.
-from .control import lyapunov_v, quadratic_feedback  # noqa: F401
+from .control import exact_min_feedback, lyapunov_v, quadratic_feedback  # noqa: F401
 from .core import fidelity_to_basis, purity  # noqa: F401
 
 __all__ = [
@@ -128,10 +129,17 @@ class LoopConfig:
             raise ValueError("deterministic mode needs a drift Hamiltonian (may be zero)")
         if self.mode != "deterministic" and self.meas is None:
             raise ValueError(f"{self.mode} mode needs a measurement")
+        if self.mode != "deterministic" and self.controller.kind == "linear":
+            raise ValueError(f"{self.mode} mode cannot use the linear controller")
+        if not 0.0 < self.fidelity_threshold <= 1.0:
+            raise ValueError(f"fidelity_threshold is {self.fidelity_threshold}, "
+                             "but must be in (0, 1]")
         dim = self.p.dim
         for name, h in (("h1", self.h1), ("h0", self.h0)):
             if h is not None and np.shape(h) != (dim, dim):
                 raise ValueError(f"{name} has shape {np.shape(h)}, but p has dimension {dim}")
+            if h is not None and not is_hermitian(h):
+                raise ValueError(f"{name} is not a finite Hermitian matrix")
         if self.meas is not None and self.meas.dim != dim:
             raise ValueError(f"the measurement has dimension {self.meas.dim}, "
                              f"but p has dimension {dim}")
@@ -286,17 +294,16 @@ class _Log:
 
 
 def _controller(cfg, prop, draw):
-    """The configured feedback law, mapping a stack of states to their controls."""
-    kind = cfg.controller.kind
+    """The configured feedback law, mapping a stack of states to their controls.
+
+    LoopConfig leaves the measured modes the quadratic and exact-min laws.
+    """
     if cfg.mode == "deterministic":
         return LinearLaw(cfg.p, prop.h, cfg.controller.kappa).controls
-    if kind == "quadratic":
+    if cfg.controller.kind == "quadratic":
         law = QuadraticLaw(cfg.p, prop.h, cfg.controller)
         return lambda rho: law.controls(rho, draw)
-    if kind == "exact-min":
-        return lambda rho: np.array(
-            [exact_min_feedback(cfg.p, prop, cfg.meas, r, cfg.controller).u for r in rho])
-    raise ValueError(f"stochastic loop cannot use the {kind!r} controller")
+    return ExactMinLaw(cfg.p, prop, cfg.meas, cfg.controller).controls
 
 
 def _collapse_estimate(meas, est, mu):
@@ -462,24 +469,20 @@ def _padded(curve, length):
     return np.concatenate([curve, np.full(length - curve.size, curve[-1])])
 
 
-def run_ensemble(cfg, rho0, n_realizations, master_seed, threads=None):
+def run_ensemble(cfg, rho0, n_realizations, master_seed):
     """Run independent realizations and aggregate convergence statistics.
 
     Only the ENSEMBLE_MODES are accepted.  Realization i uses the stream
     seeded by derive_seed(master_seed, i).  All realizations advance
-    together through the batched kernel.  ``threads`` splits them into that
-    many contiguous chunks, which run one after another: it starts no
-    threads and never changes a result, because the kernel gives each
-    realization the same bits whatever its chunk.
+    together through the batched kernel, which gives each the same bits as
+    a run of it alone.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
     if cfg.mode not in ENSEMBLE_MODES:
         raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")
-    chunks = np.array_split(np.arange(n_realizations), min(max(threads or 1, 1), n_realizations))
-    trajectories = []
-    for chunk in chunks:
-        trajectories += _run(cfg, rho0, [_generator(derive_seed(master_seed, i)) for i in chunk])
+    trajectories = _run(cfg, rho0, [_generator(derive_seed(master_seed, i))
+                                    for i in range(n_realizations)])
 
     length = cfg.steps + 1
     dim = cfg.p.dim

@@ -1,9 +1,8 @@
 """Property test: a realization's trajectory does not depend on its batch.
 
-``run_ensemble`` advances every realization as one stack and splits the
-stack into ``threads`` chunks; each realization must come out bit for bit as
-it does when run alone through ``run_stochastic`` or ``run_open_loop`` with
-the same stream.  Systems are drawn at random: dimension 2-16, a random QND
+``run_ensemble`` advances every realization as one stack; each realization
+must come out bit for bit as it does when run alone through
+``run_stochastic`` or ``run_open_loop`` with the same stream.  Systems are drawn at random: dimension 2-16, a random QND
 measurement, random H1, sigma and mixed initial state.
 """
 
@@ -60,26 +59,24 @@ def random_system(seed, dim, law, stop, diagonal_start):
         cfg = LoopConfig(mode="open-loop", h1=np.zeros((dim, dim)), steps=40, **common)
     else:
         cfg = LoopConfig(mode="stochastic", h1=0.3 * (a + a.conj().T),
-                         controller=CONTROLLERS[law],
-                         steps=3 if law == "exact-min" else 40, **common)
+                         controller=CONTROLLERS[law], steps=40, **common)
     return cfg, rho0
 
 
-def assert_same_as_alone(cfg, rho0, n_runs, master, thread_counts):
+def assert_same_as_alone(cfg, rho0, n_runs, master):
     run = run_open_loop if cfg.mode == "open-loop" else run_stochastic
     alone = [run(cfg, rho0, derive_seed(master, i)) for i in range(n_runs)]
-    for threads in thread_counts:
-        ens = run_ensemble(cfg, rho0, n_runs, master, threads=threads)
-        for t, ref in zip(ens.trajectories, alone, strict=True):
-            assert t.first_hit == ref.first_hit
-            assert t.absorbed_state == ref.absorbed_state
-            assert t.steps_run == ref.steps_run
-            for name in ("u", "outcome", "fidelity", "lyapunov", "purity"):
-                assert np.array_equal(getattr(t, name), getattr(ref, name)), name
-            assert t.states.keys() == ref.states.keys()
-            final = t.states[t.steps_run]
-            assert np.array_equal(final, ref.states[ref.steps_run])
-            assert density_violations(final) == []
+    ens = run_ensemble(cfg, rho0, n_runs, master)
+    for t, ref in zip(ens.trajectories, alone, strict=True):
+        assert t.first_hit == ref.first_hit
+        assert t.absorbed_state == ref.absorbed_state
+        assert t.steps_run == ref.steps_run
+        for name in ("u", "outcome", "fidelity", "lyapunov", "purity"):
+            assert np.array_equal(getattr(t, name), getattr(ref, name)), name
+        assert t.states.keys() == ref.states.keys()
+        final = t.states[t.steps_run]
+        assert np.array_equal(final, ref.states[ref.steps_run])
+        assert density_violations(final) == []
     return alone
 
 
@@ -95,9 +92,7 @@ def assert_same_as_alone(cfg, rho0, n_runs, master, thread_counts):
 )
 def test_batched_equals_alone(seed, dim, law, stop, diagonal_start, n_runs, master):
     cfg, rho0 = random_system(seed, dim, law, stop, diagonal_start)
-    if law == "exact-min":
-        n_runs = min(n_runs, 3)  # each decision costs ~160 objective evaluations
-    assert_same_as_alone(cfg, rho0, n_runs, master, (1, 2, n_runs))
+    assert_same_as_alone(cfg, rho0, n_runs, master)
 
 
 def test_stack_bookkeeping_equals_alone():
@@ -111,6 +106,6 @@ def test_stack_bookkeeping_equals_alone():
     ctrl = ControllerConfig(kind="quadratic", u_bar=0.3, epsilon=5.0, tie_break="random-sign")
     cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(),
                      meas=photon_box(8, 1 / 8, np.pi / 6), controller=ctrl, steps=400)
-    alone = assert_same_as_alone(cfg, np.diag(np.diag(seed_state())), 24, 5, (1, 5, 24))
+    alone = assert_same_as_alone(cfg, np.diag(np.diag(seed_state())), 24, 5)
     steps = sorted(t.steps_run for t in alone)
     assert steps.count(75) == 2 and steps.count(255) == 2 and steps[-1] == 400

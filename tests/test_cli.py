@@ -107,6 +107,14 @@ class TestSynthesize:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("argv", [["simulate", "--config", "c.json"],
+                                      ["reproduce-paper", "--case", "sparse"]])
+    def test_threads_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_runs_and_writes_outputs(self, tmp_path, synthesized):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(
@@ -258,6 +266,15 @@ def deterministic_with_2x2_h0(cfg):
     cfg["h0"] = zeros_json(2)
 
 
+def h1_with(entry):
+    """Set H1's (0, 1) entry alone, leaving (1, 0) at zero."""
+
+    def change(cfg):
+        cfg["h1"]["re"][0][1] = entry
+
+    return change
+
+
 MALFORMED = {
     "no-measurement": drop_measurement,
     "zero-steps": lambda cfg: cfg["loop"].update(steps=0),
@@ -271,6 +288,16 @@ MALFORMED = {
     "h0-of-dimension-2": deterministic_with_2x2_h0,
     "measurement-of-dimension-4": lambda cfg: cfg["measurement"]["photon_box"].update(n=4),
     "zero-realizations": lambda cfg: cfg["ensemble"].update(realizations=0),
+    "u-bar-infinite": lambda cfg: cfg["controller"].update(u_bar=float("inf")),
+    "u-bar-nan": lambda cfg: cfg["controller"].update(u_bar=float("nan")),
+    "epsilon-nan": lambda cfg: cfg["controller"].update(epsilon=float("nan")),
+    "kappa-infinite": lambda cfg: cfg["controller"].update(kappa=float("inf")),
+    "sigma-nan": lambda cfg: cfg.update(p={**P_DIAG, "diag": [float("nan")] + P_DIAG["diag"][1:]}),
+    "h1-not-hermitian": h1_with(1.0),
+    "h1-nan": h1_with(float("nan")),
+    "linear-in-stochastic-mode": lambda cfg: cfg["controller"].update(kind="linear"),
+    "fidelity-threshold-nan": lambda cfg: cfg["loop"].update(fidelity_threshold=float("nan")),
+    "fidelity-threshold-above-1": lambda cfg: cfg["loop"].update(fidelity_threshold=1.5),
 }
 
 
@@ -299,8 +326,8 @@ class TestReproducePaper:
     def test_writes_consistent_outputs(self, tmp_path, monkeypatch):
         # Five of the 100 realizations keep the test fast; master seed 0
         # gives two hits and three misses among them.
-        def five(loop, rho0, n, master_seed, threads=None):
-            return run_ensemble(loop, rho0, 5, master_seed, threads=threads)
+        def five(loop, rho0, n, master_seed):
+            return run_ensemble(loop, rho0, 5, master_seed)
 
         monkeypatch.setattr(cli, "run_ensemble", five)
         out = tmp_path / "rp"

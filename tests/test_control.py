@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfcontrol import (
     ControllerConfig,
     DiagonalObservable,
     HermitianPropagator,
+    QndMeasurement,
     basis_state,
+    curvature_at_eigenstate,
     exact_min_feedback,
     expected_v_after,
     linear_feedback,
@@ -15,7 +19,9 @@ from qfcontrol import (
     lyapunov_v_eps,
     photon_box,
     quadratic_feedback,
+    r_of_hamiltonian,
 )
+from qfcontrol.control import ExactMinLaw
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]
@@ -244,3 +250,71 @@ class TestExactMin:
                 p, np.zeros((2, 2)), meas, np.eye(2) / 2,
                 ControllerConfig(kind="quadratic"),
             )
+
+
+def random_exact_min_instance(seed, dim, regularized):
+    """Observable, H1, measurement, mixed state of random rank and exact-min config.
+
+    Dimension ``dim`` with 2-4 outcomes; epsilon is 0, or positive when
+    ``regularized``.  Also returns the generator, for further draws.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    # Columns of |c|^2 on the simplex give completeness; phases are free.
+    weights = rng.dirichlet(np.full(m, 0.5), size=dim).T
+    coeffs = np.sqrt(weights) * np.exp(2j * np.pi * rng.random((m, dim)))
+    sigma = rng.uniform(0.0, 10.0, dim)
+    h1 = rng.uniform(0.1, 1.0) * random_hermitian(rng, dim)
+    rank = (dim, int(rng.integers(1, dim + 1)))
+    g = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    cfg = ControllerConfig(kind="exact-min", u_bar=float(rng.uniform(0.05, 1.0)),
+                           epsilon=float(rng.uniform(0.5, 20.0)) if regularized else 0.0)
+    p = DiagonalObservable(sigma, int(np.argmin(sigma)))
+    return p, h1, QndMeasurement(coeffs), rho, cfg, rng
+
+
+INSTANCES = dict(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16),
+                 regularized=st.booleans())
+
+
+class TestExactMinClosedForm:
+    """The closed-form objective against expected_v_after, on random systems."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(**INSTANCES)
+    def test_objective_equals_expected_v_after(self, seed, dim, regularized):
+        p, h1, meas, rho, cfg, rng = random_exact_min_instance(seed, dim, regularized)
+        u = rng.uniform(-cfg.u_bar, cfg.u_bar, 4)
+        f, _, _ = ExactMinLaw(p, h1, meas, cfg).objective(np.repeat(rho[None], 4, axis=0), u)
+        want = [expected_v_after(p, h1, meas, rho, x, cfg.epsilon) for x in u]
+        assert np.allclose(f, want, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(**INSTANCES)
+    def test_choice_beats_the_grid_and_standing_still(self, seed, dim, regularized):
+        p, h1, meas, rho, cfg, _ = random_exact_min_instance(seed, dim, regularized)
+        u = exact_min_feedback(p, h1, meas, rho, cfg).u
+        assert -cfg.u_bar <= u <= cfg.u_bar
+
+        def f(x):
+            return expected_v_after(p, h1, meas, rho, x, cfg.epsilon)
+
+        assert f(u) <= min(f(x) for x in np.linspace(-cfg.u_bar, cfg.u_bar, 129)) + 1e-12
+        assert f(u) <= lyapunov_v_eps(p, rho, cfg.epsilon) + 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16))
+    def test_curvature_at_eigenstate_is_r_sigma(self, seed, dim):
+        """The sign-condition mechanism: f''(0) at |n><n| is (R sigma)_n.
+
+        The error is taken relative to the size of the terms of
+        (R sigma)_n = sum_j R_nj (sigma_j - sigma_n), which cannot vanish.
+        """
+        p, h1, meas, _, _, _ = random_exact_min_instance(seed, dim, False)
+        r = r_of_hamiltonian(h1)
+        lam = r @ p.sigma
+        for n in range(dim):
+            scale = np.abs(r[n]) @ np.abs(p.sigma - p.sigma[n])
+            assert abs(curvature_at_eigenstate(p, h1, meas, n) - lam[n]) <= 1e-9 * scale

@@ -72,6 +72,17 @@ class TestOutcomes:
         draws = np.array([m.sample_outcome(rho, rng).mu for _ in range(4000)])
         assert np.mean(draws == 0) == pytest.approx(p[0], abs=0.03)
 
+    def test_stack_with_a_nan_state_is_rejected(self):
+        """A NaN total must fail the probability check, not pass it as NaN > tol does."""
+        rng = np.random.default_rng(3)
+        m = photon_box(4, 0.2, 0.5)
+        rho = np.stack([random_density(rng, 4) for _ in range(3)])
+        rho[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="sum to nan"):
+            m.sample_outcomes(rho, rng.random(3))
+        with pytest.raises(ValueError, match="sum to nan"):
+            m.outcome_probabilities(rho[1])
+
 
 class TestMartingale:
     def test_diagonal_observable_is_martingale(self):

@@ -312,14 +312,18 @@ class TestFilteredLoop:
 
 class TestEnsemble:
     def test_thread_count_invariance(self):
+        """A rerun, and each realization run alone, repeat the ensemble exactly."""
         cfg = stochastic_config(steps=120)
-        r1 = run_ensemble(cfg, seed_state(), 12, 42, threads=1)
-        r8 = run_ensemble(cfg, seed_state(), 12, 42, threads=8)
-        assert np.array_equal(r1.final_fidelity, r8.final_fidelity)
-        assert np.array_equal(r1.first_hit, r8.first_hit)
-        for a, b in zip(r1.trajectories, r8.trajectories):
-            assert np.array_equal(a.u, b.u)
-            assert np.array_equal(a.outcome, b.outcome)
+        r1 = run_ensemble(cfg, seed_state(), 12, 42)
+        r2 = run_ensemble(cfg, seed_state(), 12, 42)
+        alone = [run_stochastic(cfg, seed_state(), derive_seed(42, i)) for i in range(12)]
+        assert np.array_equal(r1.final_fidelity, r2.final_fidelity)
+        assert np.array_equal(r1.first_hit, r2.first_hit)
+        for a, b, c in zip(r1.trajectories, r2.trajectories, alone, strict=True):
+            for other in (b, c):
+                assert np.array_equal(a.u, other.u)
+                assert np.array_equal(a.outcome, other.outcome)
+                assert np.array_equal(a.fidelity, other.fidelity)
 
     def test_mean_curves_have_full_length(self):
         cfg = stochastic_config(steps=100)
@@ -476,9 +480,13 @@ class TestArtifacts:
         )
 
     def test_csv_identical_for_same_run(self, tmp_path):
+        """Two ensemble runs and the six realizations run alone write the same bytes."""
         cfg = stochastic_config(steps=40)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path, threads in ((p1, 1), (p2, 8)):
-            res = run_ensemble(cfg, seed_state(), 6, 9, threads=threads)
-            write_trajectories_csv(path, res.trajectories, cfg_hash="x", master_seed=9)
-        assert p1.read_bytes() == p2.read_bytes()
+        runs = [run_ensemble(cfg, seed_state(), 6, 9).trajectories for _ in range(2)]
+        runs.append([run_stochastic(cfg, seed_state(), derive_seed(9, i)) for i in range(6)])
+        blobs = []
+        for j, trajectories in enumerate(runs):
+            path = tmp_path / f"{j}.csv"
+            write_trajectories_csv(path, trajectories, cfg_hash="x", master_seed=9)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
