@@ -85,6 +85,22 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed or references missing files."""
 
 
+def _json_int(obj, key, default, where):
+    """obj[key] (or default) when it is a JSON integer; int() would truncate 10.9."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}.{key} is {value!r}, but must be an integer")
+    return value
+
+
+def _json_bool(obj, key, default, where):
+    """obj[key] (or default) when it is a JSON boolean; bool("false") is True."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{where}.{key} is {value!r}, but must be true or false")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one simulation run needs, loadable from a single JSON file."""
@@ -146,7 +162,7 @@ class ExperimentConfig:
         mode = loop.get("mode", "stochastic")
         if mode != "deterministic" and "master_seed" not in ens:
             raise ValueError("stochastic modes need ensemble.master_seed")
-        realizations = int(ens.get("realizations", 100))
+        realizations = _json_int(ens, "realizations", 100, "ensemble")
         if realizations < 1:
             raise ValueError(f"ensemble.realizations is {realizations}, but must be at least 1")
 
@@ -158,13 +174,13 @@ class ExperimentConfig:
                 h0=h0,
                 meas=meas,
                 controller=controller,
-                steps=int(loop.get("steps", 1000)),
+                steps=_json_int(loop, "steps", 1000, "loop"),
                 fidelity_threshold=float(loop.get("fidelity_threshold", 0.99)),
-                stop_at_threshold=bool(loop.get("stop_at_threshold", True)),
+                stop_at_threshold=_json_bool(loop, "stop_at_threshold", True, "loop"),
             ),
             rho0=rho0,
             realizations=realizations,
-            master_seed=int(ens.get("master_seed", 0)),
+            master_seed=_json_int(ens, "master_seed", 0, "ensemble"),
             success_floor=float(raw.get("success_floor", 0.0)),
             output_dir=raw.get("output_dir", "."),
             raw=raw,

@@ -45,6 +45,9 @@ __all__ = [
 GRID_POINTS = 129
 NEWTON_STEPS = 4
 
+# Largest imaginary parts tolerated in the quadratic law's a and b.
+_IMAG_TOL = np.array([1e-9, 1e-10])
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -308,19 +311,21 @@ class QuadraticLaw:
 
     def coefficients(self, rho):
         """Curvature a and slope b of every state of the stack, as real arrays."""
-        ab = (rho.reshape(len(rho), 1, -1) * self._ops).sum(axis=-1)
+        # np.add.reduce is ndarray.sum without its Python wrapper.
+        ab = np.add.reduce(rho.reshape(len(rho), 1, -1) * self._ops, -1)
         if self.cfg.epsilon > 0:
             # Diagonal entries of [H1, rho] are purely imaginary; their square
             # is a real <= 0 number, implemented as printed.
             h1 = self._h1
             diag = (h1 * rho.swapaxes(1, 2)).sum(axis=-1) - (rho * h1.T).sum(axis=-1)
             ab[:, 0] -= (self.cfg.epsilon / 4.0) * (diag**2).sum(axis=-1)
-        off = np.abs(ab.imag) > (1e-9, 1e-10)
+        off = np.abs(ab.imag) > _IMAG_TOL
         if off.any():
             r = int(np.argmax(off.any(axis=-1)))
             raise ValueError(
                 f"quadratic coefficients came out complex (a={ab[r, 0]}, b={ab[r, 1]})")
-        return ab[:, 0].real, ab[:, 1].real
+        a, b = ab.real.T
+        return a, b
 
     def choose(self, a, b, draw=None):
         """u for arrays of curvature a and slope b.
@@ -331,18 +336,27 @@ class QuadraticLaw:
         """
         ub = self.cfg.u_bar
         convex = a > 1e-12
+        every = convex.all()
+        # u = -clip(b/a) where convex, else -copysign(u_bar, b): the endpoint
+        # downhill of b.  The bounds are symmetric, and negating as 0.0 - x
+        # turns a zero of either sign into 0.0, so logs never show "-0".
+        u = b / (a if every else np.where(convex, a, 1.0))
+        np.maximum(u, -ub, out=u)
+        np.minimum(u, ub, out=u)
+        if every:
+            return np.subtract(0.0, u, out=u)
+        u = np.subtract(0.0, np.where(convex, u, np.copysign(ub, b)))
         sloped = np.abs(b) > 1e-12
-        # clip(-b/a) where convex; + 0.0 turns -0.0 (from b = 0) into 0.0, so
-        # logs never show "-0".
-        interior = np.minimum(np.maximum(-b / np.where(convex, a, 1.0), -ub), ub) + 0.0
-        u = np.where(convex, interior, np.where(sloped, -ub * np.sign(b), 0.0))
-        # Flat concave parabola: both endpoints tie.
-        tie = ~convex & ~sloped & (a < -1e-12)
-        if tie.any():
-            if self.cfg.tie_break == "random-sign" and draw is not None:
-                u[tie] = np.where(draw(tie) < 0.5, ub, -ub)
-            else:
-                u[tie] = ub
+        if not sloped.all():
+            flat = ~convex & ~sloped
+            u[flat] = 0.0
+            # Flat concave parabola: both endpoints tie.
+            tie = flat & (a < -1e-12)
+            if tie.any():
+                if self.cfg.tie_break == "random-sign" and draw is not None:
+                    u[tie] = np.where(draw(tie) < 0.5, ub, -ub)
+                else:
+                    u[tie] = ub
         return u
 
     def controls(self, rho, draw=None):

@@ -193,6 +193,7 @@ class HermitianPropagator:
         self.h = h
         self._w, self._v = np.linalg.eigh(h)
         self._vh = self._v.conj().T
+        self._minus_iw = -1j * self._w
 
     @property
     def dim(self):
@@ -218,7 +219,8 @@ class HermitianPropagator:
         Every product is a stacked n x n matmul, so row r's result has the
         same bits whatever R is.
         """
-        umat = (self._v * np.exp(-1j * u[:, None] * self._w)[:, None, :]) @ self._vh
+        phases = np.exp(np.multiply.outer(u, self._minus_iw))
+        umat = (self._v * phases[:, None, :]) @ self._vh
         return umat @ rho @ umat.conj().swapaxes(-1, -2)
 
 

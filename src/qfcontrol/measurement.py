@@ -115,19 +115,36 @@ class QndMeasurement:
         mu = int(_inverse_cdf(p, rng.random()))
         return MeasurementOutcome(mu=mu, probability=float(p[mu]))
 
-    def sample_outcomes(self, rho, x):
-        """sample_outcome for a stack: rho of shape (R, n, n), one uniform x[r] per state.
+    def sample_and_collapse(self, rho, p, x):
+        """Draw an outcome for every state of a stack and collapse onto it.
 
-        Returns the outcome indices.  The probabilities are clamped,
-        checked and renormalized as in outcome_probabilities, row by row.
+        rho has shape (R, n, n) and x holds one uniform per state.  p holds
+        the unclamped outcome probabilities, p[r, mu] = sum_n |c[mu, n]|^2
+        rho[r]_nn as ``(d[:, None, :] * weights).sum(axis=-1)`` gives them
+        for the diagonals d, so that a caller reading the diagonals for
+        other uses too reads them once.  The outcome is drawn as in
+        sample_outcome from p clamped at 0 and renormalized; its unclamped
+        probability divides the collapse, as in apply_outcomes.  Returns the
+        outcomes and the post-measurement states.
         """
-        d = rho.diagonal(axis1=1, axis2=2).real
-        p = np.maximum((d[:, None, :] * self.weights).sum(axis=-1), 0.0)
-        total = p.sum(axis=-1)
-        off = ~(np.abs(total - 1.0) <= 1e-10)
-        if off.any():
-            raise ValueError(f"outcome probabilities sum to {total[np.argmax(off)]}, not 1")
-        return _inverse_cdf(p / total[:, None], x)
+        q = np.maximum(p, 0.0)
+        # np.add.reduce is ndarray.sum without its Python wrapper, which on
+        # arrays this small costs about as much as the sum itself.
+        total = np.add.reduce(q, -1)
+        # Written so that a NaN total fails the check too.
+        ok = np.abs(total - 1.0) <= 1e-10
+        if not ok.all():
+            raise ValueError(f"outcome probabilities sum to {total[np.argmin(ok)]}, not 1")
+        mu = _inverse_cdf(q / total[:, None], x)
+        chosen = p[np.arange(len(p)), mu]
+        low = chosen <= P_FLOOR
+        if low.any():
+            r = int(np.argmax(low))
+            raise OutcomeImpossible(f"outcome {mu[r]} has probability {chosen[r]:.3e} <= floor")
+        post = self.projectors[mu]
+        post *= rho
+        post /= chosen[:, None, None]
+        return mu, post
 
     def check_distinguishability(self, tol=1e-8):
         """Level pairs whose outcome statistics coincide within tol.
@@ -177,10 +194,11 @@ def _inverse_cdf(p, x):
     """First outcome whose cumulative probability exceeds x, capped at the last.
 
     ``p`` holds probabilities along its last axis and ``x`` one uniform per
-    row; the count of cdf entries <= x is searchsorted(cdf, x, "right").
+    row.  The cdf of nonnegative p never decreases, so the outcome is the
+    count of cdf entries <= x among all but the last; leaving the last
+    entry out is the cap.
     """
-    mu = (p.cumsum(axis=-1) <= np.asarray(x)[..., None]).sum(axis=-1)
-    return np.minimum(mu, p.shape[-1] - 1)
+    return np.add.reduce(p[..., :-1].cumsum(axis=-1) <= np.asarray(x)[..., None], -1)
 
 
 def photon_box(n, phi0, theta):

@@ -203,29 +203,41 @@ class _Streams:
 
     rng.random(k) is bit-identical to k calls of rng.random(), so reading a
     row's block in order, refilled from the same generator when it runs
-    out, replays that realization's stream exactly.
+    out, replays that realization's stream exactly.  Every row's next
+    uniform sits in one shared column: a draw for some rows only shifts
+    the rest of their blocks left by one and appends the next uniform of
+    their streams.
     """
 
     def __init__(self, gens, block):
         self.gens = list(gens)
-        self.block = block
         self.buf = np.array([g.random(block) for g in self.gens])
-        self.cur = np.zeros(len(self.gens), dtype=np.intp)
+        self.col = 0
 
     def draw(self, mask=None):
-        """The next uniform of every live realization, or of those in mask."""
-        rows = np.arange(len(self.cur)) if mask is None else np.flatnonzero(mask)
-        for r in rows[self.cur[rows] == self.block]:
-            self.buf[r] = self.gens[r].random(self.block)
-            self.cur[r] = 0
-        x = self.buf[rows, self.cur[rows]]
-        self.cur[rows] += 1
+        """The next uniform of every live realization, or of those in mask.
+
+        Without a mask the result is a view of the buffer, valid until the
+        next draw.
+        """
+        block = self.buf.shape[1]
+        if self.col == block:
+            for r, g in enumerate(self.gens):
+                self.buf[r] = g.random(block)
+            self.col = 0
+        c = self.col
+        if mask is None:
+            self.col += 1
+            return self.buf[:, c]
+        rows = np.flatnonzero(mask)
+        x = self.buf[rows, c]
+        self.buf[rows, c:-1] = self.buf[rows, c + 1:]
+        self.buf[rows, -1] = [self.gens[r].random() for r in rows]
         return x
 
     def keep(self, mask):
         self.gens = [g for g, live in zip(self.gens, mask) if live]
         self.buf = self.buf[mask]
-        self.cur = self.cur[mask]
 
 
 class _Log:
@@ -234,7 +246,11 @@ class _Log:
     def __init__(self, cfg, n_runs, filtered):
         self.threshold = cfg.fidelity_threshold
         self.n_star = cfg.p.n_star
-        self.sigma = cfg.p.sigma
+        # Rows: the outcome weights (measured modes), then sigma.  One
+        # product with a stack's diagonals gives the unclamped outcome
+        # probabilities and the Lyapunov value together.
+        self.table = (cfg.p.sigma[None] if cfg.meas is None
+                      else np.concatenate([cfg.meas.weights, cfg.p.sigma[None]]))
         states = (n_runs, cfg.steps + 1)
         self.u = np.zeros((n_runs, cfg.steps))
         self.outcome = np.zeros((n_runs, cfg.steps))
@@ -247,18 +263,24 @@ class _Log:
         self.final = np.zeros((n_runs, cfg.p.dim, cfg.p.dim), dtype=complex)
 
     def record_state(self, k, rows, rho, est=None):
-        """Log the states after k steps in the given rows; return their fidelities."""
+        """Log the states after k steps in the given rows.
+
+        Returns their diagonals and the diagonals' products with the table:
+        the unclamped outcome probabilities, then the Lyapunov value.
+        """
         d = rho.diagonal(axis1=1, axis2=2).real
-        f = d[:, self.n_star]
-        self.fidelity[rows, k] = f
-        self.lyapunov[rows, k] = (d * self.sigma).sum(axis=-1)
+        # np.add.reduce is ndarray.sum without its Python wrapper, which on
+        # arrays this small costs about as much as the sum itself.
+        dots = np.add.reduce(d[:, None, :] * self.table, -1)
+        self.fidelity[rows, k] = d[:, self.n_star]
+        self.lyapunov[rows, k] = dots[:, -1]
         # Tr(rho^2) = sum_ij |rho_ij|^2 for Hermitian rho: the sum of the
         # squares of every real and imaginary part.
-        self.purity[rows, k] = np.square(rho.view(float)).reshape(len(rho), -1).sum(axis=-1)
+        self.purity[rows, k] = np.add.reduce(np.square(rho.view(float)).reshape(len(rho), -1), -1)
         if est is not None:
             self.est_fid[rows, k] = est[:, self.n_star, self.n_star].real
             self.dist[rows, k] = trace_distance(rho, est)
-        return f
+        return d, dots
 
     def record_step(self, k, rows, u, mu):
         self.u[rows, k] = u
@@ -357,15 +379,15 @@ def _run(cfg, rho0, gens, est0=None):
     # through, until the first one stops.
     rows = slice(None)
     log = _Log(cfg, n_runs, est is not None)
-    fid = log.record_state(0, rows, rho, est)
+    d, dots = log.record_state(0, rows, rho, est)
     for k in range(cfg.steps):
         if cfg.stop_at_threshold:
-            done = (rho.diagonal(axis1=1, axis2=2).real.max(axis=-1) >= ABSORB_THRESHOLD
-                    if open_loop else fid >= cfg.fidelity_threshold)
+            done = (d.max(axis=-1) >= ABSORB_THRESHOLD if open_loop
+                    else d[:, cfg.p.n_star] >= cfg.fidelity_threshold)
             if done.any():
                 log.stop(k, ids[done], rho[done])
                 live = ~done
-                ids, rho, fid = ids[live], rho[live], fid[live]
+                ids, rho, dots = ids[live], rho[live], dots[live]
                 rows = ids
                 est = None if est is None else est[live]
                 if streams is not None:
@@ -374,8 +396,7 @@ def _run(cfg, rho0, gens, est0=None):
                     break
         mu = np.nan
         if measured:
-            mu = cfg.meas.sample_outcomes(rho, streams.draw())
-            rho = cfg.meas.apply_outcomes(mu, rho)
+            mu, rho = cfg.meas.sample_and_collapse(rho, dots[:, :-1], streams.draw())
             if est is not None:
                 est = _collapse_estimate(cfg.meas, est, mu)
         u = 0.0
@@ -391,7 +412,7 @@ def _run(cfg, rho0, gens, est0=None):
             if est is not None:
                 est = _revalidate(est, k + 1, ids)
         log.record_step(k, rows, u, mu)
-        fid = log.record_state(k + 1, rows, rho, est)
+        d, dots = log.record_state(k + 1, rows, rho, est)
     log.stop(cfg.steps, ids, rho)
     return log.trajectories()
 
@@ -542,10 +563,15 @@ def config_hash(obj):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _cells(values, rows, fmt):
-    """values formatted with fmt, empty where not finite, padded to rows cells."""
-    cells = [fmt(x) if math.isfinite(x) else "" for x in values.tolist()[:rows]]
-    return cells + [""] * (rows - len(cells))
+def _column(values, fmt):
+    """A template cell for one column and the values it takes.
+
+    fmt over the values themselves when all are finite, else %s over cells
+    formatted one by one and left empty where not finite.
+    """
+    if np.isfinite(values).all():
+        return fmt, values.tolist()
+    return "%s", [fmt % x if math.isfinite(x) else "" for x in values.tolist()]
 
 
 def write_trajectories_csv(path, trajectories, cfg_hash="", master_seed=0):
@@ -553,16 +579,17 @@ def write_trajectories_csv(path, trajectories, cfg_hash="", master_seed=0):
 
     u and outcome are empty where not applicable (final row of each
     realization; deterministic runs have no outcome).  The header comment
-    carries the config hash and master seed; indices are 0-based.
+    carries the config hash and master seed; indices are 0-based.  Each
+    realization's rows come from one %-template, with every float as %.17g.
     """
-    g17 = "{:.17g}".format
     with open(path, "w") as f:
         f.write(f"# config_hash={cfg_hash} master_seed={master_seed} index_convention=0-based\n")
         f.write("realization,k,u,outcome,fidelity,lyapunov,purity\n")
         for i, t in enumerate(trajectories):
-            rows = t.fidelity.size
-            columns = zip(_cells(t.u, rows, g17), _cells(t.outcome, rows, lambda x: str(int(x))),
-                          map(g17, t.fidelity.tolist()), map(g17, t.lyapunov.tolist()),
-                          map(g17, t.purity.tolist()))
-            f.writelines(f"{i},{k},{u},{out},{fid},{v},{pur}\n"
-                         for k, (u, out, fid, v, pur) in enumerate(columns))
+            s = t.u.size
+            u_cell, u = _column(t.u, "%.17g")
+            out_cell, out = _column(t.outcome, "%d")
+            fid, v, pur = t.fidelity.tolist(), t.lyapunov.tolist(), t.purity.tolist()
+            step = f"{i},%d,{u_cell},{out_cell},%.17g,%.17g,%.17g\n"
+            f.writelines([step % row for row in zip(range(s), u, out, fid, v, pur)])
+            f.write(f"{i},{s},,,%.17g,%.17g,%.17g\n" % (fid[s], v[s], pur[s]))

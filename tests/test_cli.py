@@ -298,6 +298,11 @@ MALFORMED = {
     "linear-in-stochastic-mode": lambda cfg: cfg["controller"].update(kind="linear"),
     "fidelity-threshold-nan": lambda cfg: cfg["loop"].update(fidelity_threshold=float("nan")),
     "fidelity-threshold-above-1": lambda cfg: cfg["loop"].update(fidelity_threshold=1.5),
+    "stop-at-threshold-string": lambda cfg: cfg["loop"].update(stop_at_threshold="false"),
+    "steps-fractional": lambda cfg: cfg["loop"].update(steps=10.9),
+    "realizations-fractional": lambda cfg: cfg["ensemble"].update(realizations=2.7),
+    "master-seed-fractional": lambda cfg: cfg["ensemble"].update(master_seed=42.5),
+    "master-seed-string": lambda cfg: cfg["ensemble"].update(master_seed="42"),
 }
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfcontrol import OutcomeImpossible, QndMeasurement, photon_box
 from qfcontrol.core import basis_state
@@ -78,10 +80,54 @@ class TestOutcomes:
         m = photon_box(4, 0.2, 0.5)
         rho = np.stack([random_density(rng, 4) for _ in range(3)])
         rho[1, 2, 2] = np.nan
+        p = (rho.diagonal(axis1=1, axis2=2).real[:, None, :] * m.weights).sum(axis=-1)
         with pytest.raises(ValueError, match="sum to nan"):
-            m.sample_outcomes(rho, rng.random(3))
+            m.sample_and_collapse(rho, p, rng.random(3))
         with pytest.raises(ValueError, match="sum to nan"):
             m.outcome_probabilities(rho[1])
+
+
+def unclamped_probabilities(meas, rho):
+    """sum_n |c[mu, n]|^2 rho_nn for a stack, as sample_and_collapse takes them."""
+    return (rho.diagonal(axis1=1, axis2=2).real[:, None, :] * meas.weights).sum(axis=-1)
+
+
+class TestSampleAndCollapse:
+    """The fused stack method against the inverse CDF and apply_outcomes, on random systems."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 4),
+           stack=st.integers(1, 6))
+    def test_matches_inverse_cdf_and_apply_outcomes(self, seed, dim, m, stack):
+        rng = np.random.default_rng(seed)
+        # Columns of |c|^2 on the simplex give completeness; phases are free.
+        weights = rng.dirichlet(np.full(m, 0.5), size=dim).T
+        meas = QndMeasurement(np.sqrt(weights) * np.exp(2j * np.pi * rng.random((m, dim))))
+        rho = []
+        for _ in range(stack):
+            g = rng.normal(size=(dim, int(rng.integers(1, dim + 1))))
+            g = g + 1j * rng.normal(size=g.shape)
+            rho.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        rho = np.array(rho)
+        x = rng.random(stack)
+        p = unclamped_probabilities(meas, rho)
+        mu, post = meas.sample_and_collapse(rho, p, x)
+        for r in range(stack):
+            q = np.maximum(p[r], 0.0)
+            cdf = np.cumsum(q / q.sum())
+            assert mu[r] == min(int(np.searchsorted(cdf, x[r], side="right")), m - 1)
+        assert np.array_equal(post, meas.apply_outcomes(mu, rho))
+
+        bad = rho.copy()
+        bad[-1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="sum to nan"):
+            meas.sample_and_collapse(bad, unclamped_probabilities(meas, bad), x)
+        # Outcome 0 at probability 1e-13 is drawn by x = 0 and must not divide.
+        tiny = p.copy()
+        tiny[-1] = 0.0
+        tiny[-1, :2] = 1e-13, 1.0 - 1e-13
+        with pytest.raises(OutcomeImpossible, match="outcome 0"):
+            meas.sample_and_collapse(rho, tiny, np.where(np.arange(stack) == stack - 1, 0.0, x))
 
 
 class TestMartingale:

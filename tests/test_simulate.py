@@ -26,6 +26,8 @@ from qfcontrol import (
     solve_synthesis,
     write_trajectories_csv,
 )
+from qfcontrol.core import fidelity_to_basis, purity
+from qfcontrol.control import lyapunov_v
 from qfcontrol.simulate import splitmix64
 
 SIGMA8 = np.array(
@@ -434,6 +436,22 @@ class TestFixedSeedParity:
             assert np.allclose(got[key], want[key], rtol=0.0, atol=1e-12), key
         if name == "deterministic":
             assert t.outcome.size == t.steps_run and np.all(np.isnan(t.outcome))
+
+
+class TestFinalLog:
+    """The last logged values are those of the final state, in every mode."""
+
+    def test_last_logged_values_match_final_state(self):
+        p = observable8()
+        # Early stop on: the ensemble's realizations end at different steps.
+        ensemble = run_ensemble(stochastic_config(steps=400), seed_state(), 8, 3).trajectories
+        for t in ensemble + [parity_case(name) for name in sorted(PARITY)]:
+            final = t.states[t.steps_run]
+            assert t.fidelity[-1] == pytest.approx(fidelity_to_basis(final, p.n_star),
+                                                   rel=1e-14, abs=1e-14)
+            assert t.lyapunov[-1] == pytest.approx(lyapunov_v(p, final), rel=1e-14, abs=1e-14)
+            assert t.purity[-1] == pytest.approx(purity(final), rel=1e-14, abs=1e-14)
+        assert len({t.steps_run for t in ensemble}) > 1
 
 
 class TestArtifacts:
