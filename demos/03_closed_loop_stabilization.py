@@ -31,7 +31,7 @@ p = DiagonalObservable(sigma, n_star=2)
 # it is not).
 meas = photon_box(8, phi0=1 / 8, theta=np.pi / 10)
 
-pipe = synthesis_pipeline(p, meas=meas)
+pipe = synthesis_pipeline(p)
 print("synthesized couplings |H1|:")
 print(np.abs(pipe.h1), "\n")
 

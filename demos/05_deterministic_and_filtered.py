@@ -54,7 +54,7 @@ print(f"\ndeterministic loop: fidelity {traj.fidelity[0]:.3f} -> "
 sigma8 = np.array([51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561])
 p8 = DiagonalObservable(sigma8, n_star=2)
 meas = photon_box(8, 1 / 8, np.pi / 10)
-pipe = synthesis_pipeline(p8, meas=meas)
+pipe = synthesis_pipeline(p8)
 
 rho0 = np.ones((8, 8), dtype=complex) / 16.0
 rho0[0, 0] += 0.5

@@ -24,6 +24,9 @@ import numpy as np
 
 from .core import (
     DiagonalObservable,
+    json_bool,
+    json_int,
+    json_number,
     load_matrix,
     matrix_from_json,
     save_matrix,
@@ -83,22 +86,6 @@ REQUIRED_CHECKS = {
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or references missing files."""
-
-
-def _json_int(obj, key, default, where):
-    """obj[key] (or default) when it is a JSON integer; int() would truncate 10.9."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}.{key} is {value!r}, but must be an integer")
-    return value
-
-
-def _json_bool(obj, key, default, where):
-    """obj[key] (or default) when it is a JSON boolean; bool("false") is True."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{where}.{key} is {value!r}, but must be true or false")
-    return value
 
 
 @dataclass
@@ -162,7 +149,7 @@ class ExperimentConfig:
         mode = loop.get("mode", "stochastic")
         if mode != "deterministic" and "master_seed" not in ens:
             raise ValueError("stochastic modes need ensemble.master_seed")
-        realizations = _json_int(ens, "realizations", 100, "ensemble")
+        realizations = json_int(ens.get("realizations", 100), "ensemble.realizations")
         if realizations < 1:
             raise ValueError(f"ensemble.realizations is {realizations}, but must be at least 1")
 
@@ -174,14 +161,16 @@ class ExperimentConfig:
                 h0=h0,
                 meas=meas,
                 controller=controller,
-                steps=_json_int(loop, "steps", 1000, "loop"),
-                fidelity_threshold=float(loop.get("fidelity_threshold", 0.99)),
-                stop_at_threshold=_json_bool(loop, "stop_at_threshold", True, "loop"),
+                steps=json_int(loop.get("steps", 1000), "loop.steps"),
+                fidelity_threshold=json_number(loop.get("fidelity_threshold", 0.99),
+                                               "loop.fidelity_threshold"),
+                stop_at_threshold=json_bool(loop.get("stop_at_threshold", True),
+                                            "loop.stop_at_threshold"),
             ),
             rho0=rho0,
             realizations=realizations,
-            master_seed=_json_int(ens, "master_seed", 0, "ensemble"),
-            success_floor=float(raw.get("success_floor", 0.0)),
+            master_seed=json_int(ens.get("master_seed", 0), "ensemble.master_seed"),
+            success_floor=json_number(raw.get("success_floor", 0.0), "success_floor"),
             output_dir=raw.get("output_dir", "."),
             raw=raw,
         )
@@ -249,8 +238,8 @@ def cmd_synthesize(args):
         print(f"error: bad p-diag file {args.p_diag}: {e}", file=sys.stderr)
         return 1
 
-    problem = {"gamma1": args.gamma1, "gamma2": args.gamma2, "alpha1": args.alpha1,
-               "alpha2": 1.0 if args.sparse else args.alpha2, "norm": args.norm}
+    problem = {"gamma1": args.gamma1, "gamma2": args.gamma2,
+               "alpha2": 1.0 if args.sparse else 0.0}
     chash = config_hash({"p": p.to_json(), **problem})
     try:
         result, h1 = _synthesize(args.out_dir, p, chash, args.phase_policy, **problem)
@@ -268,8 +257,7 @@ def cmd_synthesize(args):
     print(f"sign condition: {'satisfied' if ok else 'violated'}")
     print(f"feasible: {result.feasible}")
     if h1 is None:
-        print("infeasible: try raising gamma1/gamma2 for more clearance, or lowering "
-              "alpha2 if the sparsity penalty is crowding out the fit", file=sys.stderr)
+        print("infeasible: raise gamma1/gamma2 or drop --sparse", file=sys.stderr)
         return 2
     return 0
 
@@ -430,12 +418,9 @@ def build_parser():
                      help='JSON file {"diag": [...], "n_star": k}')
     syn.add_argument("--out-dir", default=".")
     syn.add_argument("--sparse", action="store_true",
-                     help="shorthand for alpha2 = 1 (sparsity penalty on)")
+                     help="sparsity penalty on (alpha2 = 1): a star-shaped H1")
     syn.add_argument("--gamma1", type=float, default=1.0)
     syn.add_argument("--gamma2", type=float, default=1.0)
-    syn.add_argument("--alpha1", type=float, default=1.0)
-    syn.add_argument("--alpha2", type=float, default=0.0)
-    syn.add_argument("--norm", choices=("l1", "l2"), default="l2")
     syn.add_argument("--phase-policy", default="positive",
                      choices=("positive", "alternating", "imaginary-off-diagonal"))
     syn.set_defaults(func=cmd_synthesize)

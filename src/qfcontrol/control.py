@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianPropagator, basis_state, commutator
+from .core import HermitianPropagator, basis_state, commutator, json_number
 from .measurement import P_FLOOR
 
 __all__ = [
@@ -91,7 +91,9 @@ class ControllerConfig:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(**obj)
+        checked = {name: json_number(obj[name], name)
+                   for name in ("kappa", "u_bar", "epsilon") if name in obj}
+        return cls(**{**obj, **checked})
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ produced here are unitary up to round-off by construction.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ __all__ = [
     "fidelity_to_basis",
     "hermitize",
     "is_hermitian",
+    "json_bool",
+    "json_int",
+    "json_number",
     "purity",
     "validate_density",
 ]
@@ -47,6 +51,27 @@ class DensityInvariantError(ValueError):
         self.violations = list(violations)
         msg = "; ".join(f"{name}: {mag:.3e}" for name, mag in self.violations)
         super().__init__(f"density matrix invariants violated: {msg}")
+
+
+def json_int(value, name):
+    """value when it is an integer; int() would truncate 10.9 and parse "2"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} is {value!r}, but must be an integer")
+    return int(value)
+
+
+def json_bool(value, name):
+    """value when it is a boolean; bool("false") is True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} is {value!r}, but must be true or false")
+    return value
+
+
+def json_number(value, name):
+    """float(value) when value is a number; float() would take true and "0.5"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} is {value!r}, but must be a number")
+    return float(value)
 
 
 def _as_square_complex(m, name="matrix"):
@@ -176,7 +201,7 @@ class DiagonalObservable:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(np.asarray(obj["diag"], dtype=float), int(obj["n_star"]))
+        return cls(np.asarray(obj["diag"], dtype=float), json_int(obj["n_star"], "n_star"))
 
 
 class HermitianPropagator:
@@ -231,7 +256,7 @@ def matrix_to_json(a):
 
 
 def matrix_from_json(obj):
-    n = int(obj["n"])
+    n = json_int(obj["n"], "matrix n")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):

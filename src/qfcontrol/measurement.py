@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import json_int, json_number
+
 __all__ = [
     "P_FLOOR",
     "MeasurementOutcome",
@@ -182,8 +184,10 @@ class QndMeasurement:
     def from_json(cls, obj):
         if "photon_box" in obj:
             pb = obj["photon_box"]
-            return photon_box(int(pb["n"]), float(pb["phi0"]), float(pb["theta"]))
-        m, n = int(obj["m"]), int(obj["n"])
+            return photon_box(json_int(pb["n"], "photon_box.n"),
+                              json_number(pb["phi0"], "photon_box.phi0"),
+                              json_number(pb["theta"], "photon_box.theta"))
+        m, n = json_int(obj["m"], "measurement m"), json_int(obj["n"], "measurement n")
         c = np.asarray(obj["coeffs_re"], dtype=float) + 1j * np.asarray(obj["coeffs_im"], dtype=float)
         if c.shape != (m, n):
             raise ValueError(f"measurement file claims shape ({m}, {n}) but arrays are {c.shape}")

@@ -39,7 +39,7 @@ from .control import (
     LinearLaw,
     QuadraticLaw,
 )
-from .measurement import P_FLOOR
+from .measurement import OutcomeImpossible
 
 # Per-state functions that the benchmark's tracer wraps where this module
 # binds them.  The batched kernel no longer calls them, so their traced
@@ -328,21 +328,17 @@ def _controller(cfg, prop, draw):
     return ExactMinLaw(cfg.p, prop, cfg.meas, cfg.controller).controls
 
 
-def _collapse_estimate(meas, est, mu):
-    p_est = (meas.weights[mu] * est.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
-    low = p_est <= P_FLOOR
-    if low.any():
-        # Recover once by mixing toward the maximally mixed state.
-        dim = est.shape[-1]
-        est = est.copy()
-        est[low] = (1.0 - 1e-3) * est[low] + 1e-3 * np.eye(dim) / dim
-        p_est = (meas.weights[mu] * est.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
-        if (p_est <= P_FLOOR).any():
-            r = int(np.argmax(p_est <= P_FLOOR))
-            raise FilterBreakdown(
-                f"observed outcome {mu[r]} impossible under the filter state"
-            )
-    return meas.apply_outcomes(mu, est)
+def _collapse_estimate(meas, est, mu, k):
+    """Condition the filter states on the observed outcomes mu at step k.
+
+    An outcome the filter gives probability at or below the floor ends the
+    run with FilterBreakdown; the filter is never patched up and run on.
+    """
+    try:
+        return meas.apply_outcomes(mu, est)
+    except OutcomeImpossible as e:
+        raise FilterBreakdown(f"step {k}: the filter state cannot explain the "
+                              f"observation: {e}") from e
 
 
 def _run(cfg, rho0, gens, est0=None):
@@ -398,7 +394,7 @@ def _run(cfg, rho0, gens, est0=None):
         if measured:
             mu, rho = cfg.meas.sample_and_collapse(rho, dots[:, :-1], streams.draw())
             if est is not None:
-                est = _collapse_estimate(cfg.meas, est, mu)
+                est = _collapse_estimate(cfg.meas, est, mu, k)
         u = 0.0
         if not open_loop:
             u = control(rho if est is None else est)

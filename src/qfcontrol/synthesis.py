@@ -24,6 +24,7 @@ against the cone as defined above.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,13 +50,17 @@ __all__ = [
 CONE_TOL = 1e-8
 LAMBDA_SUM_TOL = 1e-7
 
+# The primal-dual iteration stops once the objective has changed by at most
+# this much, relative to its size, for 25 iterations in a row.
+OBJECTIVE_TOL = 1e-9
+
 
 class InfeasibleLambda(RuntimeError):
     """The solved lambda_tilde violates the sign condition; ``result`` is the solve."""
 
     def __init__(self, result):
-        super().__init__("solved lambda_tilde fails the sign condition; adjust "
-                         "gamma1/gamma2 (or alpha weights) and re-solve")
+        super().__init__("solved lambda_tilde fails the sign condition; raise "
+                         "gamma1/gamma2 or drop --sparse")
         self.result = result
 
 
@@ -128,21 +133,21 @@ def hamiltonian_of_r(r, phase_policy="positive"):
     return h1
 
 
-def verify_lambda(lambda_tilde, n_star, margin=0.0):
+def verify_lambda(lambda_tilde, n_star):
     """Sign-condition verdict on lambda_tilde, with a per-entry report.
 
-    With margin = 0 the inequalities are strict (the condition the
-    convergence proposition needs); a positive margin demands clearance.
+    The inequalities are strict, the condition the convergence proposition
+    needs.
     """
     lam = np.asarray(lambda_tilde, dtype=float)
     report = []
     ok = True
     for i, v in enumerate(lam):
         if i == n_star:
-            good = v >= margin if margin > 0 else v > 0
+            good = v > 0
             report.append((i, v, "minimizer entry must be positive", good))
         else:
-            good = v <= -margin if margin > 0 else v < 0
+            good = v < 0
             report.append((i, v, "non-minimizer entry must be negative", good))
         ok = ok and good
     total = float(abs(lam.sum()))
@@ -161,23 +166,20 @@ class SynthesisProblem:
     """Hyper-parameters of the synthesis program.
 
     gamma1/gamma2 keep lambda away from zero; alpha2 > 0 switches on the
-    sparsity penalty; norm picks the residual norm ('l1' or 'l2').
+    sparsity penalty.
     """
 
     sigma: DiagonalObservable
     gamma1: float = 1.0
     gamma2: float = 1.0
-    alpha1: float = 1.0
     alpha2: float = 0.0
-    norm: str = "l2"
 
     def __post_init__(self):
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ValueError("gamma1 and gamma2 must be strictly positive")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("alpha weights must be non-negative")
-        if self.norm not in ("l1", "l2"):
-            raise ValueError(f"unknown norm {self.norm!r}")
+        # Written so that NaN fails too.
+        if not (0 < self.gamma1 < math.inf and 0 < self.gamma2 < math.inf):
+            raise ValueError("gamma1 and gamma2 must be finite and strictly positive")
+        if not 0 <= self.alpha2 < math.inf:
+            raise ValueError("alpha2 must be finite and non-negative")
 
 
 @dataclass
@@ -202,10 +204,6 @@ class SynthesisResult:
             "convention": "sqrt(R/2)",
             "index_convention": "0-based",
         }
-
-
-def _residual_norm(v, norm):
-    return float(np.linalg.norm(v, 1 if norm == "l1" else 2))
 
 
 def _edge_list(n):
@@ -248,8 +246,8 @@ def _nnls(a, b, tol=1e-12, max_iter=200):
     return x
 
 
-def solve_synthesis(problem, max_iter=50000, rel_tol=1e-9):
-    """Solve min alpha1 ||R sigma - lambda|| + alpha2 ||vec R||_1 over the cone.
+def solve_synthesis(problem, max_iter=50000):
+    """Solve min ||R sigma - lambda||_2 + alpha2 ||vec R||_1 over the cone.
 
     The cone is exactly the set of negated weighted graph Laplacians, so R is
     parametrized by non-negative edge weights w:  R(w) = -sum_e w_e L_e.  In
@@ -272,8 +270,7 @@ def solve_synthesis(problem, max_iter=50000, rel_tol=1e-9):
     sig = sigma / scale
     g1 = problem.gamma1 / scale
     g2 = problem.gamma2 / scale
-    a1 = problem.alpha1
-    # Objective scaled by 1/scale: (alpha1, alpha2/scale); l1 of vec(R) is
+    # Objective scaled by 1/scale: (1, alpha2/scale); l1 of vec(R) is
     # 4*sum(w) in edge coordinates.
     a2_edge = 4.0 * problem.alpha2 / scale
 
@@ -295,13 +292,10 @@ def solve_synthesis(problem, max_iter=50000, rel_tol=1e-9):
         out[n_star] = max(out[n_star], g2)
         return out
 
-    if problem.norm == "l2":
-        def dual_proj(y):
-            nrm = float(np.linalg.norm(y))
-            return y if nrm <= a1 else y * (a1 / nrm)
-    else:
-        def dual_proj(y):
-            return np.clip(y, -a1, a1)
+    def dual_proj(y):
+        # Onto the unit ball, the dual of the residual's 2-norm.
+        nrm = float(np.linalg.norm(y))
+        return y if nrm <= 1.0 else y * (1.0 / nrm)
 
     knorm = float(np.sqrt(np.linalg.norm(amat, 2) ** 2 + 1.0))
     tau = 0.95 / knorm
@@ -313,8 +307,8 @@ def solve_synthesis(problem, max_iter=50000, rel_tol=1e-9):
     y = np.zeros(n)
 
     def objective_of(w_vec, lam_vec):
-        resid = _residual_norm((amat @ w_vec - lam_vec) * scale, problem.norm)
-        return problem.alpha1 * resid + 4.0 * problem.alpha2 * float(np.sum(w_vec))
+        resid = float(np.linalg.norm((amat @ w_vec - lam_vec) * scale, 2))
+        return resid + 4.0 * problem.alpha2 * float(np.sum(w_vec))
 
     prev_obj = objective_of(w, lam)
     calm = 0
@@ -329,7 +323,7 @@ def solve_synthesis(problem, max_iter=50000, rel_tol=1e-9):
                             float(np.max(np.abs(lam_new - lam))))
         w, lam = w_new, lam_new
         obj = objective_of(w, lam)
-        if abs(obj - prev_obj) <= rel_tol * max(1.0, abs(obj)) and drift <= 1e-11:
+        if abs(obj - prev_obj) <= OBJECTIVE_TOL * max(1.0, abs(obj)) and drift <= 1e-11:
             calm += 1
             if calm >= 25:
                 iterations = k
@@ -362,7 +356,7 @@ def solve_synthesis(problem, max_iter=50000, rel_tol=1e-9):
     r = _r_of_edge_weights(w, edges, n)
     lam_out = lam * scale
     lambda_tilde = r @ sigma
-    residual = _residual_norm(lambda_tilde - lam_out, problem.norm)
+    residual = float(np.linalg.norm(lambda_tilde - lam_out, 2))
     sign_ok, _ = verify_lambda(lambda_tilde, n_star)
     # A sign pattern made of round-off noise is not a solution: the fit to
     # the box-feasible lambda must actually be achieved.
@@ -465,18 +459,17 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
 @dataclass
 class PipelineResult:
     h1: np.ndarray
-    r: np.ndarray
     result: SynthesisResult
-    assumptions: dict
 
 
-def synthesis_pipeline(p, phase_policy="positive", meas=None, **problem):
+def synthesis_pipeline(p, phase_policy="positive", **problem):
     """Solve, verify the sign condition, and construct H1.
 
     ``problem`` takes the SynthesisProblem fields other than sigma (gamma1,
-    gamma2, alpha1, alpha2, norm).  Refuses to emit a Hamiltonian when the
-    solved lambda_tilde fails the sign condition: the raised InfeasibleLambda
-    carries the solve as ``result``.
+    gamma2, alpha2).  Refuses to emit a Hamiltonian when the solved
+    lambda_tilde fails the sign condition: the raised InfeasibleLambda
+    carries the solve as ``result``.  ``phase_policy`` picks one of the
+    Hamiltonians that share the solved R (see hamiltonian_of_r).
     """
     problem = SynthesisProblem(sigma=p, **problem)
     if np.sum(np.abs(p.sigma - p.sigma.min()) <= 1e-12) > 1:
@@ -485,6 +478,4 @@ def synthesis_pipeline(p, phase_policy="positive", meas=None, **problem):
     result = solve_synthesis(problem)
     if not result.feasible:
         raise InfeasibleLambda(result)
-    h1 = hamiltonian_of_r(result.r, phase_policy)
-    report = assumption_report(p, h1=h1, meas=meas)
-    return PipelineResult(h1=h1, r=result.r, result=result, assumptions=report)
+    return PipelineResult(h1=hamiltonian_of_r(result.r, phase_policy), result=result)

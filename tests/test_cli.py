@@ -92,8 +92,8 @@ class TestSynthesize:
         ({"diag": [3.0, 1.0, 2.0], "n_star": 5}, []),
         ([3.0, 1.0, 2.0], []),
         (P_DIAG, ["--gamma1", "0"]),
-        (P_DIAG, ["--alpha2", "-1"]),
-    ], ids=["n-star-out-of-range", "top-level-list", "gamma1-zero", "alpha2-negative"])
+        (P_DIAG, ["--gamma1", "nan"]),
+    ], ids=["n-star-out-of-range", "top-level-list", "gamma1-zero", "gamma1-nan"])
     def test_bad_input_exits_1_without_traceback(self, tmp_path, capsys, p_diag, flags):
         path = tmp_path / "pdiag.json"
         path.write_text(json.dumps(p_diag))
@@ -104,6 +104,13 @@ class TestSynthesize:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--alpha1", "1"], ["--alpha2", "1"], ["--norm", "l1"]])
+    def test_removed_solver_flags_are_rejected(self, capsys, p_diag_file, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--p-diag", str(p_diag_file), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -303,6 +310,14 @@ MALFORMED = {
     "realizations-fractional": lambda cfg: cfg["ensemble"].update(realizations=2.7),
     "master-seed-fractional": lambda cfg: cfg["ensemble"].update(master_seed=42.5),
     "master-seed-string": lambda cfg: cfg["ensemble"].update(master_seed="42"),
+    "n-star-fractional": lambda cfg: cfg.update(p={**P_DIAG, "n_star": 2.7}),
+    "n-star-string": lambda cfg: cfg.update(p={**P_DIAG, "n_star": "2"}),
+    "photon-box-n-fractional": lambda cfg: cfg["measurement"]["photon_box"].update(n=8.9),
+    "h1-n-fractional": lambda cfg: cfg["h1"].update(n=8.5),
+    "fidelity-threshold-true": lambda cfg: cfg["loop"].update(fidelity_threshold=True),
+    "fidelity-threshold-string": lambda cfg: cfg["loop"].update(fidelity_threshold="0.5"),
+    "success-floor-string": lambda cfg: cfg.update(success_floor="0.5"),
+    "u-bar-true": lambda cfg: cfg["controller"].update(u_bar=True),
 }
 
 
@@ -355,7 +370,7 @@ class TestReproducePaper:
         assert max(first_hit) >= 0 and min(first_hit) == -1
 
     def test_infeasible_synthesis_exits_2(self, tmp_path, monkeypatch):
-        def infeasible(p, phase_policy="positive", meas=None, **problem):
+        def infeasible(p, phase_policy="positive", **problem):
             raise InfeasibleLambda(solve_synthesis(SynthesisProblem(sigma=p, **problem)))
 
         monkeypatch.setattr(cli, "synthesis_pipeline", infeasible)

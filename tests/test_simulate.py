@@ -9,7 +9,9 @@ import pytest
 from qfcontrol import (
     ControllerConfig,
     DiagonalObservable,
+    FilterBreakdown,
     LoopConfig,
+    QndMeasurement,
     SynthesisProblem,
     Trajectory,
     config_hash,
@@ -310,6 +312,23 @@ class TestFilteredLoop:
         est0 = np.eye(8, dtype=complex) / 8
         t = run_filtered(cfg, rho0, est0, 31)
         assert t.trace_distance[-1] < t.trace_distance[0]
+
+    def test_impossible_observation_breaks_the_filter(self):
+        """The truth |0> always gives outcome 0, which the estimate |1> rules out.
+
+        The run must stop at the first step, not patch the estimate and go on.
+        """
+        cfg = LoopConfig(
+            mode="filtered",
+            p=DiagonalObservable(np.array([2.0, 1.0]), 1),
+            h1=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            meas=QndMeasurement([[1, 0], [0, 1]]),
+            steps=5,
+        )
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        est0 = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(FilterBreakdown, match="^step 0: "):
+            run_filtered(cfg, rho0, est0, 0)
 
 
 class TestEnsemble:

@@ -104,10 +104,6 @@ class TestVerifyLambda:
         assert not ok
         assert any(i == -1 for i, _, _, good in report)
 
-    def test_margin_demands_clearance(self):
-        ok, _ = verify_lambda(np.array([-0.05, 0.1, -0.05]), 1, margin=0.5)
-        assert not ok
-
 
 class TestSolver:
     def test_dense_solution_is_feasible(self):
@@ -133,11 +129,6 @@ class TestSolver:
         res = solve_synthesis(SynthesisProblem(sigma=p))
         assert not res.feasible
 
-    def test_l1_norm_variant_solves(self):
-        p = DiagonalObservable(SIGMA8, 2)
-        res = solve_synthesis(SynthesisProblem(sigma=p, norm="l1"))
-        assert res.feasible
-
     def test_small_instance(self):
         p = DiagonalObservable(np.array([3.0, 1.0, 2.0]), 1)
         res = solve_synthesis(SynthesisProblem(sigma=p))
@@ -149,7 +140,10 @@ class TestSolver:
         with pytest.raises(ValueError):
             SynthesisProblem(sigma=p, gamma1=0.0)
         with pytest.raises(ValueError):
-            SynthesisProblem(sigma=p, norm="linf")
+            SynthesisProblem(sigma=p, alpha2=-1.0)
+        for bad in ({"gamma1": np.nan}, {"gamma2": np.inf}, {"alpha2": np.nan}):
+            with pytest.raises(ValueError):
+                SynthesisProblem(sigma=p, **bad)
 
 
 class TestAssumptions:
@@ -188,8 +182,8 @@ class TestPipeline:
     def test_pipeline_produces_consistent_artifacts(self):
         p = DiagonalObservable(SIGMA8, 2)
         out = synthesis_pipeline(p)
-        assert np.max(np.abs(r_of_hamiltonian(out.h1) - out.r)) <= 1e-10
-        ok, _ = verify_lambda(out.r @ p.sigma, p.n_star)
+        assert np.max(np.abs(r_of_hamiltonian(out.h1) - out.result.r)) <= 1e-10
+        ok, _ = verify_lambda(out.result.r @ p.sigma, p.n_star)
         assert ok
 
     def test_pipeline_rejects_infeasible(self):
