@@ -139,11 +139,14 @@ class TestSolver:
         p = DiagonalObservable(SIGMA8, 2)
         with pytest.raises(ValueError):
             SynthesisProblem(sigma=p, gamma1=0.0)
-        with pytest.raises(ValueError):
-            SynthesisProblem(sigma=p, alpha2=-1.0)
         for bad in ({"gamma1": np.nan}, {"gamma2": np.inf}, {"alpha2": np.nan}):
             with pytest.raises(ValueError):
                 SynthesisProblem(sigma=p, **bad)
+
+    def test_negative_alpha2_rejected(self):
+        p = DiagonalObservable(SIGMA8, 2)
+        with pytest.raises(ValueError, match="alpha2"):
+            SynthesisProblem(sigma=p, alpha2=-1.0)
 
 
 class TestAssumptions:
