@@ -27,8 +27,8 @@ from qfcontrol import (
     ControllerConfig,
     DiagonalObservable,
     LoopConfig,
+    QuadraticLaw,
     photon_box,
-    quadratic_feedback,
     run_ensemble,
     synthesis_pipeline,
 )
@@ -51,16 +51,19 @@ h1 = pipe.h1
 rho = np.zeros((8, 8), dtype=complex)
 rho[2, 2] = 0.98
 rho[6, 6] = 0.02
-d = quadratic_feedback(p, h1, rho, ControllerConfig(kind="quadratic", u_bar=0.1))
+# The law acts on a stack of states; one state is the stack rho[None].
+law = QuadraticLaw(p, h1, ControllerConfig(kind="quadratic", u_bar=0.1))
+a, b = law.coefficients(rho[None])
+u = law.choose(a, b)
 print(f"\nfrozen pair mixture: fidelity {rho[2, 2].real:.3f} < 0.99")
-print(f"  controller slope b = {d.linear_coeff:.2e} (exactly zero)")
-print(f"  curvature a = {d.quadratic_coeff:.2f} > 0  ->  chosen u = {d.u}")
+print(f"  controller slope b = {b[0]:.2e} (exactly zero)")
+print(f"  curvature a = {a[0]:.2f} > 0  ->  chosen u = {u[0]}")
 
 # The same measurement step maps rho_{26} -> -rho_{26}: sign flip, no info.
 rho[2, 6] = rho[6, 2] = 0.1
+post = meas4.apply_outcomes(np.arange(2), np.stack([rho, rho]))
 for mu in range(2):
-    post = meas4.apply_outcome(mu, rho)
-    print(f"  outcome {mu}: rho_26 {rho[2, 6].real:+.3f} -> {post[2, 6].real:+.3f}")
+    print(f"  outcome {mu}: rho_26 {rho[2, 6].real:+.3f} -> {post[mu, 2, 6].real:+.3f}")
 
 # Ensemble comparison: identical setup, only theta differs.  The step budget
 # is acceptance criterion 7's; a run that stops at its first hit follows the

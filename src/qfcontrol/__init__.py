@@ -11,15 +11,13 @@ from .core import (
     validate_density,
 )
 from .control import (
-    ControlDecision,
     ControllerConfig,
+    ExactMinLaw,
+    LinearLaw,
+    QuadraticLaw,
     curvature_at_eigenstate,
-    exact_min_feedback,
-    expected_v_after,
-    linear_feedback,
     lyapunov_v,
     lyapunov_v_eps,
-    quadratic_feedback,
 )
 from .measurement import OutcomeImpossible, QndMeasurement, photon_box
 from .simulate import (

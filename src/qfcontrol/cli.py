@@ -27,6 +27,7 @@ from .core import (
     json_bool,
     json_int,
     json_number,
+    json_numbers,
     load_matrix,
     matrix_from_json,
     save_matrix,
@@ -133,7 +134,7 @@ class ExperimentConfig:
 
         rho0_spec = raw["rho0"]
         if "diag" in rho0_spec and "re" not in rho0_spec:
-            rho0 = np.diag(np.asarray(rho0_spec["diag"], dtype=complex))
+            rho0 = np.diag(json_numbers(rho0_spec["diag"], "rho0.diag"))
         else:
             rho0 = matrix_from_json(rho0_spec)
         rho0 = validate_density(rho0)

@@ -9,10 +9,10 @@ Three controllers are provided:
 - quadratic:  closed-form minimization of the second-order expansion of the
               same objective, the fast approximation used in practice.
 
-Each works on a stack of states of shape (R, n, n) (``LinearLaw``,
-``ExactMinLaw``, ``QuadraticLaw``) and has a one-state wrapper.  All of them
-are pure functions of the current state; any tie-break randomness draws from
-the caller's stream.
+Each is a class, ``LinearLaw``, ``ExactMinLaw`` or ``QuadraticLaw``, built
+once per system and applied to a stack of states of shape (R, n, n); a single
+state is the stack ``rho[None]``.  All of them are pure functions of the
+current state; any tie-break randomness draws from the caller's stream.
 """
 
 from __future__ import annotations
@@ -26,18 +26,13 @@ from .core import HermitianPropagator, basis_state, commutator, json_number
 from .measurement import P_FLOOR
 
 __all__ = [
-    "ControlDecision",
     "ControllerConfig",
     "ExactMinLaw",
     "LinearLaw",
     "QuadraticLaw",
     "curvature_at_eigenstate",
-    "exact_min_feedback",
-    "expected_v_after",
-    "linear_feedback",
     "lyapunov_v",
     "lyapunov_v_eps",
-    "quadratic_feedback",
 ]
 
 # The exact-min search: the best of GRID_POINTS evenly spaced controls over
@@ -96,14 +91,6 @@ class ControllerConfig:
         return cls(**{**obj, **checked})
 
 
-@dataclass(frozen=True)
-class ControlDecision:
-    u: float
-    linear_coeff: float = 0.0
-    quadratic_coeff: float = 0.0
-    predicted_dv: float = 0.0
-
-
 def lyapunov_v(p, rho):
     """V(rho) = sum_n p_n rho_nn."""
     rho = np.asarray(rho)
@@ -144,28 +131,6 @@ class LinearLaw:
         return val.real + 0.0
 
 
-def linear_feedback(p, h1, rho, kappa):
-    """u = i * kappa * Tr([P, H1] rho); real for Hermitian arguments."""
-    u = float(LinearLaw(p, h1, kappa).controls(np.asarray(rho, dtype=complex)[None])[0])
-    return ControlDecision(u=u, linear_coeff=u / kappa)
-
-
-def _as_propagator(h1):
-    return h1 if isinstance(h1, HermitianPropagator) else HermitianPropagator(h1)
-
-
-def expected_v_after(p, h1, meas, rho, u, epsilon=0.0):
-    """Exact E[V_eps(rho')] after measuring and applying exp(-i H1 u).
-
-    Averages over measurement outcomes analytically; no sampling.  ``h1`` may
-    be a matrix or an already-built HermitianPropagator.
-    """
-    prop = _as_propagator(h1)
-    return meas.expected_update(
-        rho, lambda post: lyapunov_v_eps(p, prop.conjugate(post, u), epsilon)
-    )
-
-
 class ExactMinLaw:
     """argmin over [-u_bar, u_bar] of the exact E[V_eps] after measuring, then rotating.
 
@@ -179,9 +144,9 @@ class ExactMinLaw:
 
         f(u) = sum_mu [sigma . d_mu(u) - (eps / 2 p_mu) d_mu(u) . d_mu(u)]
 
-    over the branches with p_mu > P_FLOOR, the dead-branch rule of
-    QndMeasurement.expected_update; it equals expected_v_after.  f' and f''
-    follow term by term, so eps = 0 and eps > 0 take the same path.
+    over the branches with p_mu > P_FLOOR: an outcome at or below the floor
+    cannot be sampled, so it adds nothing.  f' and f'' follow term by term,
+    so eps = 0 and eps > 0 take the same path.
 
     u starts at the best of GRID_POINTS evenly spaced controls, ties broken
     toward 0, then toward +u_bar.  NEWTON_STEPS steps follow, each moving to
@@ -201,7 +166,9 @@ class ExactMinLaw:
         self.cfg = cfg
         self._sigma = p.sigma
         self._meas = meas
-        e, w = _as_propagator(h1).eigh
+        # h1 is a matrix or a HermitianPropagator already built for it.
+        prop = h1 if isinstance(h1, HermitianPropagator) else HermitianPropagator(h1)
+        e, w = prop.eigh
         n = e.size
         self._w, self._wh = w, w.conj().T
         # mix[i, jk] = W_ij conj(W_ik): the population map of the eigenbasis.
@@ -271,13 +238,6 @@ class ExactMinLaw:
     def controls(self, rho):
         """u for every state of a stack rho of shape (R, n, n)."""
         return self.minimize(rho)[0]
-
-
-def exact_min_feedback(p, h1, meas, rho, cfg):
-    """The exact-min law (see ExactMinLaw) for one state."""
-    u, f = ExactMinLaw(p, h1, meas, cfg).minimize(np.asarray(rho, dtype=complex)[None])
-    return ControlDecision(u=float(u[0]),
-                           predicted_dv=float(f[0]) - lyapunov_v_eps(p, rho, cfg.epsilon))
 
 
 class QuadraticLaw:
@@ -366,35 +326,13 @@ class QuadraticLaw:
         return self.choose(*self.coefficients(rho), draw)
 
 
-def quadratic_feedback(p, h1, rho, cfg, rng=None):
-    """The quadratic law (see QuadraticLaw) for one state.
-
-    A random-sign tie draws one number from ``rng``; without it a tie takes
-    +u_bar.
-    """
-    law = QuadraticLaw(p, h1, cfg)
-    a, b = law.coefficients(np.asarray(rho, dtype=complex)[None])
-    draw = None if rng is None else (lambda mask: rng.random(int(mask.sum())))
-    u = float(law.choose(a, b, draw)[0])
-    a, b = float(a[0]), float(b[0])
-    return ControlDecision(
-        u=u,
-        linear_coeff=b,
-        quadratic_coeff=a,
-        predicted_dv=0.5 * a * u**2 + b * u,
-    )
-
-
 def curvature_at_eigenstate(p, h1, meas, n):
     """f''(0) of the exact expected post-step energy at rho = |n><n|, eps = 0.
 
     The measurement is part of the objective (see ExactMinLaw).  It equals
     (R sigma)_n for R = r_of_hamiltonian(H1), which is the mechanism behind
     the convergence guarantee: negative curvature off the target, positive
-    at it.
+    at it.  An n outside the system raises IndexError, from basis_state.
     """
-    prop = _as_propagator(h1)
-    if not 0 <= n < prop.dim:
-        raise IndexError(f"basis index {n} out of range")
-    law = ExactMinLaw(p, prop, meas, ControllerConfig(kind="exact-min"))
-    return float(law.objective(basis_state(n, prop.dim)[None], np.zeros(1))[2][0])
+    law = ExactMinLaw(p, h1, meas, ControllerConfig(kind="exact-min"))
+    return float(law.objective(basis_state(n, p.dim)[None], np.zeros(1))[2][0])

@@ -30,6 +30,7 @@ __all__ = [
     "json_bool",
     "json_int",
     "json_number",
+    "json_numbers",
     "purity",
     "validate_density",
 ]
@@ -72,6 +73,18 @@ def json_number(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} is {value!r}, but must be a number")
     return float(value)
+
+
+def json_numbers(value, name):
+    """value as a float array when each entry is a number; np.asarray would take "0.5".
+
+    Each distinct entry type is checked once, so a long list costs one pass.
+    """
+    a = np.asarray(value, dtype=object)
+    for kind in {type(x) for x in a.flat}:
+        if kind is bool or not issubclass(kind, numbers.Real):
+            json_number(next(x for x in a.flat if type(x) is kind), f"an entry of {name}")
+    return a.astype(float)
 
 
 def _as_square_complex(m, name="matrix"):
@@ -201,7 +214,7 @@ class DiagonalObservable:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(np.asarray(obj["diag"], dtype=float), json_int(obj["n_star"], "n_star"))
+        return cls(json_numbers(obj["diag"], "p.diag"), json_int(obj["n_star"], "n_star"))
 
 
 class HermitianPropagator:
@@ -233,16 +246,12 @@ class HermitianPropagator:
         """exp(-i * H * u)."""
         return (self._v * np.exp(-1j * u * self._w)) @ self._vh
 
-    def conjugate(self, rho, u):
-        """exp(-iHu) rho exp(+iHu) without re-diagonalizing."""
-        umat = self.unitary(u)
-        return umat @ rho @ umat.conj().T
-
     def conjugate_stack(self, rho, u):
-        """conjugate for a stack: rho of shape (R, n, n), one control u[r] per state.
+        """exp(-iHu) rho exp(+iHu) for a stack, without re-diagonalizing.
 
-        Every product is a stacked n x n matmul, so row r's result has the
-        same bits whatever R is.
+        rho has shape (R, n, n) and u holds one control per state.  Every
+        product is a stacked n x n matmul, so row r's result has the same
+        bits whatever R is.
         """
         phases = np.exp(np.multiply.outer(u, self._minus_iw))
         umat = (self._v * phases[:, None, :]) @ self._vh
@@ -257,8 +266,8 @@ def matrix_to_json(a):
 
 def matrix_from_json(obj):
     n = json_int(obj["n"], "matrix n")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re = json_numbers(obj["re"], "matrix re")
+    im = json_numbers(obj["im"], "matrix im")
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix file claims n={n} but arrays have shapes {re.shape}, {im.shape}")
     return re + 1j * im

@@ -13,19 +13,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import json_int, json_number
+from .core import json_int, json_number, json_numbers
 
 __all__ = [
     "P_FLOOR",
-    "MeasurementOutcome",
     "OutcomeImpossible",
     "QndMeasurement",
     "photon_box",
 ]
 
 # Outcomes with probability at or below this floor are unsampleable: they are
-# skipped in exact expectations and rejected in apply_outcome, protecting the
-# normalization division from producing NaN states.
+# skipped in ExactMinLaw's exact expectation and rejected in
+# sample_and_collapse and apply_outcomes, protecting the normalization
+# division from producing NaN states.
 P_FLOOR = 1e-12
 
 COMPLETENESS_TOL = 1e-10
@@ -33,12 +33,6 @@ COMPLETENESS_TOL = 1e-10
 
 class OutcomeImpossible(RuntimeError):
     """Conditioning on an outcome whose probability is below the floor."""
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    mu: int
-    probability: float
 
 
 @dataclass(frozen=True)
@@ -81,41 +75,14 @@ class QndMeasurement:
         k.flags.writeable = False
         return k
 
-    def outcome_probabilities(self, rho):
-        """p_mu = sum_n |c[mu,n]|^2 rho_nn, clamped at 0, renormalized."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise ValueError(f"dimension mismatch: state {rho.shape} vs measurement dim {self.dim}")
-        p = self.weights @ rho.diagonal().real
-        p = np.maximum(p, 0.0)
-        total = p.sum()
-        # Written so that a NaN total fails the check too.
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"outcome probabilities sum to {total}, not 1")
-        return p / total
-
-    def apply_outcome(self, mu, rho):
-        """Post-measurement state M_mu rho M_mu† / p_mu."""
-        rho = np.asarray(rho, dtype=complex)
-        p = float(self.weights[mu] @ rho.diagonal().real)
-        if p <= P_FLOOR:
-            raise OutcomeImpossible(f"outcome {mu} has probability {p:.3e} <= floor")
-        return (self.projectors[mu] * rho) / p
-
     def apply_outcomes(self, mu, rho):
-        """apply_outcome for a stack: rho of shape (R, n, n), one outcome mu[r] per state."""
+        """M_mu rho M_mu† / p_mu for a stack rho of shape (R, n, n), one mu[r] per state."""
         p = (self.weights[mu] * rho.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
         low = p <= P_FLOOR
         if low.any():
             r = int(np.argmax(low))
             raise OutcomeImpossible(f"outcome {mu[r]} has probability {p[r]:.3e} <= floor")
         return (self.projectors[mu] * rho) / p[:, None, None]
-
-    def sample_outcome(self, rho, rng):
-        """Draw an outcome by inverse CDF; deterministic given the stream state."""
-        p = self.outcome_probabilities(rho)
-        mu = int(_inverse_cdf(p, rng.random()))
-        return MeasurementOutcome(mu=mu, probability=float(p[mu]))
 
     def sample_and_collapse(self, rho, p, x):
         """Draw an outcome for every state of a stack and collapse onto it.
@@ -124,10 +91,10 @@ class QndMeasurement:
         the unclamped outcome probabilities, p[r, mu] = sum_n |c[mu, n]|^2
         rho[r]_nn as ``(d[:, None, :] * weights).sum(axis=-1)`` gives them
         for the diagonals d, so that a caller reading the diagonals for
-        other uses too reads them once.  The outcome is drawn as in
-        sample_outcome from p clamped at 0 and renormalized; its unclamped
-        probability divides the collapse, as in apply_outcomes.  Returns the
-        outcomes and the post-measurement states.
+        other uses too reads them once.  The outcome is drawn by inverse CDF
+        from p clamped at 0 and renormalized, so it is determined by x; its
+        unclamped probability divides the collapse, as in apply_outcomes.
+        Returns the outcomes and the post-measurement states.
         """
         q = np.maximum(p, 0.0)
         # np.add.reduce is ndarray.sum without its Python wrapper, which on
@@ -162,16 +129,6 @@ class QndMeasurement:
                     bad.append((n1, n2))
         return bad
 
-    def expected_update(self, rho, f):
-        """Exact sum_mu p_mu f(post-measurement state), skipping dead branches."""
-        p = self.outcome_probabilities(rho)
-        total = 0.0
-        for mu in range(self.m):
-            if p[mu] <= P_FLOOR:
-                continue
-            total += p[mu] * f(self.apply_outcome(mu, rho))
-        return total
-
     def to_json(self):
         return {
             "n": self.dim,
@@ -188,7 +145,8 @@ class QndMeasurement:
                               json_number(pb["phi0"], "photon_box.phi0"),
                               json_number(pb["theta"], "photon_box.theta"))
         m, n = json_int(obj["m"], "measurement m"), json_int(obj["n"], "measurement n")
-        c = np.asarray(obj["coeffs_re"], dtype=float) + 1j * np.asarray(obj["coeffs_im"], dtype=float)
+        c = (json_numbers(obj["coeffs_re"], "measurement coeffs_re")
+             + 1j * json_numbers(obj["coeffs_im"], "measurement coeffs_im"))
         if c.shape != (m, n):
             raise ValueError(f"measurement file claims shape ({m}, {n}) but arrays are {c.shape}")
         return cls(c)

@@ -41,12 +41,6 @@ from .control import (
 )
 from .measurement import OutcomeImpossible
 
-# Per-state functions that the benchmark's tracer wraps where this module
-# binds them.  The batched kernel no longer calls them, so their traced
-# counts read 0; the names stay bound until the benchmark traces the kernel.
-from .control import exact_min_feedback, lyapunov_v, quadratic_feedback  # noqa: F401
-from .core import fidelity_to_basis, purity  # noqa: F401
-
 __all__ = [
     "ABSORB_THRESHOLD",
     "ENSEMBLE_MODES",

@@ -14,7 +14,6 @@ from qfcontrol import (
     ControllerConfig,
     DiagonalObservable,
     LoopConfig,
-    QndMeasurement,
     derive_seed,
     photon_box,
     run_ensemble,
@@ -22,6 +21,7 @@ from qfcontrol import (
     run_stochastic,
 )
 from qfcontrol.core import density_violations
+from helpers import random_measurement
 from test_simulate import observable8, seed_state, star_h1
 
 CONTROLLERS = {
@@ -35,10 +35,7 @@ CONTROLLERS = {
 def random_system(seed, dim, law, stop, diagonal_start):
     """A LoopConfig and initial state drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 5))
-    # Columns of |c|^2 on the simplex give completeness; phases are free.
-    weights = rng.dirichlet(np.full(m, 0.5), size=dim).T
-    coeffs = np.sqrt(weights) * np.exp(2j * np.pi * rng.random((m, dim)))
+    meas = random_measurement(rng, int(rng.integers(2, 5)), dim)
     sigma = rng.uniform(0.0, 10.0, dim)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rank = (dim, int(rng.integers(1, dim + 1)))
@@ -51,7 +48,7 @@ def random_system(seed, dim, law, stop, diagonal_start):
     rho0 /= np.trace(rho0).real
     common = dict(
         p=DiagonalObservable(sigma, int(np.argmin(sigma))),
-        meas=QndMeasurement(coeffs),
+        meas=meas,
         fidelity_threshold=float(rng.uniform(0.5, 0.95)),
         stop_at_threshold=stop,
     )

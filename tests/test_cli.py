@@ -93,7 +93,9 @@ class TestSynthesize:
         ([3.0, 1.0, 2.0], []),
         (P_DIAG, ["--gamma1", "0"]),
         (P_DIAG, ["--gamma1", "nan"]),
-    ], ids=["n-star-out-of-range", "top-level-list", "gamma1-zero", "gamma1-nan"])
+        ({**P_DIAG, "diag": ["51.7022"] + P_DIAG["diag"][1:]}, []),
+    ], ids=["n-star-out-of-range", "top-level-list", "gamma1-zero", "gamma1-nan",
+            "diag-entry-string"])
     def test_bad_input_exits_1_without_traceback(self, tmp_path, capsys, p_diag, flags):
         path = tmp_path / "pdiag.json"
         path.write_text(json.dumps(p_diag))
@@ -282,6 +284,13 @@ def h1_with(entry):
     return change
 
 
+def measurement_coeff_as_string(cfg):
+    """The photon-box measurement written out, with one coefficient as a string."""
+    meas = photon_box(8, 0.125, np.pi / 10).to_json()
+    meas["coeffs_re"][0][2] = repr(meas["coeffs_re"][0][2])
+    cfg["measurement"] = meas
+
+
 MALFORMED = {
     "no-measurement": drop_measurement,
     "zero-steps": lambda cfg: cfg["loop"].update(steps=0),
@@ -318,6 +327,12 @@ MALFORMED = {
     "fidelity-threshold-string": lambda cfg: cfg["loop"].update(fidelity_threshold="0.5"),
     "success-floor-string": lambda cfg: cfg.update(success_floor="0.5"),
     "u-bar-true": lambda cfg: cfg["controller"].update(u_bar=True),
+    "sigma-entry-string": lambda cfg: cfg.update(
+        p={**P_DIAG, "diag": ["51.7022"] + P_DIAG["diag"][1:]}),
+    "rho0-entry-string": lambda cfg: cfg.update(rho0={"diag": ["0.5625"] + [0.0625] * 7}),
+    "rho0-entry-true": lambda cfg: cfg.update(rho0={"diag": [True] + [0.0] * 7}),
+    "h1-entry-string": h1_with("0.0"),
+    "measurement-coeff-string": measurement_coeff_as_string,
 }
 
 

@@ -8,41 +8,48 @@ from hypothesis import strategies as st
 from qfcontrol import (
     ControllerConfig,
     DiagonalObservable,
-    HermitianPropagator,
-    QndMeasurement,
-    basis_state,
+    ExactMinLaw,
+    LinearLaw,
+    QuadraticLaw,
     curvature_at_eigenstate,
-    exact_min_feedback,
-    expected_v_after,
-    linear_feedback,
     lyapunov_v,
     lyapunov_v_eps,
     photon_box,
-    quadratic_feedback,
     r_of_hamiltonian,
 )
-from qfcontrol.control import ExactMinLaw
+from helpers import (
+    expected_v_after,
+    random_density,
+    random_hermitian,
+    random_measurement,
+    rotated,
+)
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]
 )
 
 
-def random_hermitian(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + a.conj().T) / 2
-
-
-def random_density(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
 def rotation_energy(p, h1, rho, u):
     """V after the control rotation alone, the curve both laws model."""
-    prop = HermitianPropagator(h1)
-    return lyapunov_v(p, prop.conjugate(rho, u))
+    return lyapunov_v(p, rotated(h1, rho, u))
+
+
+def linear_u(p, h1, rho, kappa):
+    return float(LinearLaw(p, h1, kappa).controls(rho[None])[0])
+
+
+def quadratic(p, h1, rho, cfg):
+    """Curvature a, slope b and the chosen u of the quadratic law for one state."""
+    law = QuadraticLaw(p, h1, cfg)
+    a, b = law.coefficients(rho[None])
+    return float(a[0]), float(b[0]), float(law.choose(a, b)[0])
+
+
+def exact_min(p, h1, meas, rho, cfg):
+    """The exact-min law's u and predicted f(u) - V_eps(rho) for one state."""
+    u, f = ExactMinLaw(p, h1, meas, cfg).minimize(rho[None])
+    return float(u[0]), float(f[0]) - lyapunov_v_eps(p, rho, cfg.epsilon)
 
 
 class TestLyapunov:
@@ -90,7 +97,7 @@ class TestLinearFeedback:
         p = DiagonalObservable(SIGMA8, 2)
         h1 = random_hermitian(rng, 8)
         rho = np.diag(rng.dirichlet(np.ones(8))).astype(complex)
-        assert abs(linear_feedback(p, h1, rho, 0.05).u) <= 1e-12
+        assert abs(linear_u(p, h1, rho, 0.05)) <= 1e-12
 
     def test_points_downhill(self):
         """The law is kappa times the negative V-slope of the rotation."""
@@ -99,7 +106,7 @@ class TestLinearFeedback:
         for _ in range(10):
             h1 = random_hermitian(rng, 8)
             rho = random_density(rng, 8)
-            u = linear_feedback(p, h1, rho, 0.05).u
+            u = linear_u(p, h1, rho, 0.05)
             h = 1e-6
             slope = (
                 rotation_energy(p, h1, rho, h) - rotation_energy(p, h1, rho, -h)
@@ -117,21 +124,21 @@ class TestQuadraticFeedback:
         for _ in range(10):
             h1 = random_hermitian(rng, 8)
             rho = random_density(rng, 8)
-            d = quadratic_feedback(p, h1, rho, cfg)
+            a, b, _ = quadratic(p, h1, rho, cfg)
             f = lambda u: rotation_energy(p, h1, rho, u)
             slope = (f(h) - f(-h)) / (2 * h)
             curv = (f(h) - 2 * f(0.0) + f(-h)) / h**2
-            assert d.linear_coeff == pytest.approx(slope, rel=1e-5, abs=1e-6)
-            assert d.quadratic_coeff == pytest.approx(curv, rel=1e-3, abs=1e-4)
+            assert b == pytest.approx(slope, rel=1e-5, abs=1e-6)
+            assert a == pytest.approx(curv, rel=1e-3, abs=1e-4)
 
     def test_interior_optimum_when_convex(self):
         p = DiagonalObservable(np.array([2.0, 1.0]), 1)
         h1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         rho = np.array([[0.9, 0.29], [0.29, 0.1]], dtype=complex)
         cfg = ControllerConfig(kind="quadratic", u_bar=1.0)
-        d = quadratic_feedback(p, h1, rho, cfg)
-        if d.quadratic_coeff > 0 and abs(d.linear_coeff / d.quadratic_coeff) < 1.0:
-            assert d.u == pytest.approx(-d.linear_coeff / d.quadratic_coeff)
+        a, b, u = quadratic(p, h1, rho, cfg)
+        if a > 0 and abs(b / a) < 1.0:
+            assert u == pytest.approx(-b / a)
 
     def test_never_exceeds_bound(self):
         rng = np.random.default_rng(4)
@@ -140,26 +147,24 @@ class TestQuadraticFeedback:
         for _ in range(25):
             h1 = random_hermitian(rng, 8)
             rho = random_density(rng, 8)
-            assert abs(quadratic_feedback(p, h1, rho, cfg).u) <= 0.07 + 1e-15
+            assert abs(quadratic(p, h1, rho, cfg)[2]) <= 0.07 + 1e-15
 
     def test_flat_tie_break(self):
         p = DiagonalObservable(np.array([2.0, 1.0]), 1)
         h1 = np.zeros((2, 2), dtype=complex)
         rho = np.eye(2, dtype=complex) / 2
         cfg = ControllerConfig(kind="quadratic", u_bar=0.1)
-        assert quadratic_feedback(p, h1, rho, cfg).u == 0.0
+        assert quadratic(p, h1, rho, cfg)[2] == 0.0
 
     def test_epsilon_term_lowers_curvature(self):
         rng = np.random.default_rng(5)
         p = DiagonalObservable(SIGMA8, 2)
         h1 = random_hermitian(rng, 8)
         rho = random_density(rng, 8)
-        a0 = quadratic_feedback(
-            p, h1, rho, ControllerConfig(kind="quadratic", u_bar=0.1)
-        ).quadratic_coeff
-        a1 = quadratic_feedback(
+        a0 = quadratic(p, h1, rho, ControllerConfig(kind="quadratic", u_bar=0.1))[0]
+        a1 = quadratic(
             p, h1, rho, ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=0.5)
-        ).quadratic_coeff
+        )[0]
         # The penalty term is -(eps/4) * sum of squared imaginary numbers,
         # which is a non-negative addition... the diagonal entries of
         # [H1, rho] square to real non-positive values, so a never decreases.
@@ -174,16 +179,15 @@ class TestQuadraticFeedback:
                 h1[i, 2] = h1[2, i] = np.sqrt(0.5 / (SIGMA8[i] - SIGMA8[2]))
         rho = np.ones((8, 8), dtype=complex) / 16.0
         rho[0, 0] += 0.5
-        prop = HermitianPropagator(h1)
         h = 1e-4
 
         def curvature(eps):
-            f = lambda u: lyapunov_v_eps(p, prop.conjugate(rho, u), eps)
+            f = lambda u: lyapunov_v_eps(p, rotated(h1, rho, u), eps)
             return (f(h) - 2 * f(0.0) + f(-h)) / h**2
 
         def coeff(eps):
             cfg = ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=eps)
-            return quadratic_feedback(p, h1, rho, cfg).quadratic_coeff
+            return quadratic(p, h1, rho, cfg)[0]
 
         assert coeff(0.0) == pytest.approx(-3.45371, abs=1e-5)
         assert abs(coeff(0.0) - curvature(0.0)) <= 1e-6
@@ -199,10 +203,7 @@ class TestQuadraticFeedback:
     def test_wrong_kind_rejected(self):
         p = DiagonalObservable(np.array([2.0, 1.0]), 1)
         with pytest.raises(ValueError):
-            quadratic_feedback(
-                p, np.zeros((2, 2)), np.eye(2) / 2,
-                ControllerConfig(kind="linear"),
-            )
+            QuadraticLaw(p, np.zeros((2, 2)), ControllerConfig(kind="linear"))
 
 
 class TestExactMin:
@@ -226,7 +227,7 @@ class TestExactMin:
         cfg = ControllerConfig(kind="exact-min", u_bar=0.1)
         for _ in range(10):
             rho = random_density(rng, 8)
-            assert exact_min_feedback(p, h1, meas, rho, cfg).predicted_dv <= 1e-10
+            assert exact_min(p, h1, meas, rho, cfg)[1] <= 1e-10
 
     def test_beats_or_ties_quadratic_on_its_objective(self):
         rng = np.random.default_rng(8)
@@ -237,8 +238,8 @@ class TestExactMin:
         cfg_q = ControllerConfig(kind="quadratic", u_bar=0.1)
         for _ in range(5):
             rho = random_density(rng, 8)
-            u_e = exact_min_feedback(p, h1, meas, rho, cfg_e).u
-            u_q = quadratic_feedback(p, h1, rho, cfg_q).u
+            u_e = exact_min(p, h1, meas, rho, cfg_e)[0]
+            u_q = quadratic(p, h1, rho, cfg_q)[2]
             f = lambda u: expected_v_after(p, h1, meas, rho, u)
             assert f(u_e) <= f(u_q) + 1e-9
 
@@ -246,10 +247,7 @@ class TestExactMin:
         p = DiagonalObservable(np.array([2.0, 1.0]), 1)
         meas = photon_box(2, 0.3, 0.6)
         with pytest.raises(ValueError):
-            exact_min_feedback(
-                p, np.zeros((2, 2)), meas, np.eye(2) / 2,
-                ControllerConfig(kind="quadratic"),
-            )
+            ExactMinLaw(p, np.zeros((2, 2)), meas, ControllerConfig(kind="quadratic"))
 
 
 def random_exact_min_instance(seed, dim, regularized):
@@ -259,10 +257,7 @@ def random_exact_min_instance(seed, dim, regularized):
     ``regularized``.  Also returns the generator, for further draws.
     """
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 5))
-    # Columns of |c|^2 on the simplex give completeness; phases are free.
-    weights = rng.dirichlet(np.full(m, 0.5), size=dim).T
-    coeffs = np.sqrt(weights) * np.exp(2j * np.pi * rng.random((m, dim)))
+    meas = random_measurement(rng, int(rng.integers(2, 5)), dim)
     sigma = rng.uniform(0.0, 10.0, dim)
     h1 = rng.uniform(0.1, 1.0) * random_hermitian(rng, dim)
     rank = (dim, int(rng.integers(1, dim + 1)))
@@ -272,7 +267,7 @@ def random_exact_min_instance(seed, dim, regularized):
     cfg = ControllerConfig(kind="exact-min", u_bar=float(rng.uniform(0.05, 1.0)),
                            epsilon=float(rng.uniform(0.5, 20.0)) if regularized else 0.0)
     p = DiagonalObservable(sigma, int(np.argmin(sigma)))
-    return p, h1, QndMeasurement(coeffs), rho, cfg, rng
+    return p, h1, meas, rho, cfg, rng
 
 
 INSTANCES = dict(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16),
@@ -295,7 +290,7 @@ class TestExactMinClosedForm:
     @given(**INSTANCES)
     def test_choice_beats_the_grid_and_standing_still(self, seed, dim, regularized):
         p, h1, meas, rho, cfg, _ = random_exact_min_instance(seed, dim, regularized)
-        u = exact_min_feedback(p, h1, meas, rho, cfg).u
+        u = exact_min(p, h1, meas, rho, cfg)[0]
         assert -cfg.u_bar <= u <= cfg.u_bar
 
         def f(x):

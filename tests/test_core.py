@@ -23,17 +23,7 @@ from qfcontrol.core import (
     matrix_to_json,
     save_matrix,
 )
-
-
-def random_hermitian(rng, n, scale=1.0):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * (a + a.conj().T) / 2
-
-
-def random_density(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+from helpers import random_density, random_hermitian
 
 
 class TestDensityValidation:
@@ -147,7 +137,19 @@ class TestExpm:
         rho = random_density(rng, 5)
         prop = HermitianPropagator(h)
         u = taylor_expm(-0.4j * h)
-        assert np.allclose(prop.conjugate(rho, 0.4), u @ rho @ u.conj().T, atol=1e-12)
+        assert np.allclose(prop.conjugate_stack(rho[None], np.array([0.4]))[0],
+                           u @ rho @ u.conj().T, atol=1e-12)
+
+    def test_propagator_conjugate_stack(self):
+        """One control per state: row r is rotated by its own u[r]."""
+        rng = np.random.default_rng(8)
+        h = random_hermitian(rng, 5)
+        rho = np.stack([random_density(rng, 5) for _ in range(3)])
+        controls = np.array([-0.3, 0.0, 1.1])
+        got = HermitianPropagator(h).conjugate_stack(rho, controls)
+        for r, x in enumerate(controls):
+            u = taylor_expm(-1j * x * h)
+            assert np.allclose(got[r], u @ rho[r] @ u.conj().T, atol=1e-12)
 
 
 class TestDiagonalObservable:

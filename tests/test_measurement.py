@@ -7,12 +7,19 @@ from hypothesis import strategies as st
 
 from qfcontrol import OutcomeImpossible, QndMeasurement, photon_box
 from qfcontrol.core import basis_state
+from helpers import expected_update, random_density, random_measurement
 
 
-def random_density(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+def unclamped_probabilities(meas, rho):
+    """sum_n |c[mu, n]|^2 rho_nn for a stack, as sample_and_collapse takes them."""
+    return (rho.diagonal(axis1=1, axis2=2).real[:, None, :] * meas.weights).sum(axis=-1)
+
+
+def sample(meas, rho, rng):
+    """One outcome for the single state rho, drawn from rng by sample_and_collapse."""
+    stack = rho[None]
+    return int(meas.sample_and_collapse(stack, unclamped_probabilities(meas, stack),
+                                        rng.random(1))[0][0])
 
 
 class TestConstruction:
@@ -35,43 +42,43 @@ class TestOutcomes:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
         m = photon_box(6, 0.2, 0.5)
-        p = m.outcome_probabilities(random_density(rng, 6))
+        p = unclamped_probabilities(m, random_density(rng, 6)[None])[0]
         assert p.sum() == pytest.approx(1.0)
         assert np.all(p >= 0)
 
     def test_basis_states_invariant(self):
         m = photon_box(5, 0.3, 0.6)
         rho = basis_state(2, 5)
-        for mu in range(2):
-            assert np.allclose(m.apply_outcome(mu, rho), rho, atol=1e-12)
+        post = m.apply_outcomes(np.arange(2), np.stack([rho, rho]))
+        assert np.allclose(post, rho, atol=1e-12)
 
     def test_collapse_is_normalized(self):
         rng = np.random.default_rng(1)
         m = photon_box(6, 0.2, 0.5)
         rho = random_density(rng, 6)
-        post = m.apply_outcome(0, rho)
+        post = m.apply_outcomes(np.array([0]), rho[None])[0]
         assert np.trace(post).real == pytest.approx(1.0, abs=1e-12)
 
     def test_impossible_outcome_raises(self):
         m = photon_box(2, 0.0, np.pi / 2)  # c_{1,0} = sin(0) = 0
         with pytest.raises(OutcomeImpossible):
-            m.apply_outcome(1, basis_state(0, 2))
+            m.apply_outcomes(np.array([1]), basis_state(0, 2)[None])
 
     def test_sampling_deterministic_given_stream(self):
         rng1 = np.random.Generator(np.random.PCG64(7))
         rng2 = np.random.Generator(np.random.PCG64(7))
         m = photon_box(6, 0.2, 0.5)
         rho = np.eye(6, dtype=complex) / 6
-        seq1 = [m.sample_outcome(rho, rng1).mu for _ in range(50)]
-        seq2 = [m.sample_outcome(rho, rng2).mu for _ in range(50)]
+        seq1 = [sample(m, rho, rng1) for _ in range(50)]
+        seq2 = [sample(m, rho, rng2) for _ in range(50)]
         assert seq1 == seq2
 
     def test_sampling_matches_probabilities(self):
         rng = np.random.default_rng(3)
         m = photon_box(4, 0.4, 0.8)
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        p = m.outcome_probabilities(rho)
-        draws = np.array([m.sample_outcome(rho, rng).mu for _ in range(4000)])
+        p = unclamped_probabilities(m, rho[None])[0]
+        draws = np.array([sample(m, rho, rng) for _ in range(4000)])
         assert np.mean(draws == 0) == pytest.approx(p[0], abs=0.03)
 
     def test_stack_with_a_nan_state_is_rejected(self):
@@ -84,12 +91,7 @@ class TestOutcomes:
         with pytest.raises(ValueError, match="sum to nan"):
             m.sample_and_collapse(rho, p, rng.random(3))
         with pytest.raises(ValueError, match="sum to nan"):
-            m.outcome_probabilities(rho[1])
-
-
-def unclamped_probabilities(meas, rho):
-    """sum_n |c[mu, n]|^2 rho_nn for a stack, as sample_and_collapse takes them."""
-    return (rho.diagonal(axis1=1, axis2=2).real[:, None, :] * meas.weights).sum(axis=-1)
+            m.sample_and_collapse(rho[1:2], p[1:2], rng.random(1))
 
 
 class TestSampleAndCollapse:
@@ -100,9 +102,7 @@ class TestSampleAndCollapse:
            stack=st.integers(1, 6))
     def test_matches_inverse_cdf_and_apply_outcomes(self, seed, dim, m, stack):
         rng = np.random.default_rng(seed)
-        # Columns of |c|^2 on the simplex give completeness; phases are free.
-        weights = rng.dirichlet(np.full(m, 0.5), size=dim).T
-        meas = QndMeasurement(np.sqrt(weights) * np.exp(2j * np.pi * rng.random((m, dim))))
+        meas = random_measurement(rng, m, dim)
         rho = []
         for _ in range(stack):
             g = rng.normal(size=(dim, int(rng.integers(1, dim + 1))))
@@ -138,14 +138,14 @@ class TestMartingale:
         for _ in range(20):
             rho = random_density(rng, 7)
             before = np.trace(a @ rho).real
-            after = m.expected_update(rho, lambda post: np.trace(a @ post).real)
+            after = expected_update(m, rho, lambda post: np.trace(a @ post).real)
             assert after == pytest.approx(before, abs=1e-12)
 
     def test_expected_update_of_constant_is_constant(self):
         rng = np.random.default_rng(5)
         m = photon_box(5, 0.3, 0.6)
         rho = random_density(rng, 5)
-        assert m.expected_update(rho, lambda _: 1.0) == pytest.approx(1.0)
+        assert expected_update(m, rho, lambda _: 1.0) == pytest.approx(1.0)
 
 
 class TestDistinguishability:

@@ -10,16 +10,16 @@ from qfcontrol import (
     ControllerConfig,
     DiagonalObservable,
     FilterBreakdown,
+    LinearLaw,
     LoopConfig,
     QndMeasurement,
+    QuadraticLaw,
     SynthesisProblem,
     Trajectory,
     config_hash,
     derive_seed,
     hamiltonian_of_r,
-    linear_feedback,
     photon_box,
-    quadratic_feedback,
     run_deterministic,
     run_ensemble,
     run_filtered,
@@ -186,11 +186,13 @@ class TestIndistinguishablePairObstruction:
 
     def test_pair_state_is_a_controller_fixed_point(self, h1):
         cfg = ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=0.0)
-        d = quadratic_feedback(observable8(), h1, self.pair_state(), cfg)
-        assert d.linear_coeff == 0.0
-        assert d.quadratic_coeff > 0.0
-        assert d.u == 0.0
-        assert not np.signbit(d.u)
+        law = QuadraticLaw(observable8(), h1, cfg)
+        a, b = law.coefficients(self.pair_state()[None])
+        assert b[0] == 0.0
+        assert a[0] > 0.0
+        u = law.choose(a, b)
+        assert u[0] == 0.0
+        assert not np.signbit(u[0])
 
     def test_frozen_run_logs_no_negative_zero(self, h1, tmp_path):
         t = run_stochastic(self.loop(h1, np.pi / 4), self.pair_state(), 0)
@@ -218,7 +220,7 @@ class TestIndistinguishablePairObstruction:
     def test_quarter_pi_outcomes_flip_pair_coherence(self, mu):
         rho = self.pair_state()
         rho[2, 6] = rho[6, 2] = 0.1
-        post = photon_box(8, 1 / 8, np.pi / 4).apply_outcome(mu, rho)
+        post = photon_box(8, 1 / 8, np.pi / 4).apply_outcomes(np.array([mu]), rho[None])[0]
         flipped = rho.copy()
         flipped[2, 6] = flipped[6, 2] = -0.1
         assert np.allclose(post, flipped, atol=1e-12)
@@ -285,9 +287,8 @@ class TestDeterministicLoop:
 
     def test_vanishing_feedback_logs_positive_zero(self, tmp_path):
         """A real start state makes Tr([P, H1] rho) vanish; u must be +0.0."""
-        d = linear_feedback(observable8(), star_h1(), seed_state(), 0.05)
-        assert d.u == 0.0 and not np.signbit(d.u)
-        assert not np.signbit(d.linear_coeff)
+        u = LinearLaw(observable8(), star_h1(), 0.05).controls(seed_state()[None])
+        assert u[0] == 0.0 and not np.signbit(u[0])
         t = parity_case("deterministic")
         assert t.u[0] == 0.0 and not np.any(np.signbit(t.u[t.u == 0.0]))
         path = tmp_path / "det.csv"

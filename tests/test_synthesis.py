@@ -16,15 +16,11 @@ from qfcontrol import (
     verify_lambda,
 )
 from qfcontrol.synthesis import cone_violations, in_cone
+from helpers import random_hermitian
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]
 )
-
-
-def random_hermitian(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + a.conj().T) / 2
 
 
 def random_cone_point(rng, n):
