@@ -153,6 +153,10 @@ class ExperimentConfig:
         realizations = json_int(ens.get("realizations", 100), "ensemble.realizations")
         if realizations < 1:
             raise ValueError(f"ensemble.realizations is {realizations}, but must be at least 1")
+        output_dir = raw.get("output_dir", ".")
+        # os.makedirs would fail on it only after the whole ensemble has run.
+        if not isinstance(output_dir, str) or not output_dir:
+            raise ValueError(f"output_dir is {output_dir!r}, but must be a non-empty string")
 
         return cls(
             loop=LoopConfig(
@@ -172,7 +176,7 @@ class ExperimentConfig:
             realizations=realizations,
             master_seed=json_int(ens.get("master_seed", 0), "ensemble.master_seed"),
             success_floor=json_number(raw.get("success_floor", 0.0), "success_floor"),
-            output_dir=raw.get("output_dir", "."),
+            output_dir=output_dir,
             raw=raw,
         )
 

@@ -40,6 +40,9 @@ __all__ = [
 GRID_POINTS = 129
 NEWTON_STEPS = 4
 
+# Factors of the eps term's d.d, (d.d)' and (d.d)'' on d d, d d' and d d'' + d' d'.
+_PRODUCT_RULE = np.array([[1.0], [2.0], [2.0]])
+
 # Largest imaginary parts tolerated in the quadratic law's a and b.
 _IMAG_TOL = np.array([1e-9, 1e-10])
 
@@ -134,19 +137,31 @@ class LinearLaw:
 class ExactMinLaw:
     """argmin over [-u_bar, u_bar] of the exact E[V_eps] after measuring, then rotating.
 
-    With H1 = W diag(e) W^dagger and X_mu = M_mu rho M_mu^dagger the
-    unnormalized branch of outcome mu (probability p_mu = Tr X_mu), the
-    populations of exp(-i H1 u) X_mu exp(i H1 u) are
+    With H1 = W diag(e) W^dagger, omega_jk = e_j - e_k and X_mu =
+    M_mu rho M_mu^dagger the unnormalized branch of outcome mu (probability
+    p_mu = Tr X_mu), the populations of exp(-i H1 u) X_mu exp(i H1 u) are
 
-        d_mu,i(u) = Re sum_jk W_ij conj(W_ik) (W^dagger X_mu W)_jk exp(-i (e_j - e_k) u),
+        d_mu,i(u) = Re sum_jk W_ij conj(W_ik) (W^dagger X_mu W)_jk exp(-i omega_jk u),
 
     and the objective is
 
         f(u) = sum_mu [sigma . d_mu(u) - (eps / 2 p_mu) d_mu(u) . d_mu(u)]
 
-    over the branches with p_mu > P_FLOOR: an outcome at or below the floor
-    cannot be sampled, so it adds nothing.  f' and f'' follow term by term,
-    so eps = 0 and eps > 0 take the same path.
+    over the live branches, those with p_mu > P_FLOOR: an outcome at or below
+    the floor cannot be sampled, so it adds nothing.
+
+    The sigma term is linear in X_mu, so it is the same function of the sum
+    of the live branches: with Y = W^dagger (sum_mu X_mu) W and
+    s_jk = sum_i sigma_i W_ij conj(W_ik),
+
+        sum_mu sigma . d_mu(u) = Re sum_jk c_jk exp(-i omega_jk u),   c_jk = Y_jk s_jk,
+
+    n^2 coefficients per state, whatever the number of outcomes; f' and f''
+    multiply c_jk by -i omega_jk and -omega_jk^2.  At eps = 0 that is all of
+    f.  The eps term, -(eps / 2 p_mu) d_mu . d_mu, is quadratic in each
+    branch and weighted by its own p_mu, so it cannot be summed first: only
+    when eps > 0 does the law also keep every live branch's d_mu, d_mu' and
+    d_mu'' and add the term and its derivatives.
 
     u starts at the best of GRID_POINTS evenly spaced controls, ties broken
     toward 0, then toward +u_bar.  NEWTON_STEPS steps follow, each moving to
@@ -156,7 +171,7 @@ class ExactMinLaw:
     value, the grid point is kept.
 
     The eigendecomposition comes from the propagator's cache.  Every product
-    is a stacked matmul and every sum runs along a contiguous last axis, so
+    is a stacked matmul and every sum runs over one state's own entries, so
     row r's result has the same bits whatever the stack's size.
     """
 
@@ -164,7 +179,6 @@ class ExactMinLaw:
         if cfg.kind != "exact-min":
             raise ValueError("controller config is not exact-min")
         self.cfg = cfg
-        self._sigma = p.sigma
         self._meas = meas
         # h1 is a matrix or a HermitianPropagator already built for it.
         prop = h1 if isinstance(h1, HermitianPropagator) else HermitianPropagator(h1)
@@ -173,51 +187,69 @@ class ExactMinLaw:
         self._w, self._wh = w, w.conj().T
         # mix[i, jk] = W_ij conj(W_ik): the population map of the eigenbasis.
         self._mix = (w[:, :, None] * w.conj()[:, None, :]).reshape(n, n * n)
-        self._omega = (e[:, None] - e[None, :]).ravel()
+        omega = (e[:, None] - e[None, :]).ravel()
+        # Rows 1, -i omega and -omega^2: a phase row times them gives the terms
+        # of f, f' and f''.  Times s as well, they turn Y into c, c' and c''.
+        self._orders = np.stack([np.ones_like(omega), -1j * omega, -omega**2])
+        self._phase_rate = self._orders[1]
+        self._sigma_orders = (p.sigma @ self._mix) * self._orders
         self.grid = np.linspace(-cfg.u_bar, cfg.u_bar, GRID_POINTS)
-        self._grid_phase = np.exp(-1j * self.grid[:, None] * self._omega)
+        self._grid_phase = np.exp(self.grid[:, None] * self._phase_rate)
         # Grid indices in order of preference: closest to 0, then positive.
         self._preference = np.lexsort((-self.grid, np.abs(self.grid)))
 
-    def _branches(self, rho):
-        """The (R, n^2, m n) table whose product with a phase row gives every d_mu,i.
+    def _coefficients(self, rho):
+        """c, c' and c'', (R, 3, n^2), and the eps term's branches.
 
-        Also returns the coefficients of f on d and on d * d, each (R, m n):
-        sigma_i and -eps / (2 p_mu) on live branches, 0 on dead ones.
+        The branches are None at eps = 0; else the (R, n^2, m n) table whose
+        product with a phase row gives every d_mu,i, and the (R, 3, m n)
+        weights (1, 2, 2) * -eps / (2 p_mu) of d d, d d' and d d'' + d' d',
+        0 on dead branches.
         """
         meas = self._meas
         n_runs, n = len(rho), rho.shape[-1]
         pop = rho.diagonal(axis1=1, axis2=2).real
         p = (pop[:, None, :] * meas.weights).sum(axis=-1)
         live = p > P_FLOOR
-        x = meas.projectors * rho[:, None]
-        y = self._wh @ x @ self._w
-        table = (y.reshape(n_runs, -1, 1, n * n) * self._mix).reshape(n_runs, -1, n * n)
-        lin = np.where(live[:, :, None], self._sigma, 0.0).reshape(n_runs, -1)
-        quad = np.where(live, -0.5 * self.cfg.epsilon / np.where(live, p, 1.0), 0.0)
-        quad = np.repeat(quad, n, axis=1)
-        return table.swapaxes(1, 2), lin, quad
+        # X_mu = projectors[mu] * rho, with the dead branches' projectors zeroed.
+        projectors = np.where(live[:, :, None, None], meas.projectors, 0.0)
+        y = self._wh @ (np.add.reduce(projectors, 1) * rho) @ self._w
+        coeffs = y.reshape(n_runs, 1, n * n) * self._sigma_orders
+        branches = None
+        if self.cfg.epsilon > 0:
+            y = self._wh @ (projectors * rho[:, None]) @ self._w
+            table = (y.reshape(n_runs, -1, 1, n * n) * self._mix).reshape(n_runs, -1, n * n)
+            quad = np.where(live, -0.5 * self.cfg.epsilon / np.where(live, p, 1.0), 0.0)
+            weights = np.repeat(quad, n, axis=1)[:, None, :] * _PRODUCT_RULE
+            branches = table.swapaxes(1, 2), weights
+        return coeffs, branches
 
     def objective(self, rho, u):
         """f, f' and f'' at u[r] for every state of a stack rho of shape (R, n, n)."""
-        return self._derivatives(self._branches(rho), np.asarray(u, dtype=float))
+        return self._derivatives(self._coefficients(rho), np.asarray(u, dtype=float))
 
-    def _derivatives(self, branches, u):
-        table, lin, quad = branches
-        phase = np.exp(-1j * u[:, None] * self._omega)
-        rows = np.stack([phase, -1j * self._omega * phase, -self._omega**2 * phase], axis=1)
-        d, d1, d2 = (rows @ table).real.swapaxes(0, 1)
-        f = (lin * d + quad * d * d).sum(axis=-1)
-        df = (lin * d1 + 2.0 * quad * d * d1).sum(axis=-1)
-        d2f = (lin * d2 + 2.0 * quad * (d1 * d1 + d * d2)).sum(axis=-1)
-        return f, df, d2f
+    def _derivatives(self, terms, u):
+        coeffs, branches = terms
+        phase = np.exp(u[:, None] * self._phase_rate)[:, None, :]
+        f = np.add.reduce((coeffs * phase).real, -1)
+        if branches is not None:
+            table, weights = branches
+            # Rows d, d' and d'' of every branch, then d d, d d' and d d'' + d' d'.
+            d = ((phase * self._orders) @ table).real
+            products = d[:, :1] * d
+            products[:, 2] += d[:, 1] * d[:, 1]
+            f += np.add.reduce(products * weights, -1)
+        return f.T
 
     def minimize(self, rho):
         """The chosen u and f(u) for every state of a stack rho of shape (R, n, n)."""
-        branches = self._branches(rho)
-        table, lin, quad = branches
-        d = (self._grid_phase @ table).real
-        values = (lin[:, None] * d + quad[:, None] * d * d).sum(axis=-1)
+        terms = self._coefficients(rho)
+        coeffs, branches = terms
+        values = (self._grid_phase @ coeffs[:, 0, :, None]).real[..., 0]
+        if branches is not None:
+            table, weights = branches
+            d = (self._grid_phase @ table).real
+            values += ((d * d) @ weights[:, 0, :, None])[..., 0]
         floor = values.min(axis=-1)
         tied = values <= floor[:, None]
         best = self._preference[np.argmax(tied[:, self._preference], axis=-1)]
@@ -225,12 +257,12 @@ class ExactMinLaw:
         hi = self.grid[np.minimum(best + 1, GRID_POINTS - 1)]
         u = self.grid[best]
         for _ in range(NEWTON_STEPS):
-            _, df, d2f = self._derivatives(branches, u)
+            _, df, d2f = self._derivatives(terms, u)
             convex = d2f > 0
             newton = u - df / np.where(convex, d2f, 1.0)
             downhill = np.where(df > 0, lo, np.where(df < 0, hi, u))
             u = np.minimum(np.maximum(np.where(convex, newton, downhill), lo), hi)
-        f = self._derivatives(branches, u)[0]
+        f = self._derivatives(terms, u)[0]
         worse = f > floor
         # + 0.0 turns -0.0 into 0.0, so logs never show "-0".
         return np.where(worse, self.grid[best], u) + 0.0, np.where(worse, floor, f)

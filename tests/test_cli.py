@@ -333,6 +333,8 @@ MALFORMED = {
     "rho0-entry-true": lambda cfg: cfg.update(rho0={"diag": [True] + [0.0] * 7}),
     "h1-entry-string": h1_with("0.0"),
     "measurement-coeff-string": measurement_coeff_as_string,
+    "output-dir-not-string": lambda cfg: cfg.update(output_dir=5),
+    "output-dir-empty": lambda cfg: cfg.update(output_dir=""),
 }
 
 

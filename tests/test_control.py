@@ -10,6 +10,7 @@ from qfcontrol import (
     DiagonalObservable,
     ExactMinLaw,
     LinearLaw,
+    QndMeasurement,
     QuadraticLaw,
     curvature_at_eigenstate,
     lyapunov_v,
@@ -298,6 +299,55 @@ class TestExactMinClosedForm:
 
         assert f(u) <= min(f(x) for x in np.linspace(-cfg.u_bar, cfg.u_bar, 129)) + 1e-12
         assert f(u) <= lyapunov_v_eps(p, rho, cfg.epsilon) + 1e-10
+
+    @pytest.mark.parametrize("regularized", [False, True])
+    @pytest.mark.parametrize("dim", [2, 5, 8, 13])
+    def test_dead_branches_add_nothing(self, dim, regularized):
+        """Outcome 0 never fires on a state supported on the levels it cannot see.
+
+        Its p_0 is 0, at the floor, so the branch is dead: at eps > 0 its
+        weight -eps / (2 p_0) would be 0/0 if it were not masked out.  The
+        second state of the stack keeps every branch live.
+        """
+        p, h1, meas, _, cfg, rng = random_exact_min_instance(dim, dim, regularized)
+        blind = max(1, dim // 2)
+        weights = rng.dirichlet(np.full(meas.m, 0.5), size=dim).T
+        weights[0, :blind] = 0.0
+        weights[1:, :blind] = rng.dirichlet(np.full(meas.m - 1, 0.5), size=blind).T
+        meas = QndMeasurement(np.sqrt(weights) * np.exp(2j * np.pi * rng.random(weights.shape)))
+        dead = np.zeros((dim, dim), dtype=complex)
+        dead[:blind, :blind] = random_density(rng, blind)
+        rho = np.stack([dead, random_density(rng, dim)])
+        assert meas.weights[0] @ dead.diagonal().real == 0.0
+        law = ExactMinLaw(p, h1, meas, cfg)
+        u = rng.uniform(-cfg.u_bar, cfg.u_bar, 2)
+        want = [expected_v_after(p, h1, meas, r, x, cfg.epsilon) for r, x in zip(rho, u)]
+        assert np.allclose(law.objective(rho, u)[0], want, rtol=0.0, atol=1e-10)
+        for r, chosen in zip(rho, law.minimize(rho)[0]):
+            def f(x):
+                return expected_v_after(p, h1, meas, r, x, cfg.epsilon)
+
+            assert f(chosen) <= min(f(x) for x in law.grid) + 1e-12
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(**INSTANCES)
+    def test_rows_do_not_depend_on_the_stack(self, seed, dim, regularized):
+        """Row r of a stack of R states has the bits of the same state run alone.
+
+        The stack holds three copies of rho, then mixtures of rho with random
+        states; it is cut at R = 1, 2, 5, 100 and 300.
+        """
+        p, h1, meas, rho, cfg, rng = random_exact_min_instance(seed, dim, regularized)
+        t = np.concatenate([np.zeros(3), rng.uniform(0.0, 1.0, 297)])
+        stack = np.stack([(1.0 - x) * rho + x * random_density(rng, dim) for x in t])
+        law = ExactMinLaw(p, h1, meas, cfg)
+        alone = [law.minimize(stack[r:r + 1]) for r in range(len(stack))]
+        u_alone = np.concatenate([u for u, _ in alone])
+        f_alone = np.concatenate([f for _, f in alone])
+        for size in (1, 2, 5, 100, 300):
+            u, f = law.minimize(stack[:size])
+            assert np.array_equal(u, u_alone[:size]), size
+            assert np.array_equal(f, f_alone[:size]), size
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16))
