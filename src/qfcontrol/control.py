@@ -39,6 +39,9 @@ __all__ = [
 # [-u_bar, u_bar], then NEWTON_STEPS Newton steps inside its grid bracket.
 GRID_POINTS = 129
 NEWTON_STEPS = 4
+# At eps > 0 the exact-min law keeps an (R, n^2, m n) branch table, so it
+# minimizes a stack this many rows at a time to bound its memory.
+_EPS_BLOCK = 32
 
 # Factors of the eps term's d.d, (d.d)' and (d.d)'' on d d, d d' and d d'' + d' d'.
 _PRODUCT_RULE = np.array([[1.0], [2.0], [2.0]])
@@ -172,7 +175,9 @@ class ExactMinLaw:
 
     The eigendecomposition comes from the propagator's cache.  Every product
     is a stacked matmul and every sum runs over one state's own entries, so
-    row r's result has the same bits whatever the stack's size.
+    row r's result has the same bits whatever the stack's size.  That lets
+    minimize take a stack _EPS_BLOCK rows at a time when eps > 0, which
+    bounds the memory of the branch table.
     """
 
     def __init__(self, p, h1, meas, cfg):
@@ -243,6 +248,10 @@ class ExactMinLaw:
 
     def minimize(self, rho):
         """The chosen u and f(u) for every state of a stack rho of shape (R, n, n)."""
+        if self.cfg.epsilon > 0 and len(rho) > _EPS_BLOCK:
+            blocks = [self.minimize(rho[r:r + _EPS_BLOCK])
+                      for r in range(0, len(rho), _EPS_BLOCK)]
+            return tuple(np.concatenate(parts) for parts in zip(*blocks))
         terms = self._coefficients(rho)
         coeffs, branches = terms
         values = (self._grid_phase @ coeffs[:, 0, :, None]).real[..., 0]

@@ -16,10 +16,11 @@ The cone is exactly the set of negated weighted graph Laplacians, so the
 solver works in non-negative edge weights w, with R(w) = -sum_e w_e L_e: every
 cone condition becomes w >= 0, and the sparsity penalty ||vec(R)||_1 becomes
 4 * sum(w).  A first-order primal-dual iteration then needs only closed-form
-steps, a box clip for lambda and a shifted non-negative clip for w.  With the
-penalty on, a non-negative least-squares solve on the identified support
-finishes the weights exactly.  :func:`cone_violations` checks a result
-against the cone as defined above.
+steps on one stacked iterate z = [w; lambda], and a single clip of z to fixed
+bounds projects onto both w >= 0 and the box on lambda.  With the penalty on,
+a non-negative least-squares solve on the identified support finishes the
+weights exactly.  :func:`cone_violations` checks a result against the cone
+as defined above.
 """
 
 from __future__ import annotations
@@ -252,14 +253,15 @@ def solve_synthesis(problem, max_iter=50000):
     The cone is exactly the set of negated weighted graph Laplacians, so R is
     parametrized by non-negative edge weights w:  R(w) = -sum_e w_e L_e.  In
     that coordinate system all three cone conditions reduce to w >= 0 and the
-    sparsity penalty is 4 * sum(w), so the splitting scheme needs only exact
-    closed-form projections: a box clip for lambda and a (shifted) nonneg clip
-    for w.  The scheme is a primal-dual iteration with deterministic zero
-    initialization; sigma is normalized internally so step sizes are
-    independent of the energy scale.  When the sparsity penalty is active, the
-    identified support is polished by alternating the lambda clip with an
-    exact non-negative least-squares solve restricted to the support, which
-    removes the slow first-order tail.
+    sparsity penalty is 4 * sum(w).  The primal-dual iteration starts from
+    zero and carries one primal iterate z = [w; lambda]: each step moves it
+    by -tau [A^T y; -y] less the penalty shift on w, and one clip to fixed
+    bounds (w >= 0; lambda <= -gamma1 off n_star, >= gamma2 at n_star) is
+    the exact projection onto both constraint sets.  sigma is normalized
+    internally so step sizes are independent of the energy scale.  With the
+    sparsity penalty on, the identified support is polished by alternating
+    the lambda clip with an exact non-negative least-squares solve on the
+    support, which removes the slow first-order tail.
     """
     sigma = problem.sigma.sigma
     n = sigma.size
@@ -284,53 +286,51 @@ def solve_synthesis(problem, max_iter=50000):
         amat[i, e] = -gap
         amat[j, e] = gap
 
+    knorm = float(np.sqrt(np.linalg.norm(amat, 2) ** 2 + 1.0))
+    tau = sig_d = 0.95 / knorm
+    # Bounds of z = [w; lambda], the step -tau [A^T y; -y] as step * [A^T y; y]
+    # (filled into grad), and the penalty shift on w.
     others = np.arange(n) != n_star
+    lo = np.concatenate((np.zeros(n_edges), np.where(others, -np.inf, g2)))
+    hi = np.concatenate((np.full(n_edges, np.inf), np.where(others, -g1, np.inf)))
+    step = np.concatenate((np.full(n_edges, -tau), np.full(n, tau)))
+    shift = np.concatenate((np.full(n_edges, tau * a2_edge), np.zeros(n)))
+    grad = np.empty(n_edges + n)
+    grad_w, grad_lam = grad[:n_edges], grad[n_edges:]
+    amat_t = amat.T
+    penalty = 4.0 * problem.alpha2
 
     def box_clip(lam):
-        out = lam.copy()
-        out[others] = np.minimum(out[others], -g1)
-        out[n_star] = max(out[n_star], g2)
-        return out
-
-    def dual_proj(y):
-        # Onto the unit ball, the dual of the residual's 2-norm.
-        nrm = float(np.linalg.norm(y))
-        return y if nrm <= 1.0 else y * (1.0 / nrm)
-
-    knorm = float(np.sqrt(np.linalg.norm(amat, 2) ** 2 + 1.0))
-    tau = 0.95 / knorm
-    sig_d = 0.95 / knorm
-
-    w = np.zeros(n_edges)
-    lam = box_clip(np.zeros(n))
-    w_bar, lam_bar = w, lam
-    y = np.zeros(n)
+        return np.minimum(np.maximum(lam, lo[n_edges:]), hi[n_edges:])
 
     def objective_of(w_vec, lam_vec):
-        resid = float(np.linalg.norm((amat @ w_vec - lam_vec) * scale, 2))
-        return resid + 4.0 * problem.alpha2 * float(np.sum(w_vec))
+        resid = (amat @ w_vec - lam_vec) * scale
+        return math.sqrt(resid.dot(resid)) + penalty * float(np.add.reduce(w_vec))
 
-    prev_obj = objective_of(w, lam)
+    z = z_bar = np.minimum(np.maximum(np.zeros(n_edges + n), lo), hi)
+    y = np.zeros(n)
+    prev_obj = objective_of(z[:n_edges], z[n_edges:])
     calm = 0
     iterations = max_iter
     for k in range(1, max_iter + 1):
-        y = dual_proj(y + sig_d * (amat @ w_bar - lam_bar))
-        w_new = np.maximum(w - tau * (amat.T @ y) - tau * a2_edge, 0.0)
-        lam_new = box_clip(lam + tau * y)
-        w_bar = 2 * w_new - w
-        lam_bar = 2 * lam_new - lam
-        drift = scale * max(float(np.max(np.abs(w_new - w))),
-                            float(np.max(np.abs(lam_new - lam))))
-        w, lam = w_new, lam_new
-        obj = objective_of(w, lam)
-        if abs(obj - prev_obj) <= OBJECTIVE_TOL * max(1.0, abs(obj)) and drift <= 1e-11:
-            calm += 1
-            if calm >= 25:
-                iterations = k
-                break
-        else:
-            calm = 0
-        prev_obj = obj
+        y = y + sig_d * (amat @ z_bar[:n_edges] - z_bar[n_edges:])
+        # Onto the unit ball, the dual of the residual's 2-norm.
+        nrm = math.sqrt(y.dot(y))
+        y = y if nrm <= 1.0 else y * (1.0 / nrm)
+        np.matmul(amat_t, y, out=grad_w)
+        grad_lam[...] = y
+        z_new = np.minimum(np.maximum(z + step * grad - shift, lo), hi)
+        z_bar = 2 * z_new - z
+        obj = objective_of(z_new[:n_edges], z_new[n_edges:])
+        # The drift is computed only once the objective has settled.
+        settled = (abs(obj - prev_obj) <= OBJECTIVE_TOL * max(1.0, abs(obj))
+                   and scale * float(np.max(np.abs(z_new - z))) <= 1e-11)
+        calm = calm + 1 if settled else 0
+        z, prev_obj = z_new, obj
+        if calm >= 25:
+            iterations = k
+            break
+    w, lam = z[:n_edges], z[n_edges:]
 
     if problem.alpha2 > 0:
         # Support polish: the first-order phase identifies the sparsity

@@ -1,5 +1,9 @@
 """Unit tests for cone membership, the synthesis solver and the R <-> H1 maps."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +147,44 @@ class TestSolver:
         p = DiagonalObservable(SIGMA8, 2)
         with pytest.raises(ValueError, match="alpha2"):
             SynthesisProblem(sigma=p, alpha2=-1.0)
+
+
+PARITY = json.loads((Path(__file__).parent / "synthesis_parity.json").read_text())
+
+
+def parity_record(res):
+    """A solve's fields: arrays as the sha256 of their float64 bytes, floats as hex."""
+    def sha(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+    return {"r": sha(res.r), "lam": sha(res.lam), "lambda_tilde": sha(res.lambda_tilde),
+            "residual": res.residual.hex(), "objective": res.objective.hex(),
+            "iterations": res.iterations, "feasible": res.feasible}
+
+
+class TestSolverParity:
+    """Every SynthesisResult field, bit for bit, against ``synthesis_parity.json``.
+
+    The recording holds the reference sigma at alpha2 = 0 and 1 (run to
+    convergence) and eight seeded random instances with n = 3-12, random
+    gamma1 and gamma2 and alpha2 in {0, 0.5, 1}, capped at max_iter = 1000
+    so that the sparse ones also pin the max_iter exit and the polish that
+    follows it.  A change to the solver's arithmetic fails here by name.  The
+    bits are those of one NumPy/OpenBLAS build; another BLAS kernel may round
+    the matrix-vector products differently.
+    """
+
+    @pytest.mark.parametrize("case", PARITY, ids=[
+        f"{k}-n{len(c['sigma'])}-alpha{float.fromhex(c['alpha2'])}" for k, c in enumerate(PARITY)])
+    def test_matches_recording(self, case):
+        p = DiagonalObservable(np.array([float.fromhex(x) for x in case["sigma"]]),
+                               case["n_star"])
+        problem = SynthesisProblem(sigma=p, **{key: float.fromhex(case[key])
+                                               for key in ("gamma1", "gamma2", "alpha2")})
+        res = (solve_synthesis(problem) if case["max_iter"] is None
+               else solve_synthesis(problem, max_iter=case["max_iter"]))
+        want = {key: case[key] for key in parity_record(res)}
+        assert parity_record(res) == want
 
 
 class TestAssumptions:
