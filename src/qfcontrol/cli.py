@@ -255,6 +255,7 @@ def cmd_synthesize(args):
     ok, report = verify_lambda(result.lambda_tilde, p.n_star)
     print(f"lambda_tilde = {_fmt_vec(result.lambda_tilde)}")
     print(f"residual = {result.residual:.3e}  iterations = {result.iterations}")
+    print(f"converged: {result.converged}")
     for i, value, rule, good in report:
         tag = "ok" if good else "VIOLATED"
         where = f"entry {i}" if i >= 0 else "sum"

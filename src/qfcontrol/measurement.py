@@ -115,19 +115,25 @@ class QndMeasurement:
         post /= chosen[:, None, None]
         return mu, post
 
+    def level_distances(self):
+        """max_mu |w[mu, i] - w[mu, j]| for every level pair (i, j), as an (n, n) array.
+
+        The distance between the outcome statistics of basis states i and j:
+        0 when no outcome tells them apart.
+        """
+        w = self.weights
+        return np.max(np.abs(w[:, :, None] - w[:, None, :]), axis=0)
+
     def check_distinguishability(self, tol=1e-8):
         """Level pairs whose outcome statistics coincide within tol.
 
         An empty list means every pair of basis states is distinguishable by
         at least one outcome, which is what the convergence results require.
+        The distance compared with tol is that of level_distances.
         """
-        w = self.weights
-        bad = []
-        for n1 in range(self.dim):
-            for n2 in range(n1 + 1, self.dim):
-                if float(np.max(np.abs(w[:, n1] - w[:, n2]))) <= tol:
-                    bad.append((n1, n2))
-        return bad
+        dist = self.level_distances()
+        return [(n1, n2) for n1 in range(self.dim) for n2 in range(n1 + 1, self.dim)
+                if dist[n1, n2] <= tol]
 
     def to_json(self):
         return {

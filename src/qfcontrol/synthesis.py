@@ -52,7 +52,8 @@ CONE_TOL = 1e-8
 LAMBDA_SUM_TOL = 1e-7
 
 # The primal-dual iteration stops once the objective has changed by at most
-# this much, relative to its size, for 25 iterations in a row.
+# this much, relative to its size, and the iterate has settled too (see
+# solve_synthesis), for 25 iterations in a row.
 OBJECTIVE_TOL = 1e-9
 
 
@@ -191,6 +192,7 @@ class SynthesisResult:
     residual: float
     objective: float
     iterations: int
+    converged: bool            # the stop rule fired; False when max_iter ran out
     feasible: bool
 
     def to_json(self):
@@ -201,6 +203,7 @@ class SynthesisResult:
             "residual": self.residual,
             "objective": self.objective,
             "iterations": self.iterations,
+            "converged": bool(self.converged),
             "feasible": bool(self.feasible),
             "convention": "sqrt(R/2)",
             "index_convention": "0-based",
@@ -258,10 +261,21 @@ def solve_synthesis(problem, max_iter=50000):
     by -tau [A^T y; -y] less the penalty shift on w, and one clip to fixed
     bounds (w >= 0; lambda <= -gamma1 off n_star, >= gamma2 at n_star) is
     the exact projection onto both constraint sets.  sigma is normalized
-    internally so step sizes are independent of the energy scale.  With the
-    sparsity penalty on, the identified support is polished by alternating
-    the lambda clip with an exact non-negative least-squares solve on the
-    support, which removes the slow first-order tail.
+    internally so step sizes are independent of the energy scale.
+
+    The iteration stops after 25 iterations in a row whose iterate moved by
+    at most 1e-11 in every entry (``scale * max|z_new - z|``, in the units of
+    sigma) and whose objective changed by at most ``OBJECTIVE_TOL`` relative
+    to its size; ``converged`` then reports True and ``iterations`` the
+    iteration it stopped at.  Otherwise it stops at ``max_iter`` with
+    ``converged`` False.  Each iteration tests the drift first and computes
+    the objective only when that test passes: the objective is a pure
+    function of the iterate, so this order gives the same stop iteration as
+    computing it every time, and most iterations of a slow solve skip it.
+
+    With the sparsity penalty on, the identified support is polished by
+    alternating the lambda clip with an exact non-negative least-squares
+    solve on the support, which removes the slow first-order tail.
     """
     sigma = problem.sigma.sigma
     n = sigma.size
@@ -309,9 +323,12 @@ def solve_synthesis(problem, max_iter=50000):
 
     z = z_bar = np.minimum(np.maximum(np.zeros(n_edges + n), lo), hi)
     y = np.zeros(n)
-    prev_obj = objective_of(z[:n_edges], z[n_edges:])
+    # The objective of z, or None where its drift test failed and it was
+    # never needed.
+    prev_obj = None
     calm = 0
     iterations = max_iter
+    converged = False
     for k in range(1, max_iter + 1):
         y = y + sig_d * (amat @ z_bar[:n_edges] - z_bar[n_edges:])
         # Onto the unit ball, the dual of the residual's 2-norm.
@@ -321,14 +338,20 @@ def solve_synthesis(problem, max_iter=50000):
         grad_lam[...] = y
         z_new = np.minimum(np.maximum(z + step * grad - shift, lo), hi)
         z_bar = 2 * z_new - z
-        obj = objective_of(z_new[:n_edges], z_new[n_edges:])
-        # The drift is computed only once the objective has settled.
-        settled = (abs(obj - prev_obj) <= OBJECTIVE_TOL * max(1.0, abs(obj))
-                   and scale * float(np.max(np.abs(z_new - z))) <= 1e-11)
+        # Only an iterate that passes the drift test can extend the calm run,
+        # so the objective is computed only then (see the docstring).
+        obj = None
+        if scale * float(np.maximum.reduce(np.abs(z_new - z))) <= 1e-11:
+            if prev_obj is None:
+                prev_obj = objective_of(z[:n_edges], z[n_edges:])
+            obj = objective_of(z_new[:n_edges], z_new[n_edges:])
+        settled = (obj is not None
+                   and abs(obj - prev_obj) <= OBJECTIVE_TOL * max(1.0, abs(obj)))
         calm = calm + 1 if settled else 0
         z, prev_obj = z_new, obj
         if calm >= 25:
             iterations = k
+            converged = True
             break
     w, lam = z[:n_edges], z[n_edges:]
 
@@ -368,6 +391,7 @@ def solve_synthesis(problem, max_iter=50000):
         residual=residual,
         objective=float(objective_of(w, lam)),
         iterations=iterations,
+        converged=converged,
         feasible=bool(feasible),
     )
 
@@ -399,7 +423,8 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
       regularity).
     - 'full_connectivity': every off-diagonal entry of H1 is nonzero.
     - 'distinguishability': every basis-state pair has distinct measurement
-      statistics.
+      statistics; the detail names the smallest distance max_mu |w[mu, i] -
+      w[mu, j]| between two levels' statistics and its level pair.
     """
     checks = {}
 
@@ -448,9 +473,13 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
 
     if meas is not None:
         bad = meas.check_distinguishability(tol)
+        dist = meas.level_distances()
+        np.fill_diagonal(dist, np.inf)
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
         checks["distinguishability"] = AssumptionCheck(
             "distinguishability", not bad, tuple(bad),
-            f"{len(bad)} basis-state pairs with identical statistics",
+            f"{len(bad)} basis-state pairs with identical statistics; smallest "
+            f"distance {dist[i, j]:.3e} at levels ({i}, {j})",
         )
 
     return checks

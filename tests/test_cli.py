@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -79,7 +80,8 @@ class TestSynthesize:
             {"diag": [1.0, 1.0 + 1e-13, 1.0 + 2e-13], "n_star": 0}
         ))
         out = tmp_path / "out"
-        code = main(["synthesize", "--p-diag", str(path), "--out-dir", str(out)])
+        with pytest.warns(UserWarning, match="degenerate"):
+            code = main(["synthesize", "--p-diag", str(path), "--out-dir", str(out)])
         assert code == 2
         assert (out / "synthesis.json").exists()
         assert not (out / "h1.json").exists()
@@ -174,6 +176,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == 1
 
 
+def smallest_distance(out):
+    """The smallest level-statistics distance and its level pair, from validate's output."""
+    line = next(line for line in out.splitlines() if line.startswith("distinguishability:"))
+    found = re.search(r"smallest distance (\S+) at levels \((\d+), (\d+)\)", line)
+    return float(found[1]), int(found[2]), int(found[3])
+
+
 class TestValidate:
     def test_quarter_pi_fails_with_pairs_listed(self, tmp_path, synthesized, capsys):
         cfg_path = tmp_path / "exp.json"
@@ -185,13 +194,16 @@ class TestValidate:
         assert code == 1
         assert "distinguishability: FAIL" in out
         assert "(0, 4)" in out
+        dist, i, j = smallest_distance(out)
+        assert dist <= 1e-8 and j == i + 4
 
-    def test_tenth_pi_passes(self, tmp_path, synthesized):
+    def test_tenth_pi_passes(self, tmp_path, synthesized, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(
             experiment_config(synthesized / "h1.json", np.pi / 10)
         ))
         assert main(["validate", "--config", str(cfg_path)]) == 0
+        assert smallest_distance(capsys.readouterr().out)[0] > 0
 
 
 def inline_h1(cfg, value=0.0):

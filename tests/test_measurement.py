@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfcontrol import OutcomeImpossible, QndMeasurement, photon_box
-from qfcontrol.core import basis_state
+from qfcontrol.core import basis_state, density_violations
 from helpers import expected_update, random_density, random_measurement
 
 
@@ -140,6 +140,30 @@ class TestMartingale:
             before = np.trace(a @ rho).real
             after = expected_update(m, rho, lambda post: np.trace(a @ post).real)
             assert after == pytest.approx(before, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 5))
+    def test_channel_on_random_instances(self, seed, dim, m):
+        """The averaged channel sum_mu M_mu rho M_mu† on random measurements.
+
+        Complex phases, 2-5 outcomes and dimensions 2-16: the Kraus family is
+        complete, the channel keeps the trace and gives a density matrix, and
+        the mean of a random diagonal observable is a martingale.
+        """
+        rng = np.random.default_rng(seed)
+        meas = random_measurement(rng, m, dim)
+        g = rng.normal(size=(dim, int(rng.integers(1, dim + 1))))
+        g = g + 1j * rng.normal(size=g.shape)
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        kraus = [np.diag(c) for c in meas.coeffs]
+        assert np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(dim)).max() <= 1e-12
+        channel = sum(k @ rho @ k.conj().T for k in kraus)
+        assert np.abs((meas.projectors * rho).sum(axis=0) - channel).max() <= 1e-14
+        assert abs(np.trace(channel) - 1.0) <= 1e-12
+        assert density_violations(channel) == []
+        a = np.diag(rng.normal(size=dim)).astype(complex)
+        after = expected_update(meas, rho, lambda post: np.trace(a @ post).real)
+        assert after == pytest.approx(np.trace(a @ rho).real, abs=1e-10)
 
     def test_expected_update_of_constant_is_constant(self):
         rng = np.random.default_rng(5)

@@ -162,6 +162,13 @@ def parity_record(res):
             "iterations": res.iterations, "feasible": res.feasible}
 
 
+def parity_problem(case):
+    """The SynthesisProblem of one recorded case."""
+    p = DiagonalObservable(np.array([float.fromhex(x) for x in case["sigma"]]), case["n_star"])
+    return SynthesisProblem(sigma=p, **{key: float.fromhex(case[key])
+                                        for key in ("gamma1", "gamma2", "alpha2")})
+
+
 class TestSolverParity:
     """Every SynthesisResult field, bit for bit, against ``synthesis_parity.json``.
 
@@ -177,14 +184,22 @@ class TestSolverParity:
     @pytest.mark.parametrize("case", PARITY, ids=[
         f"{k}-n{len(c['sigma'])}-alpha{float.fromhex(c['alpha2'])}" for k, c in enumerate(PARITY)])
     def test_matches_recording(self, case):
-        p = DiagonalObservable(np.array([float.fromhex(x) for x in case["sigma"]]),
-                               case["n_star"])
-        problem = SynthesisProblem(sigma=p, **{key: float.fromhex(case[key])
-                                               for key in ("gamma1", "gamma2", "alpha2")})
+        problem = parity_problem(case)
         res = (solve_synthesis(problem) if case["max_iter"] is None
                else solve_synthesis(problem, max_iter=case["max_iter"]))
         want = {key: case[key] for key in parity_record(res)}
         assert parity_record(res) == want
+
+    def test_reports_why_it_stopped(self):
+        """converged tells the stop rule from the cap, also when both fall on max_iter."""
+        # The reference sparse solve stops by its rule at iteration 24266.
+        res = solve_synthesis(SynthesisProblem(sigma=DiagonalObservable(SIGMA8, 2),
+                                               alpha2=1.0), max_iter=24266)
+        assert (res.iterations, res.converged) == (24266, True)
+        case = next(c for c in PARITY if c["max_iter"] == 1000 and c["iterations"] == 1000)
+        res = solve_synthesis(parity_problem(case), max_iter=1000)
+        assert (res.iterations, res.converged) == (1000, False)
+        assert res.to_json()["converged"] is False
 
 
 class TestAssumptions:
@@ -229,5 +244,5 @@ class TestPipeline:
 
     def test_pipeline_rejects_infeasible(self):
         p = DiagonalObservable(np.array([1.0, 1.0 + 1e-13]), 0)
-        with pytest.raises(InfeasibleLambda):
+        with pytest.raises(InfeasibleLambda), pytest.warns(UserWarning, match="degenerate"):
             synthesis_pipeline(p)
