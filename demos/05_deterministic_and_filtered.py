@@ -22,8 +22,7 @@ from qfcontrol import (
     LoopConfig,
     assumption_report,
     photon_box,
-    run_deterministic,
-    run_filtered,
+    run_trajectory,
     synthesis_pipeline,
 )
 
@@ -46,7 +45,7 @@ cfg = LoopConfig(
     controller=ControllerConfig(kind="linear", kappa=0.05),
     steps=10_000,
 )
-traj = run_deterministic(cfg, np.outer(psi, psi.conj()))
+traj = run_trajectory(cfg, np.outer(psi, psi.conj()))
 print(f"\ndeterministic loop: fidelity {traj.fidelity[0]:.3f} -> "
       f"{traj.final_fidelity:.3f} in {traj.steps_run} steps")
 
@@ -65,7 +64,7 @@ cfg = LoopConfig(
     controller=ControllerConfig(kind="quadratic", u_bar=0.1),
     steps=1000,
 )
-traj = run_filtered(cfg, rho0, est0, seed=11)
+traj = run_trajectory(cfg, rho0, seed=11, est0=est0)
 print(f"\nfiltered loop: true fidelity {traj.final_fidelity:.3f}, "
       f"estimate fidelity {traj.estimate_fidelity[-1]:.3f}")
 print(f"filter-truth trace distance {traj.trace_distance[0]:.3f} -> "

@@ -28,11 +28,8 @@ from .simulate import (
     config_hash,
     convergence_statistics,
     derive_seed,
-    run_deterministic,
     run_ensemble,
-    run_filtered,
-    run_open_loop,
-    run_stochastic,
+    run_trajectory,
     write_trajectories_csv,
 )
 from .synthesis import (

@@ -78,11 +78,7 @@ class QndMeasurement:
     def apply_outcomes(self, mu, rho):
         """M_mu rho M_mu† / p_mu for a stack rho of shape (R, n, n), one mu[r] per state."""
         p = (self.weights[mu] * rho.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
-        low = p <= P_FLOOR
-        if low.any():
-            r = int(np.argmax(low))
-            raise OutcomeImpossible(f"outcome {mu[r]} has probability {p[r]:.3e} <= floor")
-        return (self.projectors[mu] * rho) / p[:, None, None]
+        return self._collapse(rho, mu, p)
 
     def sample_and_collapse(self, rho, p, x):
         """Draw an outcome for every state of a stack and collapse onto it.
@@ -105,15 +101,18 @@ class QndMeasurement:
         if not ok.all():
             raise ValueError(f"outcome probabilities sum to {total[np.argmin(ok)]}, not 1")
         mu = _inverse_cdf(q / total[:, None], x)
-        chosen = p[np.arange(len(p)), mu]
-        low = chosen <= P_FLOOR
+        return mu, self._collapse(rho, mu, p[np.arange(len(p)), mu])
+
+    def _collapse(self, rho, mu, p):
+        """projectors[mu[r]] * rho[r] / p[r], p[r] being outcome mu[r]'s probability."""
+        low = p <= P_FLOOR
         if low.any():
             r = int(np.argmax(low))
-            raise OutcomeImpossible(f"outcome {mu[r]} has probability {chosen[r]:.3e} <= floor")
+            raise OutcomeImpossible(f"outcome {mu[r]} has probability {p[r]:.3e} <= floor")
         post = self.projectors[mu]
         post *= rho
-        post /= chosen[:, None, None]
-        return mu, post
+        post /= p[:, None, None]
+        return post
 
     def level_distances(self):
         """max_mu |w[mu, i] - w[mu, j]| for every level pair (i, j), as an (n, n) array.

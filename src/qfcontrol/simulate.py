@@ -1,4 +1,4 @@
-"""One batched step kernel behind four entry points, plus the ensemble runner.
+"""One batched step kernel behind one runner per realization and the ensemble runner.
 
 One step of the measurement-driven loop is: sample an outcome from the
 current state, collapse, compute the control from the post-measurement state,
@@ -7,8 +7,8 @@ applies exp(-i H0) exp(-i H1 u) with the linear feedback law.  One kernel,
 ``_run``, executes the step in all four modes for a stack of R realizations
 at once: an (R, n, n) state, (R, steps + 1) logs and one random stream per
 realization.  ``run_ensemble`` runs every realization through it together;
-``run_stochastic``, ``run_open_loop``, ``run_deterministic`` and
-``run_filtered`` check the mode, seed the stream and run one (R = 1).
+``run_trajectory`` checks its arguments against the mode, seeds the stream
+and runs one (R = 1).
 
 Every realization owns an independent random stream derived from the master
 seed with splitmix64, and the kernel gives each row the same bits whatever
@@ -51,11 +51,8 @@ __all__ = [
     "config_hash",
     "convergence_statistics",
     "derive_seed",
-    "run_deterministic",
     "run_ensemble",
-    "run_filtered",
-    "run_open_loop",
-    "run_stochastic",
+    "run_trajectory",
     "splitmix64",
     "write_trajectories_csv",
 ]
@@ -123,8 +120,9 @@ class LoopConfig:
             raise ValueError("deterministic mode needs a drift Hamiltonian (may be zero)")
         if self.mode != "deterministic" and self.meas is None:
             raise ValueError(f"{self.mode} mode needs a measurement")
-        if self.mode != "deterministic" and self.controller.kind == "linear":
-            raise ValueError(f"{self.mode} mode cannot use the linear controller")
+        if (self.mode == "deterministic") != (self.controller.kind == "linear"):
+            raise ValueError(f"{self.mode} mode cannot use the {self.controller.kind} controller"
+                             "; the linear controller runs the deterministic mode only")
         if not 0.0 < self.fidelity_threshold <= 1.0:
             raise ValueError(f"fidelity_threshold is {self.fidelity_threshold}, "
                              "but must be in (0, 1]")
@@ -156,7 +154,7 @@ class Trajectory:
     states: dict
     first_hit: int | None
     absorbed_state: int | None
-    # run_filtered only:
+    # filtered mode only:
     estimate_fidelity: np.ndarray | None = None
     trace_distance: np.ndarray | None = None
 
@@ -285,22 +283,36 @@ class _Log:
         self.steps_run[ids] = k
         self.final[ids] = rho
 
+    def close(self):
+        """Every realization's results, in one pass over the (R, steps + 1) logs.
+
+        first_hit and absorbed are -1 where there is none; the held curves
+        keep each realization's last logged value past its last step.
+        """
+        s = self.steps_run[:, None]
+        past = np.arange(self.fidelity.shape[1]) > s
+        hit = (self.fidelity >= self.threshold) & ~past
+        self.first_hit = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+        diag = self.final.diagonal(axis1=1, axis2=2).real
+        self.absorbed = np.where(diag.max(axis=1) >= ABSORB_THRESHOLD, diag.argmax(axis=1), -1)
+        last_fid = np.take_along_axis(self.fidelity, s, 1)
+        self.final_fidelity = last_fid[:, 0]
+        self.held_fidelity = np.where(past, last_fid, self.fidelity)
+        self.held_lyapunov = np.where(past, np.take_along_axis(self.lyapunov, s, 1), self.lyapunov)
+
     def trajectories(self):
         out = []
         for r, s in enumerate(self.steps_run):
-            fid = self.fidelity[r, :s + 1].copy()
-            hits = np.flatnonzero(fid >= self.threshold)
-            diag = self.final[r].diagonal().real
+            hit, level = int(self.first_hit[r]), int(self.absorbed[r])
             traj = Trajectory(
                 u=self.u[r, :s].copy(),
                 outcome=self.outcome[r, :s].copy(),
-                fidelity=fid,
+                fidelity=self.fidelity[r, :s + 1].copy(),
                 lyapunov=self.lyapunov[r, :s + 1].copy(),
                 purity=self.purity[r, :s + 1].copy(),
                 states={int(s): self.final[r].copy()},
-                first_hit=int(hits[0]) if hits.size else None,
-                absorbed_state=(int(np.argmax(diag))
-                                if float(np.max(diag)) >= ABSORB_THRESHOLD else None),
+                first_hit=hit if hit >= 0 else None,
+                absorbed_state=level if level >= 0 else None,
             )
             if self.est_fid is not None:
                 traj.estimate_fidelity = self.est_fid[r, :s + 1].copy()
@@ -312,9 +324,10 @@ class _Log:
 def _controller(cfg, prop, draw):
     """The configured feedback law, mapping a stack of states to their controls.
 
-    LoopConfig leaves the measured modes the quadratic and exact-min laws.
+    LoopConfig gives the deterministic mode the linear law and the measured
+    modes the quadratic or exact-min law.
     """
-    if cfg.mode == "deterministic":
+    if cfg.controller.kind == "linear":
         return LinearLaw(cfg.p, prop.h, cfg.controller.kappa).controls
     if cfg.controller.kind == "quadratic":
         law = QuadraticLaw(cfg.p, prop.h, cfg.controller)
@@ -350,7 +363,8 @@ def _run(cfg, rho0, gens, est0=None):
     the fidelity threshold is reached; a realization that stops leaves the
     stack, which is compacted by index.  Every array operation gives row r
     the same bits whatever the stack's size, so a realization's trajectory
-    does not depend on which others run beside it.
+    does not depend on which others run beside it.  Returns the stack's
+    closed _Log.
     """
     open_loop = cfg.mode == "open-loop"
     measured = cfg.mode != "deterministic"
@@ -404,43 +418,29 @@ def _run(cfg, rho0, gens, est0=None):
         log.record_step(k, rows, u, mu)
         d, dots = log.record_state(k + 1, rows, rho, est)
     log.stop(cfg.steps, ids, rho)
-    return log.trajectories()
+    log.close()
+    return log
 
 
 def _generator(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def run_deterministic(cfg, rho0):
-    """Measurement-free loop with linear feedback: rho -> U0 U1(u) rho (.)†."""
-    if cfg.mode != "deterministic" or cfg.controller.kind != "linear":
-        raise ValueError("run_deterministic needs mode=deterministic with the linear controller")
-    return _run(cfg, rho0, [None])[0]
+def run_trajectory(cfg, rho0, seed=None, est0=None):
+    """Run one realization of cfg from rho0 and return its Trajectory.
 
-
-def run_open_loop(cfg, rho0, seed):
-    """Repeated measure-and-collapse with no unitary in between."""
-    if cfg.mode != "open-loop":
-        raise ValueError("run_open_loop needs mode=open-loop")
-    return _run(cfg, rho0, [_generator(seed)])[0]
-
-
-def run_stochastic(cfg, rho0, seed):
-    """Measurement-driven closed loop: collapse, control, then exp(-i H1 u)."""
-    if cfg.mode != "stochastic":
-        raise ValueError("run_stochastic needs mode=stochastic")
-    return _run(cfg, rho0, [_generator(seed)])[0]
-
-
-def run_filtered(cfg, rho0, est0, seed):
-    """Output feedback: control computed from a filter state, not the truth.
-
-    The filter is updated with the same sampled outcome and the same applied
-    control as the true state.
+    seed seeds the stream of every mode but the deterministic one, which
+    draws nothing.  est0 starts the filter state that the filtered mode,
+    and no other, takes its controls from.
     """
-    if cfg.mode != "filtered":
-        raise ValueError("run_filtered needs mode=filtered")
-    return _run(cfg, rho0, [_generator(seed)], est0)[0]
+    deterministic = cfg.mode == "deterministic"
+    if (seed is None) != deterministic:
+        raise ValueError(f"{cfg.mode} mode {'takes no' if deterministic else 'needs a'} seed")
+    if (est0 is None) == (cfg.mode == "filtered"):
+        raise ValueError(f"{cfg.mode} mode {'needs an' if est0 is None else 'takes no'} "
+                         "initial filter state est0")
+    gen = None if deterministic else _generator(seed)
+    return _run(cfg, rho0, [gen], est0).trajectories()[0]
 
 
 def trace_distance(a, b):
@@ -474,57 +474,31 @@ class EnsembleResult:
         }
 
 
-def _padded(curve, length):
-    if curve.size >= length:
-        return curve[:length]
-    return np.concatenate([curve, np.full(length - curve.size, curve[-1])])
-
-
 def run_ensemble(cfg, rho0, n_realizations, master_seed):
     """Run independent realizations and aggregate convergence statistics.
 
     Only the ENSEMBLE_MODES are accepted.  Realization i uses the stream
     seeded by derive_seed(master_seed, i).  All realizations advance
     together through the batched kernel, which gives each the same bits as
-    a run of it alone.
+    a run of it alone; the mean curves add them up in index order.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
     if cfg.mode not in ENSEMBLE_MODES:
         raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")
-    trajectories = _run(cfg, rho0, [_generator(derive_seed(master_seed, i))
-                                    for i in range(n_realizations)])
-
-    length = cfg.steps + 1
-    dim = cfg.p.dim
-    fid = np.zeros(length)
-    lya = np.zeros(length)
-    hist = np.zeros(dim, dtype=int)
-    unabsorbed = 0
-    final = np.zeros(n_realizations)
-    hits = np.full(n_realizations, -1, dtype=int)
-    absorbed = np.full(n_realizations, -1, dtype=int)
-    for i, t in enumerate(trajectories):
-        fid += _padded(t.fidelity, length)
-        lya += _padded(t.lyapunov, length)
-        final[i] = t.final_fidelity
-        if t.first_hit is not None:
-            hits[i] = t.first_hit
-        if t.absorbed_state is not None:
-            absorbed[i] = t.absorbed_state
-            hist[t.absorbed_state] += 1
-        else:
-            unabsorbed += 1
+    log = _run(cfg, rho0, [_generator(derive_seed(master_seed, i))
+                           for i in range(n_realizations)])
+    absorbed = log.absorbed
     return EnsembleResult(
         realizations=n_realizations,
-        final_fidelity=final,
-        first_hit=hits,
+        final_fidelity=log.final_fidelity,
+        first_hit=log.first_hit,
         absorbed_state=absorbed,
-        mean_fidelity_curve=fid / n_realizations,
-        mean_lyapunov_curve=lya / n_realizations,
-        hit_histogram=hist,
-        unabsorbed=unabsorbed,
-        trajectories=trajectories,
+        mean_fidelity_curve=np.add.reduce(log.held_fidelity, 0, initial=0.0) / n_realizations,
+        mean_lyapunov_curve=np.add.reduce(log.held_lyapunov, 0, initial=0.0) / n_realizations,
+        hit_histogram=np.bincount(absorbed[absorbed >= 0], minlength=cfg.p.dim),
+        unabsorbed=int(np.count_nonzero(absorbed < 0)),
+        trajectories=log.trajectories(),
     )
 
 

@@ -210,16 +210,13 @@ class SynthesisResult:
         }
 
 
-def _edge_list(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _r_of_edge_weights(w, edges, n):
+def _r_of_edge_weights(w, n):
+    """R(w): w at (i, j) and (j, i) for the edges i < j, in np.triu_indices order."""
+    i, j = np.triu_indices(n, 1)
     r = np.zeros((n, n))
-    for e, (i, j) in enumerate(edges):
-        r[i, j] = r[j, i] = w[e]
-        r[i, i] -= w[e]
-        r[j, j] -= w[e]
+    r[i, j] = r[j, i] = w
+    # Minus each row's sum, added in column order; 0.0 - keeps a zero row's at +0.0.
+    np.fill_diagonal(r, 0.0 - np.cumsum(r, axis=1)[:, -1])
     return r
 
 
@@ -290,15 +287,13 @@ def solve_synthesis(problem, max_iter=50000):
     # 4*sum(w) in edge coordinates.
     a2_edge = 4.0 * problem.alpha2 / scale
 
-    edges = _edge_list(n)
-    n_edges = len(edges)
-    # (A w)_n = (R(w) sigma)_n: column e touches rows i and j with -(sig_i -
-    # sig_j) and +(sig_i - sig_j).
+    # (A w)_n = (R(w) sigma)_n: the column of edge e = (i, j) touches rows i
+    # and j with -(sig_i - sig_j) and +(sig_i - sig_j).
+    edge_i, edge_j = np.triu_indices(n, 1)
+    n_edges, gap = edge_i.size, sig[edge_i] - sig[edge_j]
     amat = np.zeros((n, n_edges))
-    for e, (i, j) in enumerate(edges):
-        gap = sig[i] - sig[j]
-        amat[i, e] = -gap
-        amat[j, e] = gap
+    amat[edge_i, np.arange(n_edges)] = -gap
+    amat[edge_j, np.arange(n_edges)] = gap
 
     knorm = float(np.sqrt(np.linalg.norm(amat, 2) ** 2 + 1.0))
     tau = sig_d = 0.95 / knorm
@@ -376,7 +371,7 @@ def solve_synthesis(problem, max_iter=50000):
             if objective_of(cand, cand_lam) <= objective_of(w, lam) + 1e-12:
                 w, lam = cand, cand_lam
 
-    r = _r_of_edge_weights(w, edges, n)
+    r = _r_of_edge_weights(w, n)
     lam_out = lam * scale
     lambda_tilde = r @ sigma
     residual = float(np.linalg.norm(lambda_tilde - lam_out, 2))

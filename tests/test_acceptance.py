@@ -35,9 +35,8 @@ from qfcontrol import (
     lyapunov_v_eps,
     photon_box,
     r_of_hamiltonian,
-    run_deterministic,
     run_ensemble,
-    run_stochastic,
+    run_trajectory,
     solve_synthesis,
     verify_lambda,
     write_trajectories_csv,
@@ -339,7 +338,7 @@ def test_criterion_09_deterministic_loop(report):
             controller=ControllerConfig(kind="linear", kappa=0.05),
             steps=10_000,
         )
-        traj = run_deterministic(cfg, np.outer(psi, psi.conj()))
+        traj = run_trajectory(cfg, np.outer(psi, psi.conj()))
         if traj.first_hit is not None:
             hits += 1
 
@@ -356,7 +355,7 @@ def test_criterion_09_deterministic_loop(report):
         steps=200,
         stop_at_threshold=False,
     )
-    traj = run_deterministic(cfg, np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex))
+    traj = run_trajectory(cfg, np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex))
     stationary = float(np.max(np.abs(traj.u))) <= 1e-12
     ok = hits >= 90 and stationary
     report(9, ok, f"{hits}/100 converged, diagonal stationary {stationary}")
@@ -371,7 +370,7 @@ def test_criterion_10_thread_reproducibility(benchmark_loop, dense_ensemble, tmp
     stream derive_seed(42, i), and a second ensemble run repeats the first.
     """
     ens, _ = dense_ensemble
-    alone = [run_stochastic(benchmark_loop, benchmark_rho0(), derive_seed(42, i))
+    alone = [run_trajectory(benchmark_loop, benchmark_rho0(), derive_seed(42, i))
              for i in range(100)]
     rerun = run_ensemble(benchmark_loop, benchmark_rho0(), 100, 42)
     csv = {}

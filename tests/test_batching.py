@@ -2,8 +2,9 @@
 
 ``run_ensemble`` advances every realization as one stack; each realization
 must come out bit for bit as it does when run alone through
-``run_stochastic`` or ``run_open_loop`` with the same stream.  Systems are drawn at random: dimension 2-16, a random QND
-measurement, random H1, sigma and mixed initial state.
+``run_trajectory`` with the same stream.  Systems are drawn at random:
+dimension 2-16, a random QND measurement, random H1, sigma and mixed
+initial state.
 """
 
 import numpy as np
@@ -17,8 +18,7 @@ from qfcontrol import (
     derive_seed,
     photon_box,
     run_ensemble,
-    run_open_loop,
-    run_stochastic,
+    run_trajectory,
 )
 from qfcontrol.core import density_violations
 from helpers import random_measurement
@@ -61,8 +61,7 @@ def random_system(seed, dim, law, stop, diagonal_start):
 
 
 def assert_same_as_alone(cfg, rho0, n_runs, master):
-    run = run_open_loop if cfg.mode == "open-loop" else run_stochastic
-    alone = [run(cfg, rho0, derive_seed(master, i)) for i in range(n_runs)]
+    alone = [run_trajectory(cfg, rho0, derive_seed(master, i)) for i in range(n_runs)]
     ens = run_ensemble(cfg, rho0, n_runs, master)
     for t, ref in zip(ens.trajectories, alone, strict=True):
         assert t.first_hit == ref.first_hit

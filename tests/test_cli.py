@@ -287,6 +287,12 @@ def deterministic_with_2x2_h0(cfg):
     cfg["h0"] = zeros_json(2)
 
 
+def quadratic_in_deterministic_mode(cfg):
+    deterministic_without_h0(cfg)
+    cfg["h0"] = zeros_json(8)
+    cfg["controller"]["kind"] = "quadratic"
+
+
 def h1_with(entry):
     """Set H1's (0, 1) entry alone, leaving (1, 0) at zero."""
 
@@ -324,6 +330,7 @@ MALFORMED = {
     "h1-not-hermitian": h1_with(1.0),
     "h1-nan": h1_with(float("nan")),
     "linear-in-stochastic-mode": lambda cfg: cfg["controller"].update(kind="linear"),
+    "quadratic-in-deterministic-mode": quadratic_in_deterministic_mode,
     "fidelity-threshold-nan": lambda cfg: cfg["loop"].update(fidelity_threshold=float("nan")),
     "fidelity-threshold-above-1": lambda cfg: cfg["loop"].update(fidelity_threshold=1.5),
     "stop-at-threshold-string": lambda cfg: cfg["loop"].update(stop_at_threshold="false"),

@@ -20,11 +20,8 @@ from qfcontrol import (
     derive_seed,
     hamiltonian_of_r,
     photon_box,
-    run_deterministic,
     run_ensemble,
-    run_filtered,
-    run_open_loop,
-    run_stochastic,
+    run_trajectory,
     solve_synthesis,
     write_trajectories_csv,
 )
@@ -109,38 +106,84 @@ class TestLoopConfig:
                 controller=ControllerConfig(kind="linear"),
             )
 
+    @pytest.mark.parametrize("mode", ["stochastic", "open-loop", "filtered"])
+    def test_linear_controller_only_in_deterministic_mode(self, mode):
+        with pytest.raises(ValueError, match=f"{mode} mode cannot use the linear"):
+            LoopConfig(mode=mode, p=observable8(), h1=coupling8(),
+                       meas=photon_box(8, 1 / 8, np.pi / 10),
+                       controller=ControllerConfig(kind="linear"))
+
+
+class TestRunTrajectoryArguments:
+    """run_trajectory takes a seed and est0 exactly where the mode uses them."""
+
+    @staticmethod
+    def config(mode):
+        if mode == "deterministic":
+            return LoopConfig(mode=mode, p=observable8(), h1=star_h1(), h0=np.zeros((8, 8)),
+                              controller=ControllerConfig(kind="linear"), steps=5)
+        return LoopConfig(mode=mode, p=observable8(), h1=star_h1(),
+                          meas=photon_box(8, 1 / 8, np.pi / 10), steps=5)
+
+    def test_deterministic_mode_takes_no_seed(self):
+        with pytest.raises(ValueError, match="deterministic mode takes no seed"):
+            run_trajectory(self.config("deterministic"), seed_state(), 0)
+
+    @pytest.mark.parametrize("mode", ["stochastic", "open-loop", "filtered"])
+    def test_measured_modes_need_a_seed(self, mode):
+        with pytest.raises(ValueError, match=f"{mode} mode needs a seed"):
+            run_trajectory(self.config(mode), seed_state(), est0=seed_state())
+
+    def test_filtered_mode_needs_est0(self):
+        with pytest.raises(ValueError, match="filtered mode needs an initial filter state"):
+            run_trajectory(self.config("filtered"), seed_state(), 0)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "open-loop"])
+    def test_other_modes_take_no_est0(self, mode):
+        seed = None if mode == "deterministic" else 0
+        with pytest.raises(ValueError, match=f"{mode} mode takes no initial filter state"):
+            run_trajectory(self.config(mode), seed_state(), seed, est0=seed_state())
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "open-loop", "filtered"])
+    def test_runs_with_the_arguments_its_mode_uses(self, mode):
+        seed = None if mode == "deterministic" else 0
+        est0 = np.eye(8, dtype=complex) / 8 if mode == "filtered" else None
+        t = run_trajectory(self.config(mode), seed_state(), seed, est0)
+        assert t.steps_run == 5
+        assert (t.estimate_fidelity is not None) == (mode == "filtered")
+
 
 class TestStochasticLoop:
     def test_same_seed_reproduces(self):
         cfg = stochastic_config()
-        t1 = run_stochastic(cfg, seed_state(), 123)
-        t2 = run_stochastic(cfg, seed_state(), 123)
+        t1 = run_trajectory(cfg, seed_state(), 123)
+        t2 = run_trajectory(cfg, seed_state(), 123)
         assert np.array_equal(t1.fidelity, t2.fidelity)
         assert np.array_equal(t1.u, t2.u)
         assert np.array_equal(t1.outcome, t2.outcome)
 
     def test_different_seeds_differ(self):
         cfg = stochastic_config()
-        t1 = run_stochastic(cfg, seed_state(), 1)
-        t2 = run_stochastic(cfg, seed_state(), 2)
+        t1 = run_trajectory(cfg, seed_state(), 1)
+        t2 = run_trajectory(cfg, seed_state(), 2)
         assert not np.array_equal(t1.outcome, t2.outcome)
 
     def test_stops_at_threshold(self):
         cfg = stochastic_config(steps=2000)
-        t = run_stochastic(cfg, seed_state(), 5)
+        t = run_trajectory(cfg, seed_state(), 5)
         if t.first_hit is not None:
             assert t.steps_run == t.first_hit
 
     def test_log_lengths_consistent(self):
         cfg = stochastic_config(steps=50, stop_at_threshold=False)
-        t = run_stochastic(cfg, seed_state(), 9)
+        t = run_trajectory(cfg, seed_state(), 9)
         assert t.fidelity.size == 51
         assert t.u.size == 50
         assert t.outcome.size == 50
 
     def test_final_state_always_recorded(self):
         cfg = stochastic_config(steps=123, stop_at_threshold=False)
-        t = run_stochastic(cfg, seed_state(), 9)
+        t = run_trajectory(cfg, seed_state(), 9)
         assert list(t.states) == [123]
         assert np.trace(t.states[123]).real == pytest.approx(1.0, abs=1e-9)
 
@@ -150,7 +193,7 @@ class TestStochasticLoop:
             controller=ControllerConfig(kind="exact-min", u_bar=0.1),
             stop_at_threshold=False,
         )
-        t = run_stochastic(cfg, seed_state(), 3)
+        t = run_trajectory(cfg, seed_state(), 3)
         assert t.steps_run == 15
 
 
@@ -195,7 +238,7 @@ class TestIndistinguishablePairObstruction:
         assert not np.signbit(u[0])
 
     def test_frozen_run_logs_no_negative_zero(self, h1, tmp_path):
-        t = run_stochastic(self.loop(h1, np.pi / 4), self.pair_state(), 0)
+        t = run_trajectory(self.loop(h1, np.pi / 4), self.pair_state(), 0)
         assert not np.any(np.signbit(t.u))
         path = tmp_path / "frozen.csv"
         write_trajectories_csv(path, [t])
@@ -204,7 +247,7 @@ class TestIndistinguishablePairObstruction:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_quarter_pi_freezes_pair_state(self, h1, seed):
-        t = run_stochastic(self.loop(h1, np.pi / 4), self.pair_state(), seed)
+        t = run_trajectory(self.loop(h1, np.pi / 4), self.pair_state(), seed)
         assert t.steps_run == 1000
         assert np.all(t.u == 0.0)
         assert np.max(np.abs(t.fidelity - 0.98)) <= 1e-12
@@ -212,7 +255,7 @@ class TestIndistinguishablePairObstruction:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tenth_pi_resolves_pair_state(self, h1, seed):
-        t = run_stochastic(self.loop(h1, np.pi / 10), self.pair_state(), seed)
+        t = run_trajectory(self.loop(h1, np.pi / 10), self.pair_state(), seed)
         assert t.first_hit is not None
         assert t.final_fidelity >= 0.99
 
@@ -253,7 +296,7 @@ class TestOpenLoop:
             steps=300,
             stop_at_threshold=False,
         )
-        t = run_open_loop(cfg, np.diag(np.full(8, 0.125)).astype(complex), 13)
+        t = run_trajectory(cfg, np.diag(np.full(8, 0.125)).astype(complex), 13)
         assert t.purity[-1] >= t.purity[0] - 1e-9
 
 
@@ -270,20 +313,19 @@ class TestDeterministicLoop:
             stop_at_threshold=False,
         )
         rho0 = np.diag(rng.dirichlet(np.ones(8))).astype(complex)
-        t = run_deterministic(cfg, rho0)
+        t = run_trajectory(cfg, rho0)
         assert np.max(np.abs(t.u)) <= 1e-12
         assert np.allclose(t.fidelity, t.fidelity[0], atol=1e-9)
 
     def test_requires_linear_controller(self):
-        cfg = LoopConfig(
-            mode="deterministic",
-            p=observable8(),
-            h1=coupling8(),
-            h0=np.zeros((8, 8)),
-            controller=ControllerConfig(kind="quadratic"),
-        )
-        with pytest.raises(ValueError):
-            run_deterministic(cfg, seed_state())
+        with pytest.raises(ValueError, match="deterministic mode cannot use the quadratic"):
+            LoopConfig(
+                mode="deterministic",
+                p=observable8(),
+                h1=coupling8(),
+                h0=np.zeros((8, 8)),
+                controller=ControllerConfig(kind="quadratic"),
+            )
 
     def test_vanishing_feedback_logs_positive_zero(self, tmp_path):
         """A real start state makes Tr([P, H1] rho) vanish; u must be +0.0."""
@@ -311,7 +353,7 @@ class TestFilteredLoop:
         )
         rho0 = seed_state()
         est0 = np.eye(8, dtype=complex) / 8
-        t = run_filtered(cfg, rho0, est0, 31)
+        t = run_trajectory(cfg, rho0, 31, est0)
         assert t.trace_distance[-1] < t.trace_distance[0]
 
     def test_impossible_observation_breaks_the_filter(self):
@@ -329,7 +371,7 @@ class TestFilteredLoop:
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         est0 = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(FilterBreakdown, match="^step 0: "):
-            run_filtered(cfg, rho0, est0, 0)
+            run_trajectory(cfg, rho0, 0, est0)
 
 
 class TestEnsemble:
@@ -338,7 +380,7 @@ class TestEnsemble:
         cfg = stochastic_config(steps=120)
         r1 = run_ensemble(cfg, seed_state(), 12, 42)
         r2 = run_ensemble(cfg, seed_state(), 12, 42)
-        alone = [run_stochastic(cfg, seed_state(), derive_seed(42, i)) for i in range(12)]
+        alone = [run_trajectory(cfg, seed_state(), derive_seed(42, i)) for i in range(12)]
         assert np.array_equal(r1.final_fidelity, r2.final_fidelity)
         assert np.array_equal(r1.first_hit, r2.first_hit)
         for a, b, c in zip(r1.trajectories, r2.trajectories, alone, strict=True):
@@ -352,6 +394,45 @@ class TestEnsemble:
         res = run_ensemble(cfg, seed_state(), 5, 1)
         assert res.mean_fidelity_curve.size == 101
         assert res.mean_lyapunov_curve.size == 101
+
+    @pytest.mark.parametrize("mode", ["stochastic", "open-loop"])
+    def test_results_agree_with_the_trajectories(self, mode):
+        """Every per-realization result and aggregate follows from the trajectories.
+
+        In both ensembles some realizations stop early and others run out of
+        steps, and some are absorbed and others not; the stochastic one's
+        threshold lies above ABSORB_THRESHOLD, so a hit is an absorption.  The mean curves are the sums, in index
+        order, of the curves held at their last value, divided by n.
+        """
+        if mode == "stochastic":
+            cfg, n = stochastic_config(steps=200, fidelity_threshold=0.9995), 12
+        else:
+            cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
+                             meas=photon_box(8, 1 / 8, np.pi / 10), steps=120)
+            n = 16
+        res = run_ensemble(cfg, seed_state(), n, 6)
+        trajectories = res.trajectories
+        steps = [t.steps_run for t in trajectories]
+        assert min(steps) < cfg.steps == max(steps)
+        assert np.array_equal(res.final_fidelity, [t.final_fidelity for t in trajectories])
+        assert res.first_hit.tolist() == [-1 if t.first_hit is None else t.first_hit
+                                          for t in trajectories]
+        levels = [t.absorbed_state for t in trajectories]
+        assert res.absorbed_state.tolist() == [-1 if a is None else a for a in levels]
+        assert res.unabsorbed == levels.count(None) > 0
+        assert res.hit_histogram.tolist() == [levels.count(k) for k in range(8)]
+        assert res.hit_histogram.sum() > 0
+        for t in trajectories:
+            hits = np.flatnonzero(t.fidelity >= cfg.fidelity_threshold)
+            assert t.first_hit == (int(hits[0]) if hits.size else None)
+            diag = t.states[t.steps_run].diagonal().real
+            assert t.absorbed_state == (int(np.argmax(diag)) if diag.max() >= 0.999 else None)
+        for name in ("fidelity", "lyapunov"):
+            total = np.zeros(cfg.steps + 1)
+            for t in trajectories:
+                curve = getattr(t, name)
+                total += np.concatenate([curve, np.full(cfg.steps + 1 - curve.size, curve[-1])])
+            assert np.array_equal(getattr(res, f"mean_{name}_curve"), total / n), name
 
     def test_requires_realizations(self):
         with pytest.raises(ValueError):
@@ -388,33 +469,33 @@ def parity_case(name):
         cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(),
                          meas=photon_box(8, 1 / 8, theta), controller=quad,
                          steps=300, stop_at_threshold=stop)
-        return run_stochastic(cfg, seed_state(), 0 if kind == "quadratic-pi4" else 2)
+        return run_trajectory(cfg, seed_state(), 0 if kind == "quadratic-pi4" else 2)
     if kind == "random-sign":
         ctrl = ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=5.0,
                                 tie_break="random-sign")
         cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(),
                          meas=pi10, controller=ctrl, steps=300)
         # A diagonal start makes the first decision a flat concave tie.
-        return run_stochastic(cfg, np.diag(np.diag(seed_state())), 2)
+        return run_trajectory(cfg, np.diag(np.diag(seed_state())), 2)
     if kind == "exact-min":
         cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(), meas=pi10,
                          controller=ControllerConfig(kind="exact-min", u_bar=0.1),
                          steps=10, stop_at_threshold=False)
-        return run_stochastic(cfg, seed_state(), 3)
+        return run_trajectory(cfg, seed_state(), 3)
     if kind == "open-loop":
         cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
                          meas=pi10, steps=300, stop_at_threshold=stop)
-        return run_open_loop(cfg, seed_state(), 1)
+        return run_trajectory(cfg, seed_state(), 1)
     if kind == "filtered":
         cfg = LoopConfig(mode="filtered", p=observable8(), h1=star_h1(), meas=pi10,
                          controller=quad, steps=300, stop_at_threshold=False)
-        return run_filtered(cfg, seed_state(), np.eye(8, dtype=complex) / 8, 0)
+        return run_trajectory(cfg, seed_state(), 0, np.eye(8, dtype=complex) / 8)
     if kind == "deterministic":
         cfg = LoopConfig(mode="deterministic", p=observable8(), h1=star_h1(),
                          h0=np.diag(np.linspace(0.0, 3.0, 8)).astype(complex),
                          controller=ControllerConfig(kind="linear", kappa=0.05),
                          steps=300)
-        return run_deterministic(cfg, seed_state())
+        return run_trajectory(cfg, seed_state())
     raise KeyError(name)
 
 
@@ -521,7 +602,7 @@ class TestArtifacts:
         """Two ensemble runs and the six realizations run alone write the same bytes."""
         cfg = stochastic_config(steps=40)
         runs = [run_ensemble(cfg, seed_state(), 6, 9).trajectories for _ in range(2)]
-        runs.append([run_stochastic(cfg, seed_state(), derive_seed(9, i)) for i in range(6)])
+        runs.append([run_trajectory(cfg, seed_state(), derive_seed(9, i)) for i in range(6)])
         blobs = []
         for j, trajectories in enumerate(runs):
             path = tmp_path / f"{j}.csv"

@@ -19,7 +19,7 @@ from qfcontrol import (
     synthesis_pipeline,
     verify_lambda,
 )
-from qfcontrol.synthesis import cone_violations, in_cone
+from qfcontrol.synthesis import _r_of_edge_weights, cone_violations, in_cone
 from helpers import random_hermitian
 
 SIGMA8 = np.array(
@@ -52,6 +52,27 @@ class TestCone:
 
 
 class TestRMaps:
+    def test_edge_weights_match_the_edge_loop_bit_for_bit(self):
+        """R(w) equals the edge-by-edge loop's bits, +0.0 diagonals included.
+
+        Weights span eleven decades, with runs of +0.0 and -0.0: a diagonal
+        summed in another order, or negated instead of subtracted from 0.0,
+        gets other bits.
+        """
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(2, 24))
+            m = n * (n - 1) // 2
+            w = rng.exponential(size=m) * 10.0 ** rng.uniform(-8, 3, size=m)
+            w[rng.random(m) < rng.random()] = 0.0
+            w[rng.random(m) < 0.1] = -0.0
+            ref = np.zeros((n, n))
+            for e, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+                ref[i, j] = ref[j, i] = w[e]
+                ref[i, i] -= w[e]
+                ref[j, j] -= w[e]
+            assert np.array_equal(_r_of_edge_weights(w, n).view(np.uint64), ref.view(np.uint64))
+
     def test_r_row_sums_vanish(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
