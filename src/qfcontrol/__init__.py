@@ -6,8 +6,6 @@ from .core import (
     HermitianPropagator,
     basis_state,
     commutator,
-    fidelity_to_basis,
-    purity,
     validate_density,
 )
 from .control import (
@@ -16,8 +14,6 @@ from .control import (
     LinearLaw,
     QuadraticLaw,
     curvature_at_eigenstate,
-    lyapunov_v,
-    lyapunov_v_eps,
 )
 from .measurement import OutcomeImpossible, QndMeasurement, photon_box
 from .simulate import (

@@ -31,13 +31,13 @@ from .core import (
     load_matrix,
     matrix_from_json,
     save_matrix,
-    validate_density,
 )
 from .control import ControllerConfig
 from .measurement import QndMeasurement, photon_box
 from .simulate import (
     ENSEMBLE_MODES,
     LoopConfig,
+    _initial_state,
     config_hash,
     convergence_statistics,
     run_ensemble,
@@ -137,9 +137,7 @@ class ExperimentConfig:
             rho0 = np.diag(json_numbers(rho0_spec["diag"], "rho0.diag"))
         else:
             rho0 = matrix_from_json(rho0_spec)
-        rho0 = validate_density(rho0)
-        if rho0.shape != (p.dim, p.dim):
-            raise ValueError(f"rho0 has shape {rho0.shape}, but p has dimension {p.dim}")
+        rho0 = _initial_state(rho0, p.dim, "rho0")
 
         loop = raw.get("loop", {})
         h0 = None

@@ -1,4 +1,4 @@
-"""Feedback laws and the Lyapunov functionals they optimize.
+"""Feedback laws that descend the Lyapunov value V(rho) = sum_n sigma_n rho_nn.
 
 Three controllers are provided:
 
@@ -31,8 +31,6 @@ __all__ = [
     "LinearLaw",
     "QuadraticLaw",
     "curvature_at_eigenstate",
-    "lyapunov_v",
-    "lyapunov_v_eps",
 ]
 
 # The exact-min search: the best of GRID_POINTS evenly spaced controls over
@@ -95,22 +93,6 @@ class ControllerConfig:
         checked = {name: json_number(obj[name], name)
                    for name in ("kappa", "u_bar", "epsilon") if name in obj}
         return cls(**{**obj, **checked})
-
-
-def lyapunov_v(p, rho):
-    """V(rho) = sum_n p_n rho_nn."""
-    rho = np.asarray(rho)
-    if rho.shape[0] != p.dim:
-        raise ValueError(f"dimension mismatch: state {rho.shape[0]} vs observable {p.dim}")
-    return float(p.sigma @ rho.diagonal().real)
-
-
-def lyapunov_v_eps(p, rho, epsilon):
-    """Regularized Lyapunov value V(rho) - (eps/2) sum_n rho_nn^2."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    d = np.asarray(rho).diagonal().real
-    return lyapunov_v(p, rho) - 0.5 * epsilon * float(d @ d)
 
 
 class LinearLaw:

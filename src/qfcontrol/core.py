@@ -24,14 +24,12 @@ __all__ = [
     "basis_state",
     "commutator",
     "density_violations",
-    "fidelity_to_basis",
     "hermitize",
     "is_hermitian",
     "json_bool",
     "json_int",
     "json_number",
     "json_numbers",
-    "purity",
     "validate_density",
 ]
 
@@ -165,20 +163,6 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def fidelity_to_basis(rho, n):
-    """Population Tr(rho |n><n|) = rho_nn."""
-    rho = np.asarray(rho)
-    if not 0 <= n < rho.shape[0]:
-        raise IndexError(f"basis index {n} out of range for dimension {rho.shape[0]}")
-    return float(rho[n, n].real)
-
-
-def purity(rho):
-    """Tr(rho^2)."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
-
-
 @dataclass(frozen=True)
 class DiagonalObservable:
     """Energy operator given by its diagonal and the index of the minimum.
@@ -232,10 +216,6 @@ class HermitianPropagator:
         self._w, self._v = np.linalg.eigh(h)
         self._vh = self._v.conj().T
         self._minus_iw = -1j * self._w
-
-    @property
-    def dim(self):
-        return self.h.shape[0]
 
     @property
     def eigh(self):

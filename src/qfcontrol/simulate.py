@@ -32,6 +32,7 @@ from .core import (
     density_violations,
     hermitize,
     is_hermitian,
+    validate_density,
 )
 from .control import (
     ControllerConfig,
@@ -348,10 +349,21 @@ def _collapse_estimate(meas, est, mu, k):
                               f"observation: {e}") from e
 
 
+def _initial_state(state, dim, name):
+    """state as a complex array, when it is a dim x dim density matrix."""
+    if np.shape(state) != (dim, dim):
+        raise ValueError(f"{name} has shape {np.shape(state)}, but p has dimension {dim}")
+    try:
+        return validate_density(state)
+    except ValueError as e:
+        raise ValueError(f"{name} is not a density matrix: {e}") from e
+
+
 def _run(cfg, rho0, gens, est0=None):
     """The one step kernel: advance len(gens) realizations of cfg as one stack.
 
-    Realization r starts from rho0 (and the filter from est0) and draws from
+    Realization r starts from rho0 (and the filter from est0), each checked
+    to be a density matrix of the config's dimension, and draws from
     the generator gens[r]; the deterministic loop draws nothing, and its
     gens holds one None per realization.  Each step measures (all modes but
     deterministic), takes the control from the post-measurement state, or
@@ -369,8 +381,8 @@ def _run(cfg, rho0, gens, est0=None):
     open_loop = cfg.mode == "open-loop"
     measured = cfg.mode != "deterministic"
     n_runs = len(gens)
-    rho = np.repeat(np.asarray(rho0, dtype=complex)[None], n_runs, axis=0)
-    est = None if est0 is None else np.repeat(np.asarray(est0, dtype=complex)[None], n_runs, axis=0)
+    rho = np.repeat(_initial_state(rho0, cfg.p.dim, "rho0")[None], n_runs, axis=0)
+    est = None if est0 is None else np.repeat(_initial_state(est0, cfg.p.dim, "est0")[None], n_runs, axis=0)
     streams = _Streams(gens, min(cfg.steps, DRAW_BLOCK)) if measured else None
     prop = None if open_loop else HermitianPropagator(cfg.h1)
     if not open_loop:

@@ -415,7 +415,9 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
     - 'nondegenerate_spectrum': all energy gaps of P exceed tol.
     - 'strong_regularity_mod_2pi': no two distinct ordered eigenvalue gaps of
       H0 coincide modulo 2*pi (the discrete-time version of strong
-      regularity).
+      regularity).  Each of the n(n-1) gaps is compared with all later ones
+      in one NumPy pass, so the check takes n(n-1) passes and O(n^4)
+      arithmetic in all, with O(n^2) memory.
     - 'full_connectivity': every off-diagonal entry of H1 is nonzero.
     - 'distinguishability': every basis-state pair has distinct measurement
       statistics; the detail names the smallest distance max_mu |w[mu, i] -
@@ -441,15 +443,10 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
             f"max off-diagonal magnitude of H0: {offmax:.3e}",
         )
         h = np.diag(h0).real
-        n = h.size
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        colliding = []
-        for x in range(len(pairs)):
-            for z in range(x + 1, len(pairs)):
-                ga = h[pairs[x][1]] - h[pairs[x][0]]
-                gb = h[pairs[z][1]] - h[pairs[z][0]]
-                if abs(_wrap_mod_2pi(ga - gb)) <= tol:
-                    colliding.append((pairs[x], pairs[z]))
+        pairs = [(a, b) for a in range(h.size) for b in range(h.size) if a != b]
+        g = np.array([h[b] - h[a] for a, b in pairs])
+        colliding = [(pairs[x], pairs[z]) for x in range(len(pairs))
+                     for z in x + 1 + np.flatnonzero(np.abs(_wrap_mod_2pi(g[x] - g[x + 1:])) <= tol)]
         checks["strong_regularity_mod_2pi"] = AssumptionCheck(
             "strong_regularity_mod_2pi", not colliding, tuple(colliding),
             f"{len(colliding)} coinciding gap pairs (mod 2 pi)",

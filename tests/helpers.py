@@ -1,4 +1,4 @@
-"""Random systems and the exact expectation oracle shared by the tests.
+"""Random systems and the reference oracles shared by the tests.
 
 The random helpers draw from the caller's generator in a fixed order, so a
 test seeded with a given generator always sees the same data.
@@ -7,12 +7,55 @@ test seeded with a given generator always sees the same data.
 branches with explicit Kraus matrices M_mu = diag(c[mu]) and the unitary
 exp(-i H1 u), sharing no code with ``QndMeasurement``'s stack methods,
 ``HermitianPropagator.conjugate_stack`` or ``ExactMinLaw``, which they check.
+The per-state values V, V_eps, the fidelity and the purity are written out
+one state at a time, apart from the batched kernel that logs them, and
+``coinciding_gaps_by_pairs`` compares every pair of H0's gaps, apart from
+``assumption_report``'s vectorized rows.
 """
 
 import numpy as np
 
-from qfcontrol import HermitianPropagator, QndMeasurement, lyapunov_v_eps
+from qfcontrol import HermitianPropagator, QndMeasurement
 from qfcontrol.measurement import P_FLOOR
+
+
+def lyapunov_v(p, rho):
+    """V(rho) = sum_n sigma_n rho_nn."""
+    return float(p.sigma @ np.asarray(rho).diagonal().real)
+
+
+def lyapunov_v_eps(p, rho, epsilon):
+    """Regularized Lyapunov value V(rho) - (eps/2) sum_n rho_nn^2."""
+    d = np.asarray(rho).diagonal().real
+    return lyapunov_v(p, rho) - 0.5 * epsilon * float(d @ d)
+
+
+def fidelity_to_basis(rho, n):
+    """Population Tr(rho |n><n|) = rho_nn."""
+    return float(np.asarray(rho)[n, n].real)
+
+
+def purity(rho):
+    """Tr(rho^2)."""
+    rho = np.asarray(rho, dtype=complex)
+    return float(np.trace(rho @ rho).real)
+
+
+def coinciding_gaps_by_pairs(h, tol):
+    """Every pair of distinct ordered gaps h_b - h_a within tol of each other mod 2 pi.
+
+    The O(n^4) loop over all pairs of gaps, in the order it visits them.
+    """
+    n = h.size
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    colliding = []
+    for x in range(len(pairs)):
+        for z in range(x + 1, len(pairs)):
+            ga = h[pairs[x][1]] - h[pairs[x][0]]
+            gb = h[pairs[z][1]] - h[pairs[z][0]]
+            if abs((ga - gb + np.pi) % (2 * np.pi) - np.pi) <= tol:
+                colliding.append((pairs[x], pairs[z]))
+    return tuple(colliding)
 
 
 def random_hermitian(rng, n):

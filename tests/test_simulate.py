@@ -25,9 +25,8 @@ from qfcontrol import (
     solve_synthesis,
     write_trajectories_csv,
 )
-from qfcontrol.core import fidelity_to_basis, purity
-from qfcontrol.control import lyapunov_v
 from qfcontrol.simulate import splitmix64
+from helpers import fidelity_to_basis, lyapunov_v, purity
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]
@@ -151,6 +150,29 @@ class TestRunTrajectoryArguments:
         t = run_trajectory(self.config(mode), seed_state(), seed, est0)
         assert t.steps_run == 5
         assert (t.estimate_fidelity is not None) == (mode == "filtered")
+
+    BAD_STATES = {
+        "trace-2": (2 * np.eye(8), "rho0 is not a density matrix"),
+        "negative": (-np.eye(8) / 8, "rho0 is not a density matrix"),
+        "4x4": (np.eye(4) / 4, r"rho0 has shape \(4, 4\), but p has dimension 8"),
+    }
+
+    @pytest.mark.parametrize("entry", ["run_trajectory", "run_ensemble"])
+    @pytest.mark.parametrize("bad", sorted(BAD_STATES))
+    def test_rho0_must_be_a_density_matrix_of_the_config(self, bad, entry):
+        """Not a run that logs fidelity 2.0, nor a failure deep in the sampler."""
+        rho0, message = self.BAD_STATES[bad]
+        with pytest.raises(ValueError, match=message):
+            if entry == "run_trajectory":
+                run_trajectory(self.config("stochastic"), rho0, 0)
+            else:
+                run_ensemble(self.config("stochastic"), rho0, 2, 0)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_STATES))
+    def test_est0_must_be_a_density_matrix_of_the_config(self, bad):
+        est0, message = self.BAD_STATES[bad]
+        with pytest.raises(ValueError, match=message.replace("rho0", "est0")):
+            run_trajectory(self.config("filtered"), seed_state(), 0, est0)
 
 
 class TestStochasticLoop:

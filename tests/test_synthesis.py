@@ -20,7 +20,7 @@ from qfcontrol import (
     verify_lambda,
 )
 from qfcontrol.synthesis import _r_of_edge_weights, cone_violations, in_cone
-from helpers import random_hermitian
+from helpers import coinciding_gaps_by_pairs, random_hermitian
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]
@@ -244,6 +244,56 @@ class TestAssumptions:
         h0 = np.diag([0.0, 1.0, 2.0 + 2 * np.pi]).astype(complex)
         checks = assumption_report(p, h0=h0)
         assert not checks["strong_regularity_mod_2pi"].passed
+
+    @staticmethod
+    def strong_regularity(h):
+        p = DiagonalObservable(np.arange(1.0, h.size + 1), 0)
+        return assumption_report(p, h0=np.diag(h).astype(complex))["strong_regularity_mod_2pi"]
+
+    @pytest.mark.parametrize("kind", ["random", "equal", "near-pi", "shifted"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_strong_regularity_matches_the_pair_loop(self, n, kind):
+        """The vectorized check finds the pair loop's witnesses, in the loop's order.
+
+        Beside random levels, the first three levels are forced to make
+        gaps (0, 1) and (1, 2) equal, equal to pi(1 +- 1e-9) on either side
+        of the seam at +-pi, or equal up to 2 pi k.
+        """
+        rng = np.random.default_rng([n, len(kind)])
+        # With two levels only gaps of pi, (0, 1) and (1, 0), can coincide.
+        forced = kind == "near-pi" or (kind != "random" and n > 2)
+        for _ in range(3):
+            h = rng.normal(size=n) * 3
+            if kind == "near-pi":
+                h[1] = h[0] + np.pi * (1 + 1e-9)
+                if n > 2:
+                    h[2] = h[1] + np.pi * (1 - 1e-9)
+            elif forced:
+                h[2] = 2 * h[1] - h[0] + (2 * np.pi * rng.integers(-3, 4) if kind == "shifted" else 0)
+            want = coinciding_gaps_by_pairs(h, 1e-8)
+            assert want or not forced
+            check = self.strong_regularity(h)
+            assert check.witnesses == want
+            assert check.passed == (not want)
+            assert check.detail == f"{len(want)} coinciding gap pairs (mod 2 pi)"
+
+    def test_strong_regularity_evenly_spaced_levels(self):
+        """Levels 0.01 k, k < 64: gaps coincide exactly when their level differences do.
+
+        Clusters of up to 63 equal gaps give 2 C(64, 3) witnesses, each
+        pair of ordered pairs listed by their row-major indices.
+        """
+        n = 64
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        by_difference = {}
+        for x, (a, b) in enumerate(pairs):
+            by_difference.setdefault(b - a, []).append(x)
+        want = sorted((x, z) for group in by_difference.values()
+                      for i, x in enumerate(group) for z in group[i + 1:])
+        check = self.strong_regularity(0.01 * np.arange(n))
+        assert len(check.witnesses) == 2 * 64 * 63 * 62 // 6 == 83328
+        assert check.witnesses[0] == ((0, 1), (1, 2))
+        assert check.witnesses == tuple((pairs[x], pairs[z]) for x, z in want)
 
     def test_full_connectivity(self):
         p = DiagonalObservable(np.array([2.0, 1.0, 3.0]), 1)
