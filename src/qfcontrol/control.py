@@ -12,7 +12,7 @@ Three controllers are provided:
 Each is a class, ``LinearLaw``, ``ExactMinLaw`` or ``QuadraticLaw``, built
 once per system and applied to a stack of states of shape (R, n, n); a single
 state is the stack ``rho[None]``.  All of them are pure functions of the
-current state; any tie-break randomness draws from the caller's stream.
+current state.
 """
 
 from __future__ import annotations
@@ -54,15 +54,13 @@ class ControllerConfig:
 
     kappa applies to the linear law only; u_bar bounds the stochastic
     controllers; epsilon is the Lyapunov regularizer (0 by default, matching
-    the reference experiments).  tie_break resolves flat quadratics: always
-    +u_bar, or a random sign from the trajectory's stream.
+    the reference experiments).
     """
 
     kind: str = "quadratic"
     kappa: float = 0.05
     u_bar: float = 0.1
     epsilon: float = 0.0
-    tie_break: str = "positive"
 
     def __post_init__(self):
         if self.kind not in ("linear", "exact-min", "quadratic"):
@@ -76,8 +74,6 @@ class ControllerConfig:
             raise ValueError("bounded controllers require u_bar > 0")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        if self.tie_break not in ("positive", "random-sign"):
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
     def to_json(self):
         return {
@@ -85,7 +81,6 @@ class ControllerConfig:
             "kappa": self.kappa,
             "u_bar": self.u_bar,
             "epsilon": self.epsilon,
-            "tie_break": self.tie_break,
         }
 
     @classmethod
@@ -277,8 +272,8 @@ class QuadraticLaw:
     which b leaves out.
 
     u is clip(-b/a, -u_bar, u_bar) when a > 0, else the endpoint downhill of
-    b; with b = 0 a flat concave parabola ties at the endpoints and follows
-    cfg.tie_break, and a flat one gives u = 0.
+    b; with b = 0 a flat concave parabola ties at the endpoints and takes
+    +u_bar, and a flat one gives u = 0.
 
     The law works on a stack of states rho of shape (R, n, n).  The two
     commutators are built once; every trace is summed entrywise, as
@@ -312,13 +307,8 @@ class QuadraticLaw:
         a, b = ab.real.T
         return a, b
 
-    def choose(self, a, b, draw=None):
-        """u for arrays of curvature a and slope b.
-
-        ``draw(mask)`` returns one uniform per True entry of mask, from that
-        state's own stream; it is called only for random-sign ties, and
-        without it a tie takes +u_bar.
-        """
+    def choose(self, a, b):
+        """u for arrays of curvature a and slope b."""
         ub = self.cfg.u_bar
         convex = a > 1e-12
         every = convex.all()
@@ -334,19 +324,13 @@ class QuadraticLaw:
         sloped = np.abs(b) > 1e-12
         if not sloped.all():
             flat = ~convex & ~sloped
-            u[flat] = 0.0
-            # Flat concave parabola: both endpoints tie.
-            tie = flat & (a < -1e-12)
-            if tie.any():
-                if self.cfg.tie_break == "random-sign" and draw is not None:
-                    u[tie] = np.where(draw(tie) < 0.5, ub, -ub)
-                else:
-                    u[tie] = ub
+            # A flat concave parabola ties at both endpoints and takes +u_bar.
+            u[flat] = np.where(a[flat] < -1e-12, ub, 0.0)
         return u
 
-    def controls(self, rho, draw=None):
+    def controls(self, rho):
         """u for every state of a stack rho of shape (R, n, n)."""
-        return self.choose(*self.coefficients(rho), draw)
+        return self.choose(*self.coefficients(rho))
 
 
 def curvature_at_eigenstate(p, h1, meas, n):

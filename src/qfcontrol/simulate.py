@@ -172,22 +172,25 @@ def _revalidate(rho, k, ids):
     """Absorb round-off drift in a stack of states; abort loudly if one broke.
 
     Hermitize and renormalize every state, then check trace and positivity
-    with one batched eigvalsh.  A state that fails is reported by
-    density_violations, with the step and its realization index.
+    with one batched eigvalsh.  The first state that fails aborts the run,
+    with the step, its realization index and the report of
+    density_violations: a ValueError for NaN or Inf entries, else a
+    RuntimeError.
     """
     rho = hermitize(rho)
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     ok = np.isfinite(rho).all(axis=(1, 2))
     ok &= np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) <= TRACE_TOL
     ok[ok] = np.linalg.eigvalsh(rho[ok])[:, 0] >= -PSD_TOL
-    for r in np.flatnonzero(~ok):
+    if not ok.all():
+        r = int(np.argmin(ok))
         where = f"at step {k} in realization {ids[r]}"
         try:
             bad = density_violations(rho[r])
         except ValueError as e:  # NaN or Inf entries
             raise ValueError(f"state broke {where}: {e}") from e
-        if bad:
-            raise RuntimeError(f"state invariants violated {where}: {bad}")
+        raise RuntimeError(f"state invariants violated {where}: "
+                           f"{bad or 'trace or positivity, in the batched check'}")
     return rho
 
 
@@ -196,10 +199,9 @@ class _Streams:
 
     rng.random(k) is bit-identical to k calls of rng.random(), so reading a
     row's block in order, refilled from the same generator when it runs
-    out, replays that realization's stream exactly.  Every row's next
-    uniform sits in one shared column: a draw for some rows only shifts
-    the rest of their blocks left by one and appends the next uniform of
-    their streams.
+    out, replays that realization's stream exactly.  Every live realization
+    draws one uniform per step, so every row's next uniform sits in one
+    shared column.
     """
 
     def __init__(self, gens, block):
@@ -207,11 +209,10 @@ class _Streams:
         self.buf = np.array([g.random(block) for g in self.gens])
         self.col = 0
 
-    def draw(self, mask=None):
-        """The next uniform of every live realization, or of those in mask.
+    def draw(self):
+        """The next uniform of every live realization.
 
-        Without a mask the result is a view of the buffer, valid until the
-        next draw.
+        The result is a view of the buffer, valid until the next draw.
         """
         block = self.buf.shape[1]
         if self.col == block:
@@ -219,14 +220,8 @@ class _Streams:
                 self.buf[r] = g.random(block)
             self.col = 0
         c = self.col
-        if mask is None:
-            self.col += 1
-            return self.buf[:, c]
-        rows = np.flatnonzero(mask)
-        x = self.buf[rows, c]
-        self.buf[rows, c:-1] = self.buf[rows, c + 1:]
-        self.buf[rows, -1] = [self.gens[r].random() for r in rows]
-        return x
+        self.col += 1
+        return self.buf[:, c]
 
     def keep(self, mask):
         self.gens = [g for g, live in zip(self.gens, mask) if live]
@@ -322,7 +317,7 @@ class _Log:
         return out
 
 
-def _controller(cfg, prop, draw):
+def _controller(cfg, prop):
     """The configured feedback law, mapping a stack of states to their controls.
 
     LoopConfig gives the deterministic mode the linear law and the measured
@@ -331,8 +326,7 @@ def _controller(cfg, prop, draw):
     if cfg.controller.kind == "linear":
         return LinearLaw(cfg.p, prop.h, cfg.controller.kappa).controls
     if cfg.controller.kind == "quadratic":
-        law = QuadraticLaw(cfg.p, prop.h, cfg.controller)
-        return lambda rho: law.controls(rho, draw)
+        return QuadraticLaw(cfg.p, prop.h, cfg.controller).controls
     return ExactMinLaw(cfg.p, prop, cfg.meas, cfg.controller).controls
 
 
@@ -386,7 +380,7 @@ def _run(cfg, rho0, gens, est0=None):
     streams = _Streams(gens, min(cfg.steps, DRAW_BLOCK)) if measured else None
     prop = None if open_loop else HermitianPropagator(cfg.h1)
     if not open_loop:
-        control = _controller(cfg, prop, None if streams is None else streams.draw)
+        control = _controller(cfg, prop)
     if not measured:
         u0 = HermitianPropagator(cfg.h0).unitary(1.0)
         u0_dag = u0.conj().T

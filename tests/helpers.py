@@ -10,7 +10,8 @@ exp(-i H1 u), sharing no code with ``QndMeasurement``'s stack methods,
 The per-state values V, V_eps, the fidelity and the purity are written out
 one state at a time, apart from the batched kernel that logs them, and
 ``coinciding_gaps_by_pairs`` compares every pair of H0's gaps, apart from
-``assumption_report``'s vectorized rows.
+``assumption_report``'s vectorized rows.  ``break_state`` injects a fault
+into the step kernel, such as ``trace_one_not_positive``.
 """
 
 import numpy as np
@@ -99,3 +100,28 @@ def expected_v_after(p, h1, meas, rho, u, epsilon=0.0):
     umat = HermitianPropagator(h1).unitary(u)
     return expected_update(
         meas, rho, lambda post: lyapunov_v_eps(p, umat @ post @ umat.conj().T, epsilon))
+
+
+def break_state(monkeypatch, row, broken, call=50):
+    """Make the call-th conjugate_stack replace row of its result by broken(row).
+
+    The patch is on HermitianPropagator.  A measured loop propagates once
+    per step, so call 50 breaks the state that the kernel revalidates after
+    step 50.
+    """
+    original = HermitianPropagator.conjugate_stack
+    calls = []
+
+    def conjugate_stack(self, rho, u):
+        out = original(self, rho, u)
+        calls.append(None)
+        if len(calls) == call:
+            out[row] = broken(out[row])
+        return out
+
+    monkeypatch.setattr(HermitianPropagator, "conjugate_stack", conjugate_stack)
+
+
+def trace_one_not_positive(rho):
+    """diag(1.5, -0.5, 0, ...): trace one, but not a density matrix."""
+    return np.diag(np.r_[1.5, -0.5, np.zeros(len(rho) - 2)]).astype(complex)

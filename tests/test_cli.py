@@ -18,6 +18,7 @@ from qfcontrol import (
 )
 from qfcontrol.cli import REFERENCE_SIGMA, ExperimentConfig, main
 from qfcontrol.core import load_matrix
+from helpers import break_state, trace_one_not_positive
 
 P_DIAG = {"diag": REFERENCE_SIGMA.tolist(), "n_star": 2}
 
@@ -39,7 +40,6 @@ def experiment_config(h1_path, theta, realizations=10, steps=300, floor=0.0):
             "kappa": 0.05,
             "u_bar": 0.1,
             "epsilon": 0.0,
-            "tie_break": "positive",
         },
         "rho0": {"diag": [0.5625] + [0.0625] * 7},
         "loop": {"mode": "stochastic", "steps": steps, "fidelity_threshold": 0.99},
@@ -167,6 +167,20 @@ class TestSimulate:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{")
         assert main(["simulate", "--config", str(cfg_path)]) == 1
+
+    def test_simulation_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A state that breaks mid-run is exit 3, with the step, and no summary."""
+        cfg = inline_h1(experiment_config("unused", np.pi / 10, realizations=3, steps=60), 0.1)
+        cfg["loop"]["stop_at_threshold"] = False
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        break_state(monkeypatch, 1, trace_one_not_positive)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("simulation failure: state invariants violated at step 50 "
+                              "in realization 1")
+        assert not (out / "summary.json").exists()
 
     def test_missing_seed_exits_1(self, tmp_path, synthesized):
         cfg = experiment_config(synthesized / "h1.json", np.pi / 10)
@@ -354,6 +368,7 @@ MALFORMED = {
     "measurement-coeff-string": measurement_coeff_as_string,
     "output-dir-not-string": lambda cfg: cfg.update(output_dir=5),
     "output-dir-empty": lambda cfg: cfg.update(output_dir=""),
+    "tie-break-random-sign": lambda cfg: cfg["controller"].update(tie_break="random-sign"),
 }
 
 
@@ -376,6 +391,17 @@ class TestMalformedConfig:
         assert err.startswith("error: bad config")
         assert "Traceback" not in err
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_tie_break_is_named(self, tmp_path, capsys, command):
+        """The removed controller.tie_break key is refused by name."""
+        cfg = experiment_config("unused", np.pi / 10)
+        cfg["h1"] = zeros_json(8)
+        MALFORMED["tie-break-random-sign"](cfg)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 1
+        assert "tie_break" in capsys.readouterr().err
 
 
 class TestReproducePaper:
@@ -428,6 +454,21 @@ class TestExperimentConfig:
         assert loaded.loop.h1.shape == (8, 8)
         assert loaded.loop.mode == "stochastic"
         assert loaded.master_seed == 42
+
+    def test_full_matrix_rho0_runs_as_its_diag_form(self, tmp_path):
+        """rho0 as {"n", "re", "im"} loads, and runs, as the same state given by "diag"."""
+        cfg = inline_h1(experiment_config("unused", np.pi / 10, realizations=3, steps=40), 0.1)
+        rho0 = np.diag(cfg["rho0"]["diag"])
+        full = {**cfg, "rho0": {"n": 8, "re": rho0.tolist(), "im": np.zeros((8, 8)).tolist()}}
+        csv = []
+        for name, raw in (("diag", cfg), ("full", full)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(raw))
+            assert np.array_equal(ExperimentConfig.load(path).rho0, rho0)
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+            csv.append((out / "trajectories.csv").read_text().splitlines()[1:])
+        assert csv[0] == csv[1]
 
     def test_invalid_rho0_rejected(self, tmp_path):
         cfg = experiment_config("unused", np.pi / 10)

@@ -92,6 +92,17 @@ class TestControllerConfig:
         assert ControllerConfig.from_json(cfg.to_json()) == cfg
 
 
+def non_hermitian_stack():
+    """Three 2-level states whose middle one has rho_01 = 0.5 but rho_10 = 0.
+
+    With P = diag(2, 1) and H1 = sigma_x, Tr([P, H1] rho) = rho_10 - rho_01,
+    which is imaginary only for a Hermitian rho; here it is -0.5.
+    """
+    rho = np.repeat(np.eye(2, dtype=complex)[None] / 2, 3, axis=0)
+    rho[1, 0, 1] = 0.5
+    return DiagonalObservable(np.array([2.0, 1.0]), 1), np.array([[0.0, 1.0], [1.0, 0.0]]), rho
+
+
 class TestLinearFeedback:
     def test_zero_at_diagonal_states(self):
         rng = np.random.default_rng(1)
@@ -115,7 +126,19 @@ class TestLinearFeedback:
             assert u == pytest.approx(-0.05 * slope, abs=1e-6)
 
 
+    def test_complex_control_raises(self):
+        p, h1, rho = non_hermitian_stack()
+        with pytest.raises(ValueError, match="linear feedback came out complex"):
+            LinearLaw(p, h1, 0.05).controls(rho)
+
+
 class TestQuadraticFeedback:
+    def test_complex_coefficients_raise(self):
+        p, h1, rho = non_hermitian_stack()
+        law = QuadraticLaw(p, h1, ControllerConfig(kind="quadratic", u_bar=0.1))
+        with pytest.raises(ValueError, match="quadratic coefficients came out complex"):
+            law.coefficients(rho)
+
     def test_coefficients_match_taylor(self):
         """a and b are the exact curvature and slope of the rotation energy."""
         rng = np.random.default_rng(3)
@@ -156,6 +179,14 @@ class TestQuadraticFeedback:
         rho = np.eye(2, dtype=complex) / 2
         cfg = ControllerConfig(kind="quadratic", u_bar=0.1)
         assert quadratic(p, h1, rho, cfg)[2] == 0.0
+
+    def test_flat_concave_ties_take_plus_u_bar(self):
+        """Both endpoints minimize a flat concave parabola; +u_bar is taken."""
+        law = QuadraticLaw(DiagonalObservable(np.array([2.0, 1.0]), 1), np.zeros((2, 2)),
+                           ControllerConfig(kind="quadratic", u_bar=0.1))
+        a = np.array([-1.0, -1.0, 0.0, -1.0, 2.0])
+        b = np.array([0.0, -0.0, 0.0, 0.5, 0.0])
+        assert law.choose(a, b).tolist() == [0.1, 0.1, 0.0, -0.1, 0.0]
 
     def test_epsilon_term_lowers_curvature(self):
         rng = np.random.default_rng(5)

@@ -25,8 +25,9 @@ from qfcontrol import (
     solve_synthesis,
     write_trajectories_csv,
 )
+from qfcontrol import simulate
 from qfcontrol.simulate import splitmix64
-from helpers import fidelity_to_basis, lyapunov_v, purity
+from helpers import break_state, fidelity_to_basis, lyapunov_v, purity, trace_one_not_positive
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]
@@ -467,6 +468,36 @@ class TestEnsemble:
             run_ensemble(cfg, seed_state(), 3, 1)
 
 
+def nan_off_diagonal(rho):
+    rho = rho.copy()
+    rho[0, 1] = np.nan
+    return rho
+
+
+class TestRevalidation:
+    """A state that breaks mid-run aborts the run, naming the step and realization."""
+
+    @pytest.mark.parametrize("broken, error, message", [
+        (nan_off_diagonal, ValueError,
+         r"state broke at step 50 in realization 2: .*NaN or Inf"),
+        (trace_one_not_positive, RuntimeError,
+         r"state invariants violated at step 50 in realization 2: \[\('positivity', 0\.5"),
+    ], ids=["nan-off-diagonal", "trace-one-not-positive"])
+    def test_broken_row_aborts(self, monkeypatch, broken, error, message):
+        break_state(monkeypatch, 2, broken)
+        with pytest.raises(error, match=message):
+            run_ensemble(stochastic_config(steps=60, stop_at_threshold=False),
+                         seed_state(), 4, 0)
+
+    def test_flagged_row_aborts_without_a_report(self, monkeypatch):
+        """The batched check's finding stands even when the per-state report is empty."""
+        break_state(monkeypatch, 2, trace_one_not_positive)
+        monkeypatch.setattr(simulate, "density_violations", lambda rho: [])
+        with pytest.raises(RuntimeError, match="at step 50 in realization 2: trace or positivity"):
+            run_ensemble(stochastic_config(steps=60, stop_at_threshold=False),
+                         seed_state(), 4, 0)
+
+
 def star_h1():
     """Star coupling on n* = 2 with lambda_tilde = (-1, ..., 7, ...), in closed form.
 
@@ -492,12 +523,11 @@ def parity_case(name):
                          meas=photon_box(8, 1 / 8, theta), controller=quad,
                          steps=300, stop_at_threshold=stop)
         return run_trajectory(cfg, seed_state(), 0 if kind == "quadratic-pi4" else 2)
-    if kind == "random-sign":
-        ctrl = ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=5.0,
-                                tie_break="random-sign")
+    if kind == "quadratic-eps5":
+        ctrl = ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=5.0)
         cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(),
                          meas=pi10, controller=ctrl, steps=300)
-        # A diagonal start makes the first decision a flat concave tie.
+        # A diagonal start makes the first decision a flat concave tie (+u_bar).
         return run_trajectory(cfg, np.diag(np.diag(seed_state())), 2)
     if kind == "exact-min":
         cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(), meas=pi10,
