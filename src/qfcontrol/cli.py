@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -89,6 +89,16 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed or references missing files."""
 
 
+def _check_keys(obj, section, keys):
+    """obj, a section of the config ("" for its top level), when every key is in keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{section or 'config'} is {obj!r}, but must be a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown config key {section + '.' if section else ''}{unknown[0]}")
+    return obj
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one simulation run needs, loadable from a single JSON file."""
@@ -116,6 +126,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, raw, base_dir="."):
+        _check_keys(raw, "", ("p", "h1", "h0", "measurement", "controller", "rho0",
+                              "loop", "ensemble", "success_floor", "output_dir"))
         p = DiagonalObservable.from_json(raw["p"])
 
         h1_spec = raw["h1"]
@@ -129,7 +141,8 @@ class ExperimentConfig:
             meas = QndMeasurement.from_json(raw["measurement"])
 
         controller = ControllerConfig.from_json(
-            raw.get("controller", {"kind": "quadratic"})
+            _check_keys(raw.get("controller", {"kind": "quadratic"}), "controller",
+                        [f.name for f in fields(ControllerConfig)])
         )
 
         rho0_spec = raw["rho0"]
@@ -139,12 +152,14 @@ class ExperimentConfig:
             rho0 = matrix_from_json(rho0_spec)
         rho0 = _initial_state(rho0, p.dim, "rho0")
 
-        loop = raw.get("loop", {})
+        loop = _check_keys(raw.get("loop", {}), "loop", (
+            "mode", "steps", "fidelity_threshold", "stop_at_threshold"))
         h0 = None
         if raw.get("h0") is not None:
             h0 = matrix_from_json(raw["h0"])
 
-        ens = raw.get("ensemble", {})
+        ens = _check_keys(raw.get("ensemble", {}), "ensemble",
+                          ("realizations", "master_seed"))
         mode = loop.get("mode", "stochastic")
         if mode != "deterministic" and "master_seed" not in ens:
             raise ValueError("stochastic modes need ensemble.master_seed")

@@ -311,15 +311,12 @@ class QuadraticLaw:
         """u for arrays of curvature a and slope b."""
         ub = self.cfg.u_bar
         convex = a > 1e-12
-        every = convex.all()
         # u = -clip(b/a) where convex, else -copysign(u_bar, b): the endpoint
         # downhill of b.  The bounds are symmetric, and negating as 0.0 - x
         # turns a zero of either sign into 0.0, so logs never show "-0".
-        u = b / (a if every else np.where(convex, a, 1.0))
+        u = b / np.where(convex, a, 1.0)
         np.maximum(u, -ub, out=u)
         np.minimum(u, ub, out=u)
-        if every:
-            return np.subtract(0.0, u, out=u)
         u = np.subtract(0.0, np.where(convex, u, np.copysign(ub, b)))
         sloped = np.abs(b) > 1e-12
         if not sloped.all():

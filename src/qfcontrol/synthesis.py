@@ -18,9 +18,9 @@ cone condition becomes w >= 0, and the sparsity penalty ||vec(R)||_1 becomes
 4 * sum(w).  A first-order primal-dual iteration then needs only closed-form
 steps on one stacked iterate z = [w; lambda], and a single clip of z to fixed
 bounds projects onto both w >= 0 and the box on lambda.  With the penalty on,
-a non-negative least-squares solve on the identified support finishes the
-weights exactly.  :func:`cone_violations` checks a result against the cone
-as defined above.
+a least-squares polish on the identified support finishes the weights
+exactly, and is kept only when every polished weight is positive.
+:func:`cone_violations` checks a result against the cone as defined above.
 """
 
 from __future__ import annotations
@@ -220,33 +220,6 @@ def _r_of_edge_weights(w, n):
     return r
 
 
-def _nnls(a, b, tol=1e-12, max_iter=200):
-    """Small dense non-negative least squares (Lawson-Hanson active set)."""
-    m = a.shape[1]
-    passive = np.zeros(m, dtype=bool)
-    x = np.zeros(m)
-    for _ in range(max_iter):
-        grad = a.T @ (b - a @ x)
-        candidates = np.where(~passive & (grad > tol))[0]
-        if candidates.size == 0:
-            return x
-        passive[candidates[np.argmax(grad[candidates])]] = True
-        while True:
-            z = np.zeros(m)
-            z[passive], *_ = np.linalg.lstsq(a[:, passive], b, rcond=None)
-            if np.all(z[passive] > tol):
-                x = z
-                break
-            neg = passive & (z <= tol)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alphas = x[neg] / (x[neg] - z[neg])
-            alpha = float(np.min(alphas))
-            x = x + alpha * (z - x)
-            passive &= x > tol
-            x[~passive] = 0.0
-    return x
-
-
 def solve_synthesis(problem, max_iter=50000):
     """Solve min ||R sigma - lambda||_2 + alpha2 ||vec R||_1 over the cone.
 
@@ -271,8 +244,10 @@ def solve_synthesis(problem, max_iter=50000):
     computing it every time, and most iterations of a slow solve skip it.
 
     With the sparsity penalty on, the identified support is polished by
-    alternating the lambda clip with an exact non-negative least-squares
-    solve on the support, which removes the slow first-order tail.
+    alternating the lambda clip with an exact least-squares solve on the
+    support, which removes the slow first-order tail.  The polished weights
+    replace the first-order ones only when all are positive (so R stays in
+    the cone) and the objective is no worse.
     """
     sigma = problem.sigma.sigma
     n = sigma.size
@@ -359,16 +334,17 @@ def solve_synthesis(problem, max_iter=50000):
             a_s = amat[:, support]
             w_s = w[support]
             for _ in range(100):
-                lam_pol = box_clip(a_s @ w_s)
-                w_next = _nnls(a_s, lam_pol)
-                if float(np.max(np.abs(w_next - w_s))) <= 1e-14:
-                    w_s = w_next
-                    break
+                w_next = np.linalg.lstsq(a_s, box_clip(a_s @ w_s), rcond=None)[0]
+                done = float(np.max(np.abs(w_next - w_s))) <= 1e-14
                 w_s = w_next
+                if done:
+                    break
             cand = np.zeros(n_edges)
             cand[support] = w_s
             cand_lam = box_clip(amat @ cand)
-            if objective_of(cand, cand_lam) <= objective_of(w, lam) + 1e-12:
+            # Only positive weights keep R in the cone.
+            if (np.all(w_s > 0)
+                    and objective_of(cand, cand_lam) <= objective_of(w, lam) + 1e-12):
                 w, lam = cand, cand_lam
 
     r = _r_of_edge_weights(w, n)

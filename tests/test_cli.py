@@ -369,6 +369,18 @@ MALFORMED = {
     "output-dir-not-string": lambda cfg: cfg.update(output_dir=5),
     "output-dir-empty": lambda cfg: cfg.update(output_dir=""),
     "tie-break-random-sign": lambda cfg: cfg["controller"].update(tie_break="random-sign"),
+    "top-level-key-misspelt": lambda cfg: cfg.update(ensembel={"realizations": 2}),
+    "loop-key-misspelt": lambda cfg: cfg["loop"].update(stepz=10),
+    "ensemble-key-misspelt": lambda cfg: cfg["ensemble"].update(realisations=2),
+}
+
+
+# The MALFORMED cases whose config holds an unknown key, and that key's dotted path.
+UNKNOWN_KEY = {
+    "tie-break-random-sign": "controller.tie_break",
+    "top-level-key-misspelt": "ensembel",
+    "loop-key-misspelt": "loop.stepz",
+    "ensemble-key-misspelt": "ensemble.realisations",
 }
 
 
@@ -393,15 +405,16 @@ class TestMalformedConfig:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
-    def test_tie_break_is_named(self, tmp_path, capsys, command):
-        """The removed controller.tie_break key is refused by name."""
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_KEY))
+    def test_unknown_key_is_named(self, tmp_path, capsys, command, case):
+        """A misspelt or removed key is refused by its dotted path, not ignored."""
         cfg = experiment_config("unused", np.pi / 10)
         cfg["h1"] = zeros_json(8)
-        MALFORMED["tie-break-random-sign"](cfg)
+        MALFORMED[case](cfg)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path)]) == 1
-        assert "tie_break" in capsys.readouterr().err
+        assert f"unknown config key {UNKNOWN_KEY[case]}\n" in capsys.readouterr().err
 
 
 class TestReproducePaper:

@@ -16,6 +16,7 @@ from qfcontrol import (
     photon_box,
     r_of_hamiltonian,
     solve_synthesis,
+    synthesis,
     synthesis_pipeline,
     verify_lambda,
 )
@@ -144,6 +145,34 @@ class TestSolver:
         mask[2, :] = mask[:, 2] = False
         np.fill_diagonal(mask, False)
         assert np.max(np.abs(res.r[mask])) <= 1e-4
+
+    @pytest.mark.parametrize("max_iter", [100, 50000])
+    def test_polish_refuses_non_positive_weights(self, monkeypatch, max_iter):
+        """A polish with a weight <= 0 is dropped for the first-order weights.
+
+        lstsq, as the solver's polish sees it, is made to return a zero
+        weight, then a negative one.  Both solves keep the same R, which is
+        not the polished R and stays in the cone.  Capped at 100 iterations,
+        the first-order objective is poor enough that the negative weight's
+        candidate passes the objective test, so only the sign test keeps R
+        in the cone.
+        """
+        problem = SynthesisProblem(sigma=DiagonalObservable(SIGMA8, 2), alpha2=1.0)
+        polished = solve_synthesis(problem, max_iter=max_iter)
+        lstsq = np.linalg.lstsq
+        kept = []
+        for index, factor in ((0, 0.0), (-1, -1.0)):
+            def non_positive(a, b, rcond=None, index=index, factor=factor):
+                x, *rest = lstsq(a, b, rcond=rcond)
+                x[index] *= factor
+                return (x, *rest)
+
+            monkeypatch.setattr(synthesis.np.linalg, "lstsq", non_positive)
+            kept.append(solve_synthesis(problem, max_iter=max_iter))
+        assert np.array_equal(kept[0].r, kept[1].r)
+        assert not np.array_equal(kept[0].r, polished.r)
+        assert kept[0].iterations == polished.iterations
+        assert in_cone(kept[0].r)
 
     def test_constant_sigma_infeasible(self):
         p = DiagonalObservable(np.array([1.0, 1.0 + 1e-13, 1.0 + 2e-13]), 0)
