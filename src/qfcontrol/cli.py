@@ -99,6 +99,15 @@ def _check_keys(obj, section, keys):
     return obj
 
 
+# The keys of an inline matrix object: its data, and the keys save_matrix
+# writes beside it.
+_MATRIX_KEYS = ("n", "re", "im", "index_convention", "phase_policy", "config_hash")
+
+
+def _matrix(obj, section):
+    return matrix_from_json(_check_keys(obj, section, _MATRIX_KEYS))
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one simulation run needs, loadable from a single JSON file."""
@@ -128,35 +137,46 @@ class ExperimentConfig:
     def from_json(cls, raw, base_dir="."):
         _check_keys(raw, "", ("p", "h1", "h0", "measurement", "controller", "rho0",
                               "loop", "ensemble", "success_floor", "output_dir"))
-        p = DiagonalObservable.from_json(raw["p"])
+        p = DiagonalObservable.from_json(_check_keys(raw["p"], "p", ("diag", "n_star")))
 
+        # A matrix file named by path is read as it is, with no key check.
         h1_spec = raw["h1"]
         if isinstance(h1_spec, str):
             h1 = load_matrix(os.path.join(base_dir, h1_spec))
         else:
-            h1 = matrix_from_json(h1_spec)
+            h1 = _matrix(h1_spec, "h1")
 
         meas = None
-        if raw.get("measurement") is not None:
-            meas = QndMeasurement.from_json(raw["measurement"])
+        meas_spec = raw.get("measurement")
+        if meas_spec is not None:
+            if isinstance(meas_spec, dict) and "photon_box" in meas_spec:
+                _check_keys(meas_spec, "measurement", ("photon_box",))
+                _check_keys(meas_spec["photon_box"], "measurement.photon_box",
+                            ("n", "phi0", "theta"))
+            else:
+                _check_keys(meas_spec, "measurement", ("n", "m", "coeffs_re", "coeffs_im"))
+            meas = QndMeasurement.from_json(meas_spec)
 
         controller = ControllerConfig.from_json(
             _check_keys(raw.get("controller", {"kind": "quadratic"}), "controller",
                         [f.name for f in fields(ControllerConfig)])
         )
 
+        # rho0 is either {"diag": [...]} alone or a matrix object; a diag
+        # beside a matrix is refused by name, not dropped.
         rho0_spec = raw["rho0"]
-        if "diag" in rho0_spec and "re" not in rho0_spec:
-            rho0 = np.diag(json_numbers(rho0_spec["diag"], "rho0.diag"))
+        if isinstance(rho0_spec, dict) and "diag" in rho0_spec:
+            rho0 = np.diag(json_numbers(_check_keys(rho0_spec, "rho0", ("diag",))["diag"],
+                                        "rho0.diag"))
         else:
-            rho0 = matrix_from_json(rho0_spec)
+            rho0 = _matrix(rho0_spec, "rho0")
         rho0 = _initial_state(rho0, p.dim, "rho0")
 
         loop = _check_keys(raw.get("loop", {}), "loop", (
             "mode", "steps", "fidelity_threshold", "stop_at_threshold"))
         h0 = None
         if raw.get("h0") is not None:
-            h0 = matrix_from_json(raw["h0"])
+            h0 = _matrix(raw["h0"], "h0")
 
         ens = _check_keys(raw.get("ensemble", {}), "ensemble",
                           ("realizations", "master_seed"))

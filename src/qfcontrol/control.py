@@ -5,7 +5,8 @@ Three controllers are provided:
 - linear:     u = i * kappa * Tr([P, H1] rho), the measurement-free law.
 - exact-min:  u = argmin over [-u_bar, u_bar] of the exact expected
               post-step Lyapunov value, a trigonometric polynomial in u
-              evaluated in closed form (grid, then Newton steps).
+              evaluated in closed form (grid, then at most NEWTON_STEPS
+              Newton steps, stopping once a step moves no row).
 - quadratic:  closed-form minimization of the second-order expansion of the
               same objective, the fast approximation used in practice.
 
@@ -34,7 +35,8 @@ __all__ = [
 ]
 
 # The exact-min search: the best of GRID_POINTS evenly spaced controls over
-# [-u_bar, u_bar], then NEWTON_STEPS Newton steps inside its grid bracket.
+# [-u_bar, u_bar], then at most NEWTON_STEPS Newton steps inside its grid
+# bracket, stopping once a step moves no row.
 GRID_POINTS = 129
 NEWTON_STEPS = 4
 # At eps > 0 the exact-min law keeps an (R, n^2, m n) branch table, so it
@@ -144,11 +146,17 @@ class ExactMinLaw:
     d_mu'' and add the term and its derivatives.
 
     u starts at the best of GRID_POINTS evenly spaced controls, ties broken
-    toward 0, then toward +u_bar.  NEWTON_STEPS steps follow, each moving to
-    the minimum over the grid bracket (the neighbouring grid points) of the
-    second-order model at the current u: the Newton point when f'' > 0,
-    else the bracket end downhill of f'.  If f ends above the grid point's
-    value, the grid point is kept.
+    toward 0, then toward +u_bar.  At most NEWTON_STEPS steps follow, each
+    moving to the minimum over the grid bracket (the neighbouring grid
+    points) of the second-order model at the current u: the Newton point
+    when f'' > 0, else the bracket end downhill of f'.  The steps stop once
+    a step moves no row.  A step is a pure function of each row's u, given
+    its fixed coefficients and bracket, so a later one could not move any
+    row either, and the result has the same bits as running every step.
+    The test is ==, which takes -0.0 for 0.0: f is the same at both (the
+    phase is exp(+-0) = 1) and the returned u gets + 0.0, so that is safe; a
+    NaN row never compares equal, so it runs every step.  If f ends above
+    the grid point's value, the grid point is kept.
 
     The eigendecomposition comes from the propagator's cache.  Every product
     is a stacked matmul and every sum runs over one state's own entries, so
@@ -247,7 +255,12 @@ class ExactMinLaw:
             convex = d2f > 0
             newton = u - df / np.where(convex, d2f, 1.0)
             downhill = np.where(df > 0, lo, np.where(df < 0, hi, u))
-            u = np.minimum(np.maximum(np.where(convex, newton, downhill), lo), hi)
+            step = np.minimum(np.maximum(np.where(convex, newton, downhill), lo), hi)
+            # A step is a pure function of each row's u, so once it moves no
+            # row, no later step can (see the class docstring).
+            if (step == u).all():
+                break
+            u = step
         f = self._derivatives(terms, u)[0]
         worse = f > floor
         # + 0.0 turns -0.0 into 0.0, so logs never show "-0".

@@ -10,13 +10,16 @@ exp(-i H1 u), sharing no code with ``QndMeasurement``'s stack methods,
 The per-state values V, V_eps, the fidelity and the purity are written out
 one state at a time, apart from the batched kernel that logs them, and
 ``coinciding_gaps_by_pairs`` compares every pair of H0's gaps, apart from
-``assumption_report``'s vectorized rows.  ``break_state`` injects a fault
-into the step kernel, such as ``trace_one_not_positive``.
+``assumption_report``'s vectorized rows.  ``minimize_every_step`` runs
+``ExactMinLaw``'s search with all of its Newton steps, never stopping
+early.  ``break_state`` injects a fault into the step kernel, such as
+``trace_one_not_positive``.
 """
 
 import numpy as np
 
 from qfcontrol import HermitianPropagator, QndMeasurement
+from qfcontrol.control import GRID_POINTS, NEWTON_STEPS
 from qfcontrol.measurement import P_FLOOR
 
 
@@ -100,6 +103,36 @@ def expected_v_after(p, h1, meas, rho, u, epsilon=0.0):
     umat = HermitianPropagator(h1).unitary(u)
     return expected_update(
         meas, rho, lambda post: lyapunov_v_eps(p, umat @ post @ umat.conj().T, epsilon))
+
+
+def minimize_every_step(law, rho):
+    """u and f(u) of ExactMinLaw.minimize with all NEWTON_STEPS steps run on the whole stack.
+
+    The grid start, the Newton steps in the grid bracket and the fallback to
+    the grid point, written out through the law's own coefficients.
+    """
+    terms = law._coefficients(rho)
+    coeffs, branches = terms
+    values = (law._grid_phase @ coeffs[:, 0, :, None]).real[..., 0]
+    if branches is not None:
+        table, weights = branches
+        d = (law._grid_phase @ table).real
+        values += ((d * d) @ weights[:, 0, :, None])[..., 0]
+    floor = values.min(axis=-1)
+    tied = values <= floor[:, None]
+    best = law._preference[np.argmax(tied[:, law._preference], axis=-1)]
+    lo = law.grid[np.maximum(best - 1, 0)]
+    hi = law.grid[np.minimum(best + 1, GRID_POINTS - 1)]
+    u = law.grid[best]
+    for _ in range(NEWTON_STEPS):
+        _, df, d2f = law._derivatives(terms, u)
+        convex = d2f > 0
+        newton = u - df / np.where(convex, d2f, 1.0)
+        downhill = np.where(df > 0, lo, np.where(df < 0, hi, u))
+        u = np.minimum(np.maximum(np.where(convex, newton, downhill), lo), hi)
+    f = law._derivatives(terms, u)[0]
+    worse = f > floor
+    return np.where(worse, law.grid[best], u) + 0.0, np.where(worse, floor, f)
 
 
 def break_state(monkeypatch, row, broken, call=50):

@@ -323,6 +323,12 @@ def measurement_coeff_as_string(cfg):
     cfg["measurement"] = meas
 
 
+def rho0_diag_and_matrix(cfg):
+    """rho0's diag with the same state written out as a matrix beside it."""
+    rho0 = np.diag(cfg["rho0"]["diag"])
+    cfg["rho0"].update(n=8, re=rho0.tolist(), im=np.zeros((8, 8)).tolist())
+
+
 MALFORMED = {
     "no-measurement": drop_measurement,
     "zero-steps": lambda cfg: cfg["loop"].update(steps=0),
@@ -372,6 +378,12 @@ MALFORMED = {
     "top-level-key-misspelt": lambda cfg: cfg.update(ensembel={"realizations": 2}),
     "loop-key-misspelt": lambda cfg: cfg["loop"].update(stepz=10),
     "ensemble-key-misspelt": lambda cfg: cfg["ensemble"].update(realisations=2),
+    "p-key-misspelt": lambda cfg: cfg.update(p={**P_DIAG, "nstar": 0}),
+    "rho0-key-misspelt": lambda cfg: cfg["rho0"].update(diagg=[0.125] * 8),
+    "rho0-diag-and-matrix": rho0_diag_and_matrix,
+    "photon-box-key-misspelt": lambda cfg: cfg["measurement"]["photon_box"].update(thetta=0.3),
+    "measurement-key-beside-photon-box": lambda cfg: cfg["measurement"].update(n=8),
+    "h1-key-misspelt": lambda cfg: cfg["h1"].update(nn=8),
 }
 
 
@@ -381,6 +393,12 @@ UNKNOWN_KEY = {
     "top-level-key-misspelt": "ensembel",
     "loop-key-misspelt": "loop.stepz",
     "ensemble-key-misspelt": "ensemble.realisations",
+    "p-key-misspelt": "p.nstar",
+    "rho0-key-misspelt": "rho0.diagg",
+    "rho0-diag-and-matrix": "rho0.im",
+    "photon-box-key-misspelt": "measurement.photon_box.thetta",
+    "measurement-key-beside-photon-box": "measurement.n",
+    "h1-key-misspelt": "h1.nn",
 }
 
 
@@ -467,6 +485,18 @@ class TestExperimentConfig:
         assert loaded.loop.h1.shape == (8, 8)
         assert loaded.loop.mode == "stochastic"
         assert loaded.master_seed == 42
+
+    def test_loads_a_saved_matrix_inline(self, tmp_path, synthesized):
+        """h1.json as synthesize writes it, with the keys save_matrix adds, loads inline too."""
+        saved = json.loads((synthesized / "h1.json").read_text())
+        assert {"index_convention", "phase_policy", "config_hash"} <= set(saved)
+        h1 = []
+        for spec in (str(synthesized / "h1.json"), saved):
+            cfg = {**experiment_config("unused", np.pi / 10), "h1": spec}
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(cfg))
+            h1.append(ExperimentConfig.load(path).loop.h1)
+        assert np.array_equal(h1[0], h1[1])
 
     def test_full_matrix_rho0_runs_as_its_diag_form(self, tmp_path):
         """rho0 as {"n", "re", "im"} loads, and runs, as the same state given by "diag"."""

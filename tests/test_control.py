@@ -12,14 +12,19 @@ from qfcontrol import (
     LinearLaw,
     QndMeasurement,
     QuadraticLaw,
+    SynthesisProblem,
     curvature_at_eigenstate,
+    hamiltonian_of_r,
     photon_box,
     r_of_hamiltonian,
+    solve_synthesis,
 )
+from qfcontrol.control import NEWTON_STEPS
 from helpers import (
     expected_v_after,
     lyapunov_v,
     lyapunov_v_eps,
+    minimize_every_step,
     random_density,
     random_hermitian,
     random_measurement,
@@ -394,3 +399,61 @@ class TestExactMinClosedForm:
         for n in range(dim):
             scale = np.abs(r[n]) @ np.abs(p.sigma - p.sigma[n])
             assert abs(curvature_at_eigenstate(p, h1, meas, n) - lam[n]) <= 1e-9 * scale
+
+
+def bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestNewtonStop:
+    """The Newton steps stop once a step moves no row, with the bits of running all of them."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 10),
+           regularized=st.booleans(), rows=st.integers(1, 40))
+    def test_equals_every_step(self, seed, dim, regularized, rows):
+        """Stacks above _EPS_BLOCK rows at eps > 0 are minimized a block at a time."""
+        p, h1, meas, rho, cfg, rng = random_exact_min_instance(seed, dim, regularized)
+        stack = np.stack([rho] + [random_density(rng, dim) for _ in range(rows - 1)])
+        law = ExactMinLaw(p, h1, meas, cfg)
+        assert bits(*law.minimize(stack)) == bits(*minimize_every_step(law, stack))
+
+    @pytest.fixture
+    def derivative_calls(self, monkeypatch):
+        calls = []
+        original = ExactMinLaw._derivatives
+
+        def counted(self, terms, u):
+            calls.append(None)
+            return original(self, terms, u)
+
+        monkeypatch.setattr(ExactMinLaw, "_derivatives", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def reference_law(self):
+        """The exact_min benchmark's law: the reference instance, dense H1, theta = pi/10."""
+        p = DiagonalObservable(SIGMA8, 2)
+        h1 = hamiltonian_of_r(solve_synthesis(SynthesisProblem(sigma=p)).r, "positive")
+        return ExactMinLaw(p, h1, photon_box(8, 1 / 8, np.pi / 10),
+                           ControllerConfig(kind="exact-min", u_bar=0.1))
+
+    def test_a_decision_at_the_bound_stops_after_one_step(self, reference_law,
+                                                          derivative_calls):
+        """From the reference rho0, u = u_bar is a fixed point: one step, then f."""
+        rho0 = np.ones((8, 8), dtype=complex) / 16.0
+        rho0[0, 0] += 0.5
+        u, f = reference_law.minimize(rho0[None])
+        assert len(derivative_calls) == 2
+        assert u[0] == 0.1
+        assert bits(u, f) == bits(*minimize_every_step(reference_law, rho0[None]))
+
+    def test_an_interior_decision_runs_every_step(self, reference_law, derivative_calls):
+        """Near |n*>, with a complex coherence, u stays inside the bound and moves every step."""
+        psi = np.zeros(8, dtype=complex)
+        psi[2], psi[1] = np.sqrt(0.99), 0.1j
+        rho = np.outer(psi, psi.conj())[None]
+        u, f = reference_law.minimize(rho)
+        assert len(derivative_calls) == NEWTON_STEPS + 1
+        assert 0.0 < u[0] < 0.1
+        assert bits(u, f) == bits(*minimize_every_step(reference_law, rho))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfcontrol import (
     ControllerConfig,
@@ -26,8 +28,18 @@ from qfcontrol import (
     write_trajectories_csv,
 )
 from qfcontrol import simulate
+from qfcontrol.core import density_violations
 from qfcontrol.simulate import splitmix64
-from helpers import break_state, fidelity_to_basis, lyapunov_v, purity, trace_one_not_positive
+from helpers import (
+    break_state,
+    fidelity_to_basis,
+    lyapunov_v,
+    purity,
+    random_density,
+    random_hermitian,
+    random_measurement,
+    trace_one_not_positive,
+)
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]
@@ -605,6 +617,37 @@ class TestFinalLog:
             assert t.lyapunov[-1] == pytest.approx(lyapunov_v(p, final), rel=1e-14, abs=1e-14)
             assert t.purity[-1] == pytest.approx(purity(final), rel=1e-14, abs=1e-14)
         assert len({t.steps_run for t in ensemble}) > 1
+
+
+class TestInvariantsAlongTrajectories:
+    """Along random systems' trajectories, every logged value stays where the theory puts it."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+           kind=st.sampled_from(["quadratic", "exact-min"]))
+    def test_logged_values_and_final_states(self, seed, dim, kind):
+        """Fidelity in [0, 1], purity in [1/n, 1], V in [min sigma, max sigma], to 1e-12."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 5))
+        sigma = rng.uniform(0.0, 10.0, dim)
+        cfg = LoopConfig(
+            mode="stochastic", p=DiagonalObservable(sigma, int(np.argmin(sigma))),
+            h1=random_hermitian(rng, dim), meas=random_measurement(rng, m, dim),
+            controller=ControllerConfig(kind=kind, u_bar=0.3), steps=100,
+            stop_at_threshold=False)
+        ens = run_ensemble(cfg, random_density(rng, dim), 3, seed)
+        tol = 1e-12
+
+        def within(x, lo, hi):
+            return bool(np.all((lo - tol <= x) & (x <= hi + tol)))
+
+        for t in ens.trajectories:
+            assert t.steps_run == 100
+            assert within(t.fidelity, 0.0, 1.0)
+            assert within(t.purity, 1.0 / dim, 1.0)
+            assert within(t.lyapunov, sigma.min(), sigma.max())
+            assert np.all(np.isin(t.outcome, np.arange(m)))
+            assert density_violations(t.states[t.steps_run]) == []
 
 
 class TestArtifacts:
