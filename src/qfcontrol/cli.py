@@ -186,6 +186,11 @@ class ExperimentConfig:
         realizations = json_int(ens.get("realizations", 100), "ensemble.realizations")
         if realizations < 1:
             raise ValueError(f"ensemble.realizations is {realizations}, but must be at least 1")
+        success_floor = json_number(raw.get("success_floor", 0.0), "success_floor")
+        # Written so that NaN fails the check too: simulate would run the
+        # whole ensemble and then exit 1 whatever its success rate.
+        if not 0.0 <= success_floor <= 1.0:
+            raise ValueError(f"success_floor is {success_floor}, but must be in [0, 1]")
         output_dir = raw.get("output_dir", ".")
         # os.makedirs would fail on it only after the whole ensemble has run.
         if not isinstance(output_dir, str) or not output_dir:
@@ -208,7 +213,7 @@ class ExperimentConfig:
             rho0=rho0,
             realizations=realizations,
             master_seed=json_int(ens.get("master_seed", 0), "ensemble.master_seed"),
-            success_floor=json_number(raw.get("success_floor", 0.0), "success_floor"),
+            success_floor=success_floor,
             output_dir=output_dir,
             raw=raw,
         )

@@ -155,8 +155,10 @@ class ExactMinLaw:
     row either, and the result has the same bits as running every step.
     The test is ==, which takes -0.0 for 0.0: f is the same at both (the
     phase is exp(+-0) = 1) and the returned u gets + 0.0, so that is safe; a
-    NaN row never compares equal, so it runs every step.  If f ends above
-    the grid point's value, the grid point is kept.
+    NaN row never compares equal, so it runs every step.  f(u) comes from
+    the last Newton evaluation: the one that found the fixed point, or one
+    more at the last step's u when every step moved some row.  If f ends
+    above the grid point's value, the grid point is kept.
 
     The eigendecomposition comes from the propagator's cache.  Every product
     is a stacked matmul and every sum runs over one state's own entries, so
@@ -246,22 +248,24 @@ class ExactMinLaw:
             values += ((d * d) @ weights[:, 0, :, None])[..., 0]
         floor = values.min(axis=-1)
         tied = values <= floor[:, None]
-        best = self._preference[np.argmax(tied[:, self._preference], axis=-1)]
+        best = self._preference[tied[:, self._preference].argmax(axis=-1)]
         lo = self.grid[np.maximum(best - 1, 0)]
         hi = self.grid[np.minimum(best + 1, GRID_POINTS - 1)]
         u = self.grid[best]
         for _ in range(NEWTON_STEPS):
-            _, df, d2f = self._derivatives(terms, u)
+            f, df, d2f = self._derivatives(terms, u)
             convex = d2f > 0
             newton = u - df / np.where(convex, d2f, 1.0)
             downhill = np.where(df > 0, lo, np.where(df < 0, hi, u))
             step = np.minimum(np.maximum(np.where(convex, newton, downhill), lo), hi)
             # A step is a pure function of each row's u, so once it moves no
-            # row, no later step can (see the class docstring).
+            # row, no later step can (see the class docstring), and f is
+            # already f at the returned u.
             if (step == u).all():
                 break
             u = step
-        f = self._derivatives(terms, u)[0]
+        else:
+            f = self._derivatives(terms, u)[0]
         worse = f > floor
         # + 0.0 turns -0.0 into 0.0, so logs never show "-0".
         return np.where(worse, self.grid[best], u) + 0.0, np.where(worse, floor, f)

@@ -12,8 +12,9 @@ one state at a time, apart from the batched kernel that logs them, and
 ``coinciding_gaps_by_pairs`` compares every pair of H0's gaps, apart from
 ``assumption_report``'s vectorized rows.  ``minimize_every_step`` runs
 ``ExactMinLaw``'s search with all of its Newton steps, never stopping
-early.  ``break_state`` injects a fault into the step kernel, such as
-``trace_one_not_positive``.
+early.  ``collapse_by_division`` divides the collapsed states by p, where
+``QndMeasurement`` multiplies them by 1/p.  ``break_state`` injects a fault
+into the step kernel, such as ``trace_one_not_positive``.
 """
 
 import numpy as np
@@ -73,6 +74,14 @@ def random_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def random_mixed_density(rng, n):
+    """A density matrix of random rank 1 to n."""
+    g = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+    g = g + 1j * rng.normal(size=g.shape)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def random_measurement(rng, m, dim):
     """A QND measurement with m outcomes on dim levels and random phases."""
     # Columns of |c|^2 on the simplex give completeness; phases are free.
@@ -103,6 +112,12 @@ def expected_v_after(p, h1, meas, rho, u, epsilon=0.0):
     umat = HermitianPropagator(h1).unitary(u)
     return expected_update(
         meas, rho, lambda post: lyapunov_v_eps(p, umat @ post @ umat.conj().T, epsilon))
+
+
+def collapse_by_division(meas, mu, rho):
+    """M_mu rho M_mu† / p_mu for a stack, one mu[r] per state, dividing by p."""
+    p = (meas.weights[mu] * rho.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
+    return meas.projectors[mu] * rho / p[:, None, None]
 
 
 def minimize_every_step(law, rho):

@@ -365,6 +365,9 @@ MALFORMED = {
     "fidelity-threshold-true": lambda cfg: cfg["loop"].update(fidelity_threshold=True),
     "fidelity-threshold-string": lambda cfg: cfg["loop"].update(fidelity_threshold="0.5"),
     "success-floor-string": lambda cfg: cfg.update(success_floor="0.5"),
+    "success-floor-above-1": lambda cfg: cfg.update(success_floor=1.5),
+    "success-floor-nan": lambda cfg: cfg.update(success_floor=float("nan")),
+    "success-floor-negative": lambda cfg: cfg.update(success_floor=-0.5),
     "u-bar-true": lambda cfg: cfg["controller"].update(u_bar=True),
     "sigma-entry-string": lambda cfg: cfg.update(
         p={**P_DIAG, "diag": ["51.7022"] + P_DIAG["diag"][1:]}),

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfcontrol import OutcomeImpossible, QndMeasurement, photon_box
+from qfcontrol.measurement import P_FLOOR
 from qfcontrol.core import basis_state, density_violations
-from helpers import expected_update, random_density, random_measurement
+from helpers import (collapse_by_division, expected_update, random_density,
+                     random_measurement, random_mixed_density)
 
 
 def unclamped_probabilities(meas, rho):
@@ -103,12 +105,7 @@ class TestSampleAndCollapse:
     def test_matches_inverse_cdf_and_apply_outcomes(self, seed, dim, m, stack):
         rng = np.random.default_rng(seed)
         meas = random_measurement(rng, m, dim)
-        rho = []
-        for _ in range(stack):
-            g = rng.normal(size=(dim, int(rng.integers(1, dim + 1))))
-            g = g + 1j * rng.normal(size=g.shape)
-            rho.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
-        rho = np.array(rho)
+        rho = np.array([random_mixed_density(rng, dim) for _ in range(stack)])
         x = rng.random(stack)
         p = unclamped_probabilities(meas, rho)
         mu, post = meas.sample_and_collapse(rho, p, x)
@@ -128,6 +125,30 @@ class TestSampleAndCollapse:
         tiny[-1, :2] = 1e-13, 1.0 - 1e-13
         with pytest.raises(OutcomeImpossible, match="outcome 0"):
             meas.sample_and_collapse(rho, tiny, np.where(np.arange(stack) == stack - 1, 0.0, x))
+
+
+class TestCollapseByReciprocal:
+    """The collapse multiplies by 1/p and gives what dividing by p gives."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 5),
+           stack=st.integers(1, 64))
+    def test_equals_division(self, seed, dim, m, stack):
+        """Equal under == everywhere, and bit for bit wherever the entry is not a zero.
+
+        Complex coefficients, states of random rank, and for each state an
+        outcome drawn among those above P_FLOOR.
+        """
+        rng = np.random.default_rng(seed)
+        meas = random_measurement(rng, m, dim)
+        rho = np.array([random_mixed_density(rng, dim) for _ in range(stack)])
+        p = unclamped_probabilities(meas, rho)
+        mu = np.array([rng.choice(np.flatnonzero(row > P_FLOOR)) for row in p])
+        post = meas.apply_outcomes(mu, rho).view(float)
+        oracle = collapse_by_division(meas, mu, rho).view(float)
+        assert np.array_equal(post, oracle)
+        nonzero = oracle != 0.0
+        assert np.array_equal(post[nonzero].view(np.int64), oracle[nonzero].view(np.int64))
 
 
 class TestMartingale:
@@ -152,9 +173,7 @@ class TestMartingale:
         """
         rng = np.random.default_rng(seed)
         meas = random_measurement(rng, m, dim)
-        g = rng.normal(size=(dim, int(rng.integers(1, dim + 1))))
-        g = g + 1j * rng.normal(size=g.shape)
-        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        rho = random_mixed_density(rng, dim)
         kraus = [np.diag(c) for c in meas.coeffs]
         assert np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(dim)).max() <= 1e-12
         channel = sum(k @ rho @ k.conj().T for k in kraus)
