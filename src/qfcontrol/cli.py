@@ -108,6 +108,11 @@ def _matrix(obj, section):
     return matrix_from_json(_check_keys(obj, section, _MATRIX_KEYS))
 
 
+def _observable(obj):
+    """The observable P of a config's p section or of a p-diag file."""
+    return DiagonalObservable.from_json(_check_keys(obj, "p", ("diag", "n_star")))
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one simulation run needs, loadable from a single JSON file."""
@@ -137,7 +142,7 @@ class ExperimentConfig:
     def from_json(cls, raw, base_dir="."):
         _check_keys(raw, "", ("p", "h1", "h0", "measurement", "controller", "rho0",
                               "loop", "ensemble", "success_floor", "output_dir"))
-        p = DiagonalObservable.from_json(_check_keys(raw["p"], "p", ("diag", "n_star")))
+        p = _observable(raw["p"])
 
         # A matrix file named by path is read as it is, with no key check.
         h1_spec = raw["h1"]
@@ -276,7 +281,7 @@ def _simulate(out_dir, loop, rho0, n, master_seed, chash, **extra):
 def cmd_synthesize(args):
     try:
         with open(args.p_diag) as f:
-            p = DiagonalObservable.from_json(json.load(f))
+            p = _observable(json.load(f))
     except (OSError, LookupError, TypeError, ValueError) as e:
         print(f"error: bad p-diag file {args.p_diag}: {e}", file=sys.stderr)
         return 1

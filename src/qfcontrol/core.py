@@ -38,6 +38,11 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9             # smallest eigenvalue >= -PSD_TOL
 
+# A gap, coupling or level distance at or below this counts as zero in the
+# structural checks (synthesis.assumption_report and
+# QndMeasurement.check_distinguishability).
+ASSUMPTION_TOL = 1e-8
+
 
 class DensityInvariantError(ValueError):
     """Raised when a candidate density matrix violates an invariant.

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import json_int, json_number, json_numbers
+from .core import ASSUMPTION_TOL, json_int, json_number, json_numbers
 
 __all__ = [
     "P_FLOOR",
@@ -130,16 +130,16 @@ class QndMeasurement:
         w = self.weights
         return np.max(np.abs(w[:, :, None] - w[:, None, :]), axis=0)
 
-    def check_distinguishability(self, tol=1e-8):
-        """Level pairs whose outcome statistics coincide within tol.
+    def check_distinguishability(self):
+        """Level pairs whose outcome statistics coincide within ASSUMPTION_TOL.
 
         An empty list means every pair of basis states is distinguishable by
         at least one outcome, which is what the convergence results require.
-        The distance compared with tol is that of level_distances.
+        The distance compared with ASSUMPTION_TOL is that of level_distances.
         """
         dist = self.level_distances()
         return [(n1, n2) for n1 in range(self.dim) for n2 in range(n1 + 1, self.dim)
-                if dist[n1, n2] <= tol]
+                if dist[n1, n2] <= ASSUMPTION_TOL]
 
     def to_json(self):
         return {

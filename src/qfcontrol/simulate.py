@@ -7,8 +7,8 @@ applies exp(-i H0) exp(-i H1 u) with the linear feedback law.  One kernel,
 ``_run``, executes the step in all four modes for a stack of R realizations
 at once: an (R, n, n) state, (R, steps + 1) logs and one random stream per
 realization.  ``run_ensemble`` runs every realization through it together;
-``run_trajectory`` checks its arguments against the mode, seeds the stream
-and runs one (R = 1).
+``run_trajectory`` checks its arguments against the mode and runs one
+(R = 1).
 
 Every realization owns an independent random stream derived from the master
 seed with splitmix64, and the kernel gives each row the same bits whatever
@@ -62,10 +62,6 @@ __all__ = [
 ABSORB_THRESHOLD = 0.999
 
 REVALIDATE_EVERY = 50
-
-# Uniforms drawn per refill of a realization's buffer: 2 KB per live
-# realization, refilled about once per 256 steps.
-DRAW_BLOCK = 256
 
 # The modes run_ensemble accepts.  A deterministic run has no stream to vary,
 # and a filtered ensemble would need an initial estimate no caller supplies.
@@ -194,40 +190,6 @@ def _revalidate(rho, k, ids):
     return rho
 
 
-class _Streams:
-    """One block of uniforms per live realization, drawn from its own stream.
-
-    rng.random(k) is bit-identical to k calls of rng.random(), so reading a
-    row's block in order, refilled from the same generator when it runs
-    out, replays that realization's stream exactly.  Every live realization
-    draws one uniform per step, so every row's next uniform sits in one
-    shared column.
-    """
-
-    def __init__(self, gens, block):
-        self.gens = list(gens)
-        self.buf = np.array([g.random(block) for g in self.gens])
-        self.col = 0
-
-    def draw(self):
-        """The next uniform of every live realization.
-
-        The result is a view of the buffer, valid until the next draw.
-        """
-        block = self.buf.shape[1]
-        if self.col == block:
-            for r, g in enumerate(self.gens):
-                self.buf[r] = g.random(block)
-            self.col = 0
-        c = self.col
-        self.col += 1
-        return self.buf[:, c]
-
-    def keep(self, mask):
-        self.gens = [g for g, live in zip(self.gens, mask) if live]
-        self.buf = self.buf[mask]
-
-
 class _Log:
     """Logs of a stack of realizations as (R, steps + 1) arrays, by realization index."""
 
@@ -353,16 +315,16 @@ def _initial_state(state, dim, name):
         raise ValueError(f"{name} is not a density matrix: {e}") from e
 
 
-def _run(cfg, rho0, gens, est0=None):
-    """The one step kernel: advance len(gens) realizations of cfg as one stack.
+def _run(cfg, rho0, seeds, est0=None):
+    """The one step kernel: advance len(seeds) realizations of cfg as one stack.
 
     Realization r starts from rho0 (and the filter from est0), each checked
-    to be a density matrix of the config's dimension, and draws from
-    the generator gens[r]; the deterministic loop draws nothing, and its
-    gens holds one None per realization.  Each step measures (all modes but
-    deterministic), takes the control from the post-measurement state, or
-    from the filter state when ``est0`` is given, and propagates, for every
-    live realization at once.
+    to be a density matrix of the config's dimension, and draws from the
+    PCG64 stream seeded by seeds[r]; the deterministic loop draws nothing,
+    and its seeds hold one None per realization.  Each step measures (all
+    modes but deterministic), takes the control from the post-measurement
+    state, or from the filter state when ``est0`` is given, and propagates,
+    for every live realization at once.
     Open-loop applies no unitary and logs u = 0; the deterministic loop
     applies exp(-i H0) after exp(-i H1 u) and logs the outcome as NaN.
     Open-loop stops once a basis state is absorbed, the other modes once
@@ -371,13 +333,21 @@ def _run(cfg, rho0, gens, est0=None):
     the same bits whatever the stack's size, so a realization's trajectory
     does not depend on which others run beside it.  Returns the stack's
     closed _Log.
+
+    A measured realization takes one uniform per step, and all of them are
+    drawn up front as one (R, steps) table; rng.random(k) gives the same
+    bits as k calls of rng.random(), so step k reads the k-th draw of each
+    stream.  The table is one float array beside the five (R, steps [+ 1])
+    arrays of the log, so it adds at most about 20 % to the log's memory.
     """
     open_loop = cfg.mode == "open-loop"
     measured = cfg.mode != "deterministic"
-    n_runs = len(gens)
+    n_runs = len(seeds)
     rho = np.repeat(_initial_state(rho0, cfg.p.dim, "rho0")[None], n_runs, axis=0)
     est = None if est0 is None else np.repeat(_initial_state(est0, cfg.p.dim, "est0")[None], n_runs, axis=0)
-    streams = _Streams(gens, min(cfg.steps, DRAW_BLOCK)) if measured else None
+    if measured:
+        uniforms = np.array([np.random.Generator(np.random.PCG64(s)).random(cfg.steps)
+                             for s in seeds])
     prop = None if open_loop else HermitianPropagator(cfg.h1)
     if not open_loop:
         control = _controller(cfg, prop)
@@ -385,8 +355,8 @@ def _run(cfg, rho0, gens, est0=None):
         u0 = HermitianPropagator(cfg.h0).unitary(1.0)
         u0_dag = u0.conj().T
     ids = np.arange(n_runs)
-    # Log rows of the live realizations: a slice, which is cheaper to write
-    # through, until the first one stops.
+    # Log and table rows of the live realizations: a slice, which is cheaper
+    # to index with, until the first one stops.
     rows = slice(None)
     log = _Log(cfg, n_runs, est is not None)
     d, dots = log.record_state(0, rows, rho, est)
@@ -400,13 +370,11 @@ def _run(cfg, rho0, gens, est0=None):
                 ids, rho, dots = ids[live], rho[live], dots[live]
                 rows = ids
                 est = None if est is None else est[live]
-                if streams is not None:
-                    streams.keep(live)
                 if not ids.size:
                     break
         mu = np.nan
         if measured:
-            mu, rho = cfg.meas.sample_and_collapse(rho, dots[:, :-1], streams.draw())
+            mu, rho = cfg.meas.sample_and_collapse(rho, dots[:, :-1], uniforms[rows, k])
             if est is not None:
                 est = _collapse_estimate(cfg.meas, est, mu, k)
         u = 0.0
@@ -428,10 +396,6 @@ def _run(cfg, rho0, gens, est0=None):
     return log
 
 
-def _generator(seed):
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def run_trajectory(cfg, rho0, seed=None, est0=None):
     """Run one realization of cfg from rho0 and return its Trajectory.
 
@@ -445,8 +409,7 @@ def run_trajectory(cfg, rho0, seed=None, est0=None):
     if (est0 is None) == (cfg.mode == "filtered"):
         raise ValueError(f"{cfg.mode} mode {'needs an' if est0 is None else 'takes no'} "
                          "initial filter state est0")
-    gen = None if deterministic else _generator(seed)
-    return _run(cfg, rho0, [gen], est0).trajectories()[0]
+    return _run(cfg, rho0, [seed], est0).trajectories()[0]
 
 
 def trace_distance(a, b):
@@ -492,8 +455,7 @@ def run_ensemble(cfg, rho0, n_realizations, master_seed):
         raise ValueError("need at least one realization")
     if cfg.mode not in ENSEMBLE_MODES:
         raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")
-    log = _run(cfg, rho0, [_generator(derive_seed(master_seed, i))
-                           for i in range(n_realizations)])
+    log = _run(cfg, rho0, [derive_seed(master_seed, i) for i in range(n_realizations)])
     absorbed = log.absorbed
     return EnsembleResult(
         realizations=n_realizations,

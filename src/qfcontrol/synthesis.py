@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HERMITICITY_TOL, DiagonalObservable, is_hermitian
+from .core import ASSUMPTION_TOL, HERMITICITY_TOL, DiagonalObservable, is_hermitian
 
 __all__ = [
     "CONE_TOL",
@@ -383,12 +383,12 @@ def _wrap_mod_2pi(x):
     return (x + np.pi) % (2 * np.pi) - np.pi
 
 
-def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
+def assumption_report(p, h0=None, h1=None, meas=None):
     """Structural checks backing the convergence guarantees.
 
     Returns a dict of named checks; inputs not supplied are skipped.
     - 'diagonal': H0 is diagonal in the reference basis.
-    - 'nondegenerate_spectrum': all energy gaps of P exceed tol.
+    - 'nondegenerate_spectrum': all energy gaps of P exceed ASSUMPTION_TOL.
     - 'strong_regularity_mod_2pi': no two distinct ordered eigenvalue gaps of
       H0 coincide modulo 2*pi (the discrete-time version of strong
       regularity).  Each of the n(n-1) gaps is compared with all later ones
@@ -404,7 +404,7 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
     gaps = np.abs(np.subtract.outer(p.sigma, p.sigma))
     np.fill_diagonal(gaps, np.inf)
     i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-    ok = gaps[i, j] > tol
+    ok = gaps[i, j] > ASSUMPTION_TOL
     checks["nondegenerate_spectrum"] = AssumptionCheck(
         "nondegenerate_spectrum", bool(ok),
         () if ok else ((int(i), int(j)),),
@@ -422,7 +422,8 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
         pairs = [(a, b) for a in range(h.size) for b in range(h.size) if a != b]
         g = np.array([h[b] - h[a] for a, b in pairs])
         colliding = [(pairs[x], pairs[z]) for x in range(len(pairs))
-                     for z in x + 1 + np.flatnonzero(np.abs(_wrap_mod_2pi(g[x] - g[x + 1:])) <= tol)]
+                     for z in x + 1 + np.flatnonzero(
+                         np.abs(_wrap_mod_2pi(g[x] - g[x + 1:])) <= ASSUMPTION_TOL)]
         checks["strong_regularity_mod_2pi"] = AssumptionCheck(
             "strong_regularity_mod_2pi", not colliding, tuple(colliding),
             f"{len(colliding)} coinciding gap pairs (mod 2 pi)",
@@ -432,7 +433,7 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
         h1 = np.asarray(h1, dtype=complex)
         n = h1.shape[0]
         zero = [(a, b) for a in range(n) for b in range(a + 1, n)
-                if abs(h1[a, b]) <= tol]
+                if abs(h1[a, b]) <= ASSUMPTION_TOL]
         checks["full_connectivity"] = AssumptionCheck(
             "full_connectivity", not zero, tuple(zero),
             f"{len(zero)} vanishing off-diagonal couplings"
@@ -440,7 +441,7 @@ def assumption_report(p, h0=None, h1=None, meas=None, tol=1e-8):
         )
 
     if meas is not None:
-        bad = meas.check_distinguishability(tol)
+        bad = meas.check_distinguishability()
         dist = meas.level_distances()
         np.fill_diagonal(dist, np.inf)
         i, j = np.unravel_index(np.argmin(dist), dist.shape)

@@ -1,11 +1,15 @@
-"""Property test: a realization's trajectory does not depend on its batch.
+"""Property tests: a realization's trajectory does not depend on its batch
+or on its step budget.
 
 ``run_ensemble`` advances every realization as one stack; each realization
 must come out bit for bit as it does when run alone through
-``run_trajectory`` with the same stream.  Systems are drawn at random:
-dimension 2-16, a random QND measurement, random H1, sigma and mixed
-initial state.
+``run_trajectory`` with the same stream, and its first steps must not change
+when the budget grows.  Systems are drawn at random: dimension 2-16 (2-8
+under the budget test), a random QND measurement, random H1, sigma and
+mixed initial state.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -90,13 +94,45 @@ def test_batched_equals_alone(seed, dim, law, stop, diagonal_start, n_runs, mast
     assert_same_as_alone(cfg, rho0, n_runs, master)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 8),
+    law=st.sampled_from(["open-loop", "quadratic", "quadratic-eps2", "exact-min"]),
+    stop=st.booleans(),
+    n_runs=st.integers(1, 4),
+    master=st.integers(0, 2**64 - 1),
+    s1=st.integers(200, 300),
+    extra=st.integers(1, 100),
+)
+def test_budget_does_not_change_the_steps_run(seed, dim, law, stop, n_runs, master, s1, extra):
+    """Under budgets s1 < s2 a realization's logs agree up to s1 or its stop.
+
+    The budgets fall on both sides of 256 steps.  A realization that stops
+    before s1 stops at the same step under s2, in the same final state.
+    """
+    cfg, rho0 = random_system(seed, dim, law, stop, False)
+    short = run_ensemble(replace(cfg, steps=s1), rho0, n_runs, master)
+    long = run_ensemble(replace(cfg, steps=s1 + extra), rho0, n_runs, master)
+    for a, b in zip(short.trajectories, long.trajectories, strict=True):
+        s = a.steps_run
+        if s < s1:
+            assert b.steps_run == s
+            assert (b.first_hit, b.absorbed_state) == (a.first_hit, a.absorbed_state)
+            assert np.array_equal(b.states[s], a.states[s])
+        for name in ("u", "outcome"):
+            assert np.array_equal(getattr(b, name)[:s], getattr(a, name)), name
+        for name in ("fidelity", "lyapunov", "purity"):
+            assert np.array_equal(getattr(b, name)[:s + 1], getattr(a, name)), name
+
+
 def test_stack_bookkeeping_equals_alone():
     """A fixed case that takes every bookkeeping path of the kernel at once.
 
     From a diagonal start 20 of the 24 realizations meet a flat concave tie
     at step 0 and take +u_bar; a pair stops at the same step (320); and the
-    12 realizations still running at step 256 refill their buffers after
-    the other 12 have left.
+    12 realizations still running at step 256 read their uniforms from a
+    compacted stack after the other 12 have left.
     """
     ctrl = ControllerConfig(kind="quadratic", u_bar=0.3, epsilon=5.0)
     cfg = LoopConfig(mode="stochastic", p=observable8(), h1=star_h1(),

@@ -96,8 +96,9 @@ class TestSynthesize:
         (P_DIAG, ["--gamma1", "0"]),
         (P_DIAG, ["--gamma1", "nan"]),
         ({**P_DIAG, "diag": ["51.7022"] + P_DIAG["diag"][1:]}, []),
+        ({"diag": [3.0, 1.0, 2.0], "n_star": 1, "nstar": 0}, []),
     ], ids=["n-star-out-of-range", "top-level-list", "gamma1-zero", "gamma1-nan",
-            "diag-entry-string"])
+            "diag-entry-string", "unknown-key"])
     def test_bad_input_exits_1_without_traceback(self, tmp_path, capsys, p_diag, flags):
         path = tmp_path / "pdiag.json"
         path.write_text(json.dumps(p_diag))
