@@ -3,7 +3,7 @@
 Exit codes are a stable contract across subcommands:
 
     0  success
-    1  I/O or validation failure
+    1  I/O or validation failure (main prints one error line, no traceback)
     2  infeasible synthesis (sign condition cannot be met)
     3  partial simulation failure (some realization aborted)
 
@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     json_int,
     json_number,
     json_numbers,
+    json_object,
     load_matrix,
     matrix_from_json,
     save_matrix,
@@ -71,32 +72,15 @@ REFERENCE_N_STAR = 2
 REFERENCE_PHI0 = 1.0 / 8.0
 REFERENCE_THETA = np.pi / 4.0
 
-# Checks required per loop mode before the corresponding guarantees apply.
-REQUIRED_CHECKS = {
-    "stochastic": ("nondegenerate_spectrum", "distinguishability"),
-    "open-loop": ("nondegenerate_spectrum", "distinguishability"),
-    "filtered": ("nondegenerate_spectrum", "distinguishability"),
-    "deterministic": (
-        "nondegenerate_spectrum",
-        "diagonal",
-        "strong_regularity_mod_2pi",
-        "full_connectivity",
-    ),
-}
+# The checks required before the guarantees of the measured modes, and of
+# the deterministic mode, apply.
+_MEASURED_CHECKS = ("nondegenerate_spectrum", "distinguishability")
+_DETERMINISTIC_CHECKS = ("nondegenerate_spectrum", "diagonal", "strong_regularity_mod_2pi",
+                         "full_connectivity")
 
 
 class ConfigError(ValueError):
-    """The experiment configuration is malformed or references missing files."""
-
-
-def _check_keys(obj, section, keys):
-    """obj, a section of the config ("" for its top level), when every key is in keys."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{section or 'config'} is {obj!r}, but must be a JSON object")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown config key {section + '.' if section else ''}{unknown[0]}")
-    return obj
+    """A command's input (config, p-diag file or flag) is malformed or names missing files."""
 
 
 # The keys of an inline matrix object: its data, and the keys save_matrix
@@ -105,12 +89,17 @@ _MATRIX_KEYS = ("n", "re", "im", "index_convention", "phase_policy", "config_has
 
 
 def _matrix(obj, section):
-    return matrix_from_json(_check_keys(obj, section, _MATRIX_KEYS))
+    return matrix_from_json(json_object(obj, section, _MATRIX_KEYS))
 
 
-def _observable(obj):
-    """The observable P of a config's p section or of a p-diag file."""
-    return DiagonalObservable.from_json(_check_keys(obj, "p", ("diag", "n_star")))
+def _section(raw, name, readers):
+    """The keys that raw[name] holds, each checked by its reader; readers names every key allowed.
+
+    A key the section leaves out is left out here too, so that the
+    dataclass's default applies.
+    """
+    obj = json_object(raw.get(name, {}), name, readers)
+    return {key: readers[key](value, f"{name}.{key}") for key, value in obj.items()}
 
 
 @dataclass
@@ -120,10 +109,25 @@ class ExperimentConfig:
     loop: LoopConfig
     rho0: np.ndarray
     realizations: int = 100
-    master_seed: int = 42
+    # 0 is the seed a config without ensemble.master_seed has always run
+    # with (only the deterministic mode, which draws nothing, may omit it).
+    master_seed: int = 0
     success_floor: float = 0.0
     output_dir: str = "."
     raw: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.realizations < 1:
+            raise ValueError(f"ensemble.realizations is {self.realizations}, "
+                             "but must be at least 1")
+        # Written so that NaN fails the check too: simulate would run the
+        # whole ensemble and then exit 1 whatever its success rate.
+        if not 0.0 <= self.success_floor <= 1.0:
+            raise ValueError(f"success_floor is {self.success_floor}, but must be in [0, 1]")
+        # validate would pass what os.makedirs refuses in simulate.
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError(f"output_dir is {self.output_dir!r}, "
+                             "but must be a non-empty string")
 
     @classmethod
     def load(cls, path):
@@ -140,9 +144,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, raw, base_dir="."):
-        _check_keys(raw, "", ("p", "h1", "h0", "measurement", "controller", "rho0",
+        json_object(raw, "", ("p", "h1", "h0", "measurement", "controller", "rho0",
                               "loop", "ensemble", "success_floor", "output_dir"))
-        p = _observable(raw["p"])
+        p = DiagonalObservable.from_json(raw["p"])
 
         # A matrix file named by path is read as it is, with no key check.
         h1_spec = raw["h1"]
@@ -151,77 +155,37 @@ class ExperimentConfig:
         else:
             h1 = _matrix(h1_spec, "h1")
 
-        meas = None
-        meas_spec = raw.get("measurement")
-        if meas_spec is not None:
-            if isinstance(meas_spec, dict) and "photon_box" in meas_spec:
-                _check_keys(meas_spec, "measurement", ("photon_box",))
-                _check_keys(meas_spec["photon_box"], "measurement.photon_box",
-                            ("n", "phi0", "theta"))
-            else:
-                _check_keys(meas_spec, "measurement", ("n", "m", "coeffs_re", "coeffs_im"))
-            meas = QndMeasurement.from_json(meas_spec)
-
-        controller = ControllerConfig.from_json(
-            _check_keys(raw.get("controller", {"kind": "quadratic"}), "controller",
-                        [f.name for f in fields(ControllerConfig)])
-        )
+        # Only the keys a config holds are passed on: the dataclasses'
+        # defaults stand for the rest.  LoopConfig checks the mode.
+        loop = _section(raw, "loop", {"mode": lambda mode, _: mode, "steps": json_int,
+                                      "fidelity_threshold": json_number,
+                                      "stop_at_threshold": json_bool})
+        loop.setdefault("mode", "stochastic")
+        if raw.get("measurement") is not None:
+            loop["meas"] = QndMeasurement.from_json(raw["measurement"])
+        if "controller" in raw:
+            loop["controller"] = ControllerConfig.from_json(raw["controller"])
+        if raw.get("h0") is not None:
+            loop["h0"] = _matrix(raw["h0"], "h0")
 
         # rho0 is either {"diag": [...]} alone or a matrix object; a diag
         # beside a matrix is refused by name, not dropped.
         rho0_spec = raw["rho0"]
         if isinstance(rho0_spec, dict) and "diag" in rho0_spec:
-            rho0 = np.diag(json_numbers(_check_keys(rho0_spec, "rho0", ("diag",))["diag"],
+            rho0 = np.diag(json_numbers(json_object(rho0_spec, "rho0", ("diag",))["diag"],
                                         "rho0.diag"))
         else:
             rho0 = _matrix(rho0_spec, "rho0")
         rho0 = _initial_state(rho0, p.dim, "rho0")
 
-        loop = _check_keys(raw.get("loop", {}), "loop", (
-            "mode", "steps", "fidelity_threshold", "stop_at_threshold"))
-        h0 = None
-        if raw.get("h0") is not None:
-            h0 = _matrix(raw["h0"], "h0")
-
-        ens = _check_keys(raw.get("ensemble", {}), "ensemble",
-                          ("realizations", "master_seed"))
-        mode = loop.get("mode", "stochastic")
-        if mode != "deterministic" and "master_seed" not in ens:
+        given = _section(raw, "ensemble", {"realizations": json_int, "master_seed": json_int})
+        if loop["mode"] != "deterministic" and "master_seed" not in given:
             raise ValueError("stochastic modes need ensemble.master_seed")
-        realizations = json_int(ens.get("realizations", 100), "ensemble.realizations")
-        if realizations < 1:
-            raise ValueError(f"ensemble.realizations is {realizations}, but must be at least 1")
-        success_floor = json_number(raw.get("success_floor", 0.0), "success_floor")
-        # Written so that NaN fails the check too: simulate would run the
-        # whole ensemble and then exit 1 whatever its success rate.
-        if not 0.0 <= success_floor <= 1.0:
-            raise ValueError(f"success_floor is {success_floor}, but must be in [0, 1]")
-        output_dir = raw.get("output_dir", ".")
-        # os.makedirs would fail on it only after the whole ensemble has run.
-        if not isinstance(output_dir, str) or not output_dir:
-            raise ValueError(f"output_dir is {output_dir!r}, but must be a non-empty string")
-
-        return cls(
-            loop=LoopConfig(
-                mode=mode,
-                p=p,
-                h1=h1,
-                h0=h0,
-                meas=meas,
-                controller=controller,
-                steps=json_int(loop.get("steps", 1000), "loop.steps"),
-                fidelity_threshold=json_number(loop.get("fidelity_threshold", 0.99),
-                                               "loop.fidelity_threshold"),
-                stop_at_threshold=json_bool(loop.get("stop_at_threshold", True),
-                                            "loop.stop_at_threshold"),
-            ),
-            rho0=rho0,
-            realizations=realizations,
-            master_seed=json_int(ens.get("master_seed", 0), "ensemble.master_seed"),
-            success_floor=success_floor,
-            output_dir=output_dir,
-            raw=raw,
-        )
+        if "success_floor" in raw:
+            given["success_floor"] = json_number(raw["success_floor"], "success_floor")
+        if "output_dir" in raw:
+            given["output_dir"] = raw["output_dir"]
+        return cls(loop=LoopConfig(p=p, h1=h1, **loop), rho0=rho0, raw=raw, **given)
 
     def hash(self):
         return config_hash(self.raw)
@@ -261,11 +225,12 @@ def _synthesize(out_dir, p, chash, phase_policy="positive", **problem):
 def _simulate(out_dir, loop, rho0, n, master_seed, chash, **extra):
     """Ensemble -> trajectories.csv and summary.json (with ``extra`` appended).
 
-    Returns the ensemble and its convergence statistics.
+    The output directory is made first, so that a bad one fails before any
+    realization runs.  Returns the ensemble and its convergence statistics.
     """
+    os.makedirs(out_dir, exist_ok=True)
     ens = run_ensemble(loop, rho0, n, master_seed)
     stats = convergence_statistics(ens)
-    os.makedirs(out_dir, exist_ok=True)
     write_trajectories_csv(os.path.join(out_dir, "trajectories.csv"), ens.trajectories,
                            cfg_hash=chash, master_seed=master_seed)
     summary = {**ens.to_json(), **stats, "config_hash": chash,
@@ -281,19 +246,18 @@ def _simulate(out_dir, loop, rho0, n, master_seed, chash, **extra):
 def cmd_synthesize(args):
     try:
         with open(args.p_diag) as f:
-            p = _observable(json.load(f))
+            p = DiagonalObservable.from_json(json.load(f))
     except (OSError, LookupError, TypeError, ValueError) as e:
-        print(f"error: bad p-diag file {args.p_diag}: {e}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"bad p-diag file {args.p_diag}: {e}") from e
 
     problem = {"gamma1": args.gamma1, "gamma2": args.gamma2,
                "alpha2": 1.0 if args.sparse else 0.0}
     chash = config_hash({"p": p.to_json(), **problem})
     try:
         result, h1 = _synthesize(args.out_dir, p, chash, args.phase_policy, **problem)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except ValueError as e:
+        # A bad --gamma1 or --gamma2, refused before the output directory is made.
+        raise ConfigError(e) from e
 
     ok, report = verify_lambda(result.lambda_tilde, p.n_star)
     print(f"lambda_tilde = {_fmt_vec(result.lambda_tilde)}")
@@ -316,15 +280,10 @@ def cmd_synthesize(args):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    try:
-        cfg = ExperimentConfig.load(args.config)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    cfg = ExperimentConfig.load(args.config)
     if cfg.loop.mode not in ENSEMBLE_MODES:
-        print(f"error: bad config {args.config}: simulate runs only the modes "
-              f"{', '.join(ENSEMBLE_MODES)}, not {cfg.loop.mode!r}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"bad config {args.config}: simulate runs only the modes "
+                          f"{', '.join(ENSEMBLE_MODES)}, not {cfg.loop.mode!r}")
 
     master_seed = args.seed if args.seed is not None else cfg.master_seed
     try:
@@ -348,15 +307,9 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
-    try:
-        cfg = ExperimentConfig.load(args.config)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    loop = cfg.loop
+    loop = ExperimentConfig.load(args.config).loop
     checks = assumption_report(loop.p, h0=loop.h0, h1=loop.h1, meas=loop.meas)
-    required = REQUIRED_CHECKS[loop.mode]
+    required = _DETERMINISTIC_CHECKS if loop.mode == "deterministic" else _MEASURED_CHECKS
     all_ok = True
     for name, check in checks.items():
         need = name in required
@@ -496,8 +449,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code (see the module docstring)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

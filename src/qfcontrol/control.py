@@ -19,11 +19,11 @@ current state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import HermitianPropagator, basis_state, commutator, json_number
+from .core import HermitianPropagator, basis_state, commutator, json_number, json_object
 from .measurement import P_FLOOR
 
 __all__ = [
@@ -87,6 +87,7 @@ class ControllerConfig:
 
     @classmethod
     def from_json(cls, obj):
+        json_object(obj, "controller", [f.name for f in fields(cls)])
         checked = {name: json_number(obj[name], name)
                    for name in ("kappa", "u_bar", "epsilon") if name in obj}
         return cls(**{**obj, **checked})

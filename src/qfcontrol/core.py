@@ -30,6 +30,7 @@ __all__ = [
     "json_int",
     "json_number",
     "json_numbers",
+    "json_object",
     "validate_density",
 ]
 
@@ -88,6 +89,16 @@ def json_numbers(value, name):
         if kind is bool or not issubclass(kind, numbers.Real):
             json_number(next(x for x in a.flat if type(x) is kind), f"an entry of {name}")
     return a.astype(float)
+
+
+def json_object(value, name, keys):
+    """value when it is an object whose every key is in keys; name is its dotted path, "" at the top."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name or 'config'} is {value!r}, but must be a JSON object")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown config key {name + '.' if name else ''}{unknown[0]}")
+    return value
 
 
 def _as_square_complex(m, name="matrix"):
@@ -203,6 +214,7 @@ class DiagonalObservable:
 
     @classmethod
     def from_json(cls, obj):
+        json_object(obj, "p", ("diag", "n_star"))
         return cls(json_numbers(obj["diag"], "p.diag"), json_int(obj["n_star"], "n_star"))
 
 

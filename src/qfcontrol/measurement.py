@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ASSUMPTION_TOL, json_int, json_number, json_numbers
+from .core import ASSUMPTION_TOL, json_int, json_number, json_numbers, json_object
 
 __all__ = [
     "P_FLOOR",
@@ -151,11 +151,13 @@ class QndMeasurement:
 
     @classmethod
     def from_json(cls, obj):
-        if "photon_box" in obj:
-            pb = obj["photon_box"]
+        if isinstance(obj, dict) and "photon_box" in obj:
+            pb = json_object(json_object(obj, "measurement", ("photon_box",))["photon_box"],
+                             "measurement.photon_box", ("n", "phi0", "theta"))
             return photon_box(json_int(pb["n"], "photon_box.n"),
                               json_number(pb["phi0"], "photon_box.phi0"),
                               json_number(pb["theta"], "photon_box.theta"))
+        json_object(obj, "measurement", ("n", "m", "coeffs_re", "coeffs_im"))
         m, n = json_int(obj["m"], "measurement m"), json_int(obj["n"], "measurement n")
         c = (json_numbers(obj["coeffs_re"], "measurement coeffs_re")
              + 1j * json_numbers(obj["coeffs_im"], "measurement coeffs_im"))

@@ -2,11 +2,13 @@
 
 import json
 import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from qfcontrol import (
+    ControllerConfig,
     DiagonalObservable,
     InfeasibleLambda,
     LoopConfig,
@@ -439,6 +441,28 @@ class TestMalformedConfig:
         assert f"unknown config key {UNKNOWN_KEY[case]}\n" in capsys.readouterr().err
 
 
+class TestOutDirThatCannotBeMade:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "c.json"],
+        ["reproduce-paper", "--case", "sparse", "--seed", "0"],
+    ], ids=["simulate", "reproduce-paper"])
+    def test_exits_1_before_any_realization(self, tmp_path, capsys, monkeypatch, argv):
+        """An --out-dir that is a file, or lies under one, is exit 1 without a traceback."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_ensemble called before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(
+            json.dumps(inline_h1(experiment_config("unused", np.pi / 10), 0.1)))
+        (tmp_path / "file").write_text("")
+        for out in ("file", "file/x"):
+            assert main([*argv, "--out-dir", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(out) in err
+            assert "Traceback" not in err
+
+
 class TestReproducePaper:
     def test_writes_consistent_outputs(self, tmp_path, monkeypatch):
         # Five of the 100 realizations keep the test fast; master seed 0
@@ -516,6 +540,43 @@ class TestExperimentConfig:
             assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
             csv.append((out / "trajectories.csv").read_text().splitlines()[1:])
         assert csv[0] == csv[1]
+
+    def test_defaults_come_from_the_dataclasses(self):
+        """A key a config leaves out takes the default of its dataclass field."""
+        def defaults(cls, *given):
+            return {f.name: f.default_factory() if f.default is MISSING else f.default
+                    for f in fields(cls) if f.name not in given
+                    and (f.default is not MISSING or f.default_factory is not MISSING)}
+
+        full = experiment_config("unused", np.pi / 10)
+        minimal = {"p": full["p"], "h1": zeros_json(8), "measurement": full["measurement"],
+                   "rho0": full["rho0"], "ensemble": {"master_seed": 7}}
+        cfg = ExperimentConfig.from_json(minimal)
+        assert cfg.loop.mode == "stochastic" and cfg.master_seed == 7
+        loop_defaults = defaults(type(cfg.loop), "meas")
+        assert {name: getattr(cfg.loop, name) for name in loop_defaults} == loop_defaults
+        assert cfg.loop.controller == ControllerConfig()
+        config_defaults = defaults(ExperimentConfig, "master_seed", "raw")
+        assert {name: getattr(cfg, name) for name in config_defaults} == config_defaults
+
+        deterministic = TestSimulateModes.deterministic_config()
+        del deterministic["ensemble"]["master_seed"]
+        seed = ExperimentConfig.from_json(deterministic).master_seed
+        assert seed == defaults(ExperimentConfig)["master_seed"] == 0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("realizations", 0, "ensemble.realizations is 0, but must be at least 1"),
+        ("success_floor", float("nan"), "success_floor is nan, but must be in [0, 1]"),
+        ("success_floor", 1.5, "success_floor is 1.5, but must be in [0, 1]"),
+        ("output_dir", "", "output_dir is '', but must be a non-empty string"),
+        ("output_dir", 5, "output_dir is 5, but must be a non-empty string"),
+    ], ids=["zero-realizations", "success-floor-nan", "success-floor-above-1",
+            "output-dir-empty", "output-dir-not-string"])
+    def test_built_directly_checks_its_ranges(self, field, value, message):
+        loop = ExperimentConfig.from_json(
+            inline_h1(experiment_config("unused", np.pi / 10))).loop
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(loop=loop, rho0=np.eye(8) / 8, **{field: value})
 
     def test_invalid_rho0_rejected(self, tmp_path):
         cfg = experiment_config("unused", np.pi / 10)

@@ -96,6 +96,8 @@ class TestControllerConfig:
     def test_json_round_trip(self):
         cfg = ControllerConfig(kind="exact-min", u_bar=0.2, epsilon=0.1)
         assert ControllerConfig.from_json(cfg.to_json()) == cfg
+        with pytest.raises(ValueError, match=r"^unknown config key controller\.tie_break$"):
+            ControllerConfig.from_json({**cfg.to_json(), "tie_break": "random-sign"})
 
 
 def non_hermitian_stack():

@@ -160,6 +160,8 @@ class TestDiagonalObservable:
         q = DiagonalObservable.from_json(p.to_json())
         assert np.array_equal(q.sigma, p.sigma)
         assert q.n_star == p.n_star
+        with pytest.raises(ValueError, match=r"^unknown config key p\.nstar$"):
+            DiagonalObservable.from_json({**p.to_json(), "nstar": 0})
 
 
 class TestMatrixIO:

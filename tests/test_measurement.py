@@ -1,5 +1,7 @@
 """Unit tests for the diagonal-Kraus measurement layer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,3 +214,13 @@ class TestSerialization:
             {"photon_box": {"n": 8, "phi0": 0.125, "theta": np.pi / 4}}
         )
         assert np.allclose(m.coeffs, photon_box(8, 0.125, np.pi / 4).coeffs)
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"photon_box": {"n": 8, "phi0": 0.125, "theta": 0.3}, "n": 8}, "measurement.n"),
+        ({"photon_box": {"n": 8, "phi0": 0.125, "theta": 0.3, "thetta": 0.3}},
+         "measurement.photon_box.thetta"),
+        ({**photon_box(3, 0.125, 0.3).to_json(), "coeffs": []}, "measurement.coeffs"),
+    ], ids=["beside-photon-box", "inside-photon-box", "written-out"])
+    def test_unknown_key_is_refused_by_name(self, obj, key):
+        with pytest.raises(ValueError, match=f"^unknown config key {re.escape(key)}$"):
+            QndMeasurement.from_json(obj)
