@@ -328,6 +328,8 @@ def cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_reproduce_paper(args):
+    # Made first, so that a bad --out-dir fails before the solve.
+    os.makedirs(args.out_dir, exist_ok=True)
     sparse = args.case == "sparse"
     p = DiagonalObservable(REFERENCE_SIGMA, REFERENCE_N_STAR)
     chash = config_hash({"case": args.case, "seed": args.seed})

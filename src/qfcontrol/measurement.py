@@ -50,7 +50,8 @@ class QndMeasurement:
             raise ValueError("a measurement needs at least two outcomes")
         colsums = (np.abs(c) ** 2).sum(axis=0)
         worst = float(np.abs(colsums - 1.0).max())
-        if worst > COMPLETENESS_TOL:
+        # Written so that a NaN coefficient, whose worst is NaN, fails too.
+        if not worst <= COMPLETENESS_TOL:
             raise ValueError(f"completeness violated by {worst:.3e}")
 
     @property
@@ -186,5 +187,7 @@ def photon_box(n, phi0, theta):
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
+    if not (np.isfinite(phi0) and np.isfinite(theta)):
+        raise ValueError(f"phi0 and theta must be finite, but are {phi0!r} and {theta!r}")
     phases = phi0 + theta * np.arange(n)
     return QndMeasurement(np.array([np.cos(phases), np.sin(phases)], dtype=complex))

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASSUMPTION_TOL, HERMITICITY_TOL, DiagonalObservable, is_hermitian
+from .core import (ASSUMPTION_TOL, HERMITICITY_TOL, DiagonalObservable, is_hermitian,
+                   json_int)
 
 __all__ = [
     "CONE_TOL",
@@ -237,11 +238,12 @@ def solve_synthesis(problem, max_iter=50000):
     at most 1e-11 in every entry (``scale * max|z_new - z|``, in the units of
     sigma) and whose objective changed by at most ``OBJECTIVE_TOL`` relative
     to its size; ``converged`` then reports True and ``iterations`` the
-    iteration it stopped at.  Otherwise it stops at ``max_iter`` with
-    ``converged`` False.  Each iteration tests the drift first and computes
-    the objective only when that test passes: the objective is a pure
-    function of the iterate, so this order gives the same stop iteration as
-    computing it every time, and most iterations of a slow solve skip it.
+    iteration it stopped at.  Otherwise it stops at ``max_iter``, an integer
+    >= 1, with ``converged`` False.  Each iteration tests the drift first and
+    computes the objective only when that test passes: the objective is a
+    pure function of the iterate, so this order gives the same stop
+    iteration as computing it every time, and most iterations of a slow
+    solve skip it.
 
     With the sparsity penalty on, the identified support is polished by
     alternating the lambda clip with an exact least-squares solve on the
@@ -249,6 +251,9 @@ def solve_synthesis(problem, max_iter=50000):
     replace the first-order ones only when all are positive (so R stays in
     the cone) and the objective is no worse.
     """
+    max_iter = json_int(max_iter, "max_iter")
+    if max_iter < 1:
+        raise ValueError(f"max_iter is {max_iter}, but must be at least 1")
     sigma = problem.sigma.sigma
     n = sigma.size
     n_star = problem.sigma.n_star
@@ -279,8 +284,10 @@ def solve_synthesis(problem, max_iter=50000):
     hi = np.concatenate((np.full(n_edges, np.inf), np.where(others, -g1, np.inf)))
     step = np.concatenate((np.full(n_edges, -tau), np.full(n, tau)))
     shift = np.concatenate((np.full(n_edges, tau * a2_edge), np.zeros(n)))
-    grad = np.empty(n_edges + n)
-    grad_w, grad_lam = grad[:n_edges], grad[n_edges:]
+    # [A^T y; y] in one buffer: the dual iterate y is its tail, updated in
+    # place, so the step never copies it.
+    grad = np.zeros(n_edges + n)
+    grad_w, y = grad[:n_edges], grad[n_edges:]
     amat_t = amat.T
     penalty = 4.0 * problem.alpha2
 
@@ -288,30 +295,44 @@ def solve_synthesis(problem, max_iter=50000):
         return np.minimum(np.maximum(lam, lo[n_edges:]), hi[n_edges:])
 
     def objective_of(w_vec, lam_vec):
-        resid = (amat @ w_vec - lam_vec) * scale
+        resid = (amat.dot(w_vec) - lam_vec) * scale
         return math.sqrt(resid.dot(resid)) + penalty * float(np.add.reduce(w_vec))
 
     z = z_bar = np.minimum(np.maximum(np.zeros(n_edges + n), lo), hi)
-    y = np.zeros(n)
     # The objective of z, or None where its drift test failed and it was
     # never needed.
     prev_obj = None
     calm = 0
     iterations = max_iter
     converged = False
+    # Each line computes what y + sig_d * (A w_bar - lam_bar), z + step * grad
+    # - shift and 2 z_new - z compute, with commuted operands (exact in IEEE
+    # arithmetic) and x + x for 2x, so every bit is the same; ndarray.dot
+    # makes the same BLAS call as @ with less dispatch.
     for k in range(1, max_iter + 1):
-        y = y + sig_d * (amat @ z_bar[:n_edges] - z_bar[n_edges:])
-        # Onto the unit ball, the dual of the residual's 2-norm.
+        t = amat.dot(z_bar[:n_edges])
+        t -= z_bar[n_edges:]
+        t *= sig_d
+        y += t
+        # Onto the unit ball, the dual of the residual's 2-norm; a NaN norm
+        # scales too.
         nrm = math.sqrt(y.dot(y))
-        y = y if nrm <= 1.0 else y * (1.0 / nrm)
-        np.matmul(amat_t, y, out=grad_w)
-        grad_lam[...] = y
-        z_new = np.minimum(np.maximum(z + step * grad - shift, lo), hi)
-        z_bar = 2 * z_new - z
+        if not nrm <= 1.0:
+            y *= 1.0 / nrm
+        amat_t.dot(y, out=grad_w)
+        z_new = step * grad
+        z_new += z
+        z_new -= shift
+        np.maximum(z_new, lo, out=z_new)
+        np.minimum(z_new, hi, out=z_new)
+        z_bar = z_new + z_new
+        z_bar -= z
+        drift = z_new - z
+        np.abs(drift, out=drift)
         # Only an iterate that passes the drift test can extend the calm run,
         # so the objective is computed only then (see the docstring).
         obj = None
-        if scale * float(np.maximum.reduce(np.abs(z_new - z))) <= 1e-11:
+        if scale * float(np.maximum.reduce(drift)) <= 1e-11:
             if prev_obj is None:
                 prev_obj = objective_of(z[:n_edges], z[n_edges:])
             obj = objective_of(z_new[:n_edges], z_new[n_edges:])

@@ -326,6 +326,13 @@ def measurement_coeff_as_string(cfg):
     cfg["measurement"] = meas
 
 
+def measurement_coeff_nan(cfg):
+    """The photon-box measurement written out, with one coefficient NaN."""
+    meas = photon_box(8, 0.125, np.pi / 10).to_json()
+    meas["coeffs_re"][0][2] = float("nan")
+    cfg["measurement"] = meas
+
+
 def rho0_diag_and_matrix(cfg):
     """rho0's diag with the same state written out as a matrix beside it."""
     rho0 = np.diag(cfg["rho0"]["diag"])
@@ -378,6 +385,9 @@ MALFORMED = {
     "rho0-entry-true": lambda cfg: cfg.update(rho0={"diag": [True] + [0.0] * 7}),
     "h1-entry-string": h1_with("0.0"),
     "measurement-coeff-string": measurement_coeff_as_string,
+    "measurement-coeff-nan": measurement_coeff_nan,
+    "photon-box-theta-nan": lambda cfg: cfg["measurement"]["photon_box"].update(
+        theta=float("nan")),
     "output-dir-not-string": lambda cfg: cfg.update(output_dir=5),
     "output-dir-empty": lambda cfg: cfg.update(output_dir=""),
     "tie-break-random-sign": lambda cfg: cfg["controller"].update(tie_break="random-sign"),
@@ -447,11 +457,15 @@ class TestOutDirThatCannotBeMade:
         ["reproduce-paper", "--case", "sparse", "--seed", "0"],
     ], ids=["simulate", "reproduce-paper"])
     def test_exits_1_before_any_realization(self, tmp_path, capsys, monkeypatch, argv):
-        """An --out-dir that is a file, or lies under one, is exit 1 without a traceback."""
-        def no_run(*args, **kwargs):
-            raise AssertionError("run_ensemble called before the output directory was made")
+        """An --out-dir that is a file, or lies under one, is exit 1 without a traceback.
 
-        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        Neither the ensemble nor, in reproduce-paper, the synthesis solve runs first.
+        """
+        for name in ("run_ensemble", "synthesis_pipeline"):
+            def no_run(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} called before the output directory was made")
+
+            monkeypatch.setattr(cli, name, no_run)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.json").write_text(
             json.dumps(inline_h1(experiment_config("unused", np.pi / 10), 0.1)))

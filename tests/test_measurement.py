@@ -37,6 +37,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QndMeasurement(np.array([[1.0, 0.5], [0.1, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        """A NaN column sum fails the completeness check; it compares False with any tol."""
+        coeffs = photon_box(4, 0.125, 0.3).coeffs.copy()
+        coeffs[0, 1] = bad
+        with pytest.raises(ValueError, match="completeness violated"):
+            QndMeasurement(coeffs)
+
+    @pytest.mark.parametrize("phi0, theta", [(0.125, np.nan), (0.125, np.inf), (-np.inf, 0.3)])
+    def test_non_finite_photon_box_rejected(self, phi0, theta):
+        """Refused by name, before cos and sin would warn on an infinite phase."""
+        with pytest.raises(ValueError, match="phi0 and theta must be finite"):
+            photon_box(4, phi0, theta)
+
     def test_needs_two_outcomes(self):
         with pytest.raises(ValueError):
             QndMeasurement(np.ones((1, 3)))

@@ -198,6 +198,13 @@ class TestSolver:
         with pytest.raises(ValueError, match="alpha2"):
             SynthesisProblem(sigma=p, alpha2=-1.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -5, 2.5, True, "100"])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        problem = SynthesisProblem(sigma=DiagonalObservable(SIGMA8, 2))
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_synthesis(problem, max_iter=max_iter)
+        assert solve_synthesis(problem, max_iter=np.int64(1)).iterations == 1
+
 
 PARITY = json.loads((Path(__file__).parent / "synthesis_parity.json").read_text())
 
@@ -223,12 +230,14 @@ class TestSolverParity:
     """Every SynthesisResult field, bit for bit, against ``synthesis_parity.json``.
 
     The recording holds the reference sigma at alpha2 = 0 and 1 (run to
-    convergence) and eight seeded random instances with n = 3-12, random
+    convergence), eight seeded random instances with n = 3-12, random
     gamma1 and gamma2 and alpha2 in {0, 0.5, 1}, capped at max_iter = 1000
     so that the sparse ones also pin the max_iter exit and the polish that
-    follows it.  A change to the solver's arithmetic fails here by name.  The
-    bits are those of one NumPy/OpenBLAS build; another BLAS kernel may round
-    the matrix-vector products differently.
+    follows it, and one random sigma each at n = 16, 24 and 32, at alpha2 = 0
+    and 1, capped at max_iter = 1500: the matrix-vector product sizes of the
+    benchmark's random set.  A change to the solver's arithmetic fails here
+    by name.  The bits are those of one NumPy/OpenBLAS build; another BLAS
+    kernel may round the matrix-vector products differently.
     """
 
     @pytest.mark.parametrize("case", PARITY, ids=[
