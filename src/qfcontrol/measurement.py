@@ -4,6 +4,10 @@ A measurement is a family of Kraus operators that are all diagonal in the
 reference basis, M_mu = sum_n c[mu, n] |n><n|, subject to the completeness
 relation sum_mu |c[mu, n]|^2 = 1 for every n.  Diagonal Kraus operators leave
 basis states invariant and make Tr(A rho) a martingale for every diagonal A.
+
+The per-step methods pass their scalars as 0-d arrays and test their guards
+with ``np.count_nonzero``, which takes about 0.3 us where ``ndarray.any()``
+and ``.all()`` take 1.0-1.6 us on a stack of a few states.
 """
 
 from __future__ import annotations
@@ -13,7 +17,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ASSUMPTION_TOL, json_int, json_number, json_numbers, json_object
+from .core import (
+    _ONE,
+    _ZERO,
+    ASSUMPTION_TOL,
+    _frozen,
+    json_int,
+    json_number,
+    json_numbers,
+    json_object,
+)
 
 __all__ = [
     "P_FLOOR",
@@ -27,8 +40,12 @@ __all__ = [
 # sample_and_collapse and apply_outcomes, so the collapse's normalizing
 # factor 1/p is always finite.
 P_FLOOR = 1e-12
+_P_FLOOR = _frozen(P_FLOOR)
 
 COMPLETENESS_TOL = 1e-10
+
+# Largest error tolerated in the sum of a state's outcome probabilities.
+_SUM_TOL = _frozen(1e-10)
 
 
 class OutcomeImpossible(RuntimeError):
@@ -78,7 +95,7 @@ class QndMeasurement:
 
     def apply_outcomes(self, mu, rho):
         """M_mu rho M_mu† / p_mu for a stack rho of shape (R, n, n), one mu[r] per state."""
-        p = (self.weights[mu] * rho.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
+        p = np.add.reduce(self.weights[mu] * rho.diagonal(axis1=1, axis2=2).real, -1)
         return self._collapse(rho, mu, p)
 
     def sample_and_collapse(self, rho, p, x):
@@ -93,13 +110,13 @@ class QndMeasurement:
         unclamped probability normalizes the collapse, as in apply_outcomes.
         Returns the outcomes and the post-measurement states.
         """
-        q = np.maximum(p, 0.0)
+        q = np.maximum(p, _ZERO)
         # np.add.reduce is ndarray.sum without its Python wrapper, which on
         # arrays this small costs about as much as the sum itself.
         total = np.add.reduce(q, -1)
         # Written so that a NaN total fails the check too.
-        ok = np.abs(total - 1.0) <= 1e-10
-        if not ok.all():
+        ok = np.abs(total - _ONE) <= _SUM_TOL
+        if np.count_nonzero(ok) < len(ok):
             raise ValueError(f"outcome probabilities sum to {total[np.argmin(ok)]}, not 1")
         mu = _inverse_cdf(q / total[:, None], x)
         return mu, self._collapse(rho, mu, p[np.arange(len(p)), mu])
@@ -113,13 +130,14 @@ class QndMeasurement:
         a_r 0 + a_i s), the same numbers up to the sign of a zero, in about
         half the time on a stack of 40 states.
         """
-        low = p <= P_FLOOR
-        if low.any():
+        low = p <= _P_FLOOR
+        if np.count_nonzero(low):
             r = int(np.argmax(low))
             raise OutcomeImpossible(f"outcome {mu[r]} has probability {p[r]:.3e} <= floor")
         post = self.projectors[mu]
         post *= rho
-        post *= (1.0 / p)[:, None, None]
+        # np.reciprocal(p) is 1.0 / p, the same correctly rounded quotient.
+        post *= np.reciprocal(p)[:, None, None]
         return post
 
     def level_distances(self):
@@ -175,7 +193,7 @@ def _inverse_cdf(p, x):
     count of cdf entries <= x among all but the last; leaving the last
     entry out is the cap.
     """
-    return np.add.reduce(p[..., :-1].cumsum(axis=-1) <= np.asarray(x)[..., None], -1)
+    return np.add.reduce(np.add.accumulate(p[..., :-1], -1) <= np.asarray(x)[..., None], -1)
 
 
 def photon_box(n, phi0, theta):

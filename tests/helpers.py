@@ -15,13 +15,19 @@ one state at a time, apart from the batched kernel that logs them, and
 early.  ``collapse_by_division`` divides the collapsed states by p, where
 ``QndMeasurement`` multiplies them by 1/p.  ``break_state`` injects a fault
 into the step kernel, such as ``trace_one_not_positive``.
+
+The ``*_plain`` functions are the step kernel's methods written the plain
+way: Python-float operands, ``.any()`` and ``.all()`` guards, ``np.where``
+selections and ``np.multiply.outer``.  The kernel passes 0-d arrays, counts
+with ``np.count_nonzero``, and fills with ``np.copysign`` and masked
+``np.divide``, which must give the same bits.
 """
 
 import numpy as np
 
 from qfcontrol import HermitianPropagator, QndMeasurement
 from qfcontrol.control import GRID_POINTS, NEWTON_STEPS
-from qfcontrol.measurement import P_FLOOR
+from qfcontrol.measurement import P_FLOOR, OutcomeImpossible
 
 
 def lyapunov_v(p, rho):
@@ -173,3 +179,128 @@ def break_state(monkeypatch, row, broken, call=50):
 def trace_one_not_positive(rho):
     """diag(1.5, -0.5, 0, ...): trace one, but not a density matrix."""
     return np.diag(np.r_[1.5, -0.5, np.zeros(len(rho) - 2)]).astype(complex)
+
+
+def choose_plain(law, a, b):
+    """QuadraticLaw.choose through two np.where."""
+    ub = law.cfg.u_bar
+    convex = a > 1e-12
+    u = b / np.where(convex, a, 1.0)
+    np.maximum(u, -ub, out=u)
+    np.minimum(u, ub, out=u)
+    u = np.subtract(0.0, np.where(convex, u, np.copysign(ub, b)))
+    sloped = np.abs(b) > 1e-12
+    if not sloped.all():
+        flat = ~convex & ~sloped
+        u[flat] = np.where(a[flat] < -1e-12, ub, 0.0)
+    return u
+
+
+def sample_and_collapse_plain(meas, rho, p, x):
+    """QndMeasurement.sample_and_collapse with float operands and .all()/.any() guards."""
+    q = np.maximum(p, 0.0)
+    total = q.sum(axis=-1)
+    ok = np.abs(total - 1.0) <= 1e-10
+    if not ok.all():
+        raise ValueError(f"outcome probabilities sum to {total[np.argmin(ok)]}, not 1")
+    cdf = (q / total[:, None])[..., :-1].cumsum(axis=-1)
+    mu = (cdf <= np.asarray(x)[..., None]).sum(axis=-1)
+    p_mu = p[np.arange(len(p)), mu]
+    low = p_mu <= P_FLOOR
+    if low.any():
+        r = int(np.argmax(low))
+        raise OutcomeImpossible(f"outcome {mu[r]} has probability {p_mu[r]:.3e} <= floor")
+    return mu, meas.projectors[mu] * rho * (1.0 / p_mu)[:, None, None]
+
+
+def conjugate_stack_plain(prop, rho, u):
+    """HermitianPropagator.conjugate_stack with the phases from np.multiply.outer."""
+    w, v = prop.eigh
+    phases = np.exp(np.multiply.outer(u, -1j * w))
+    umat = (v * phases[:, None, :]) @ v.conj().T
+    return umat @ rho @ umat.conj().swapaxes(-1, -2)
+
+
+def linear_controls_plain(law, rho):
+    """LinearLaw.controls with float operands and an .any() guard."""
+    val = (rho.reshape(len(rho), -1) * law._gain).sum(axis=-1)
+    off = np.abs(val.imag) > 1e-10
+    if off.any():
+        raise ValueError("linear feedback came out complex "
+                         f"(imag {val.imag[np.argmax(off)]:.3e})")
+    return val.real + 0.0
+
+
+def minimize_plain(law, rho):
+    """ExactMinLaw.minimize (one block) with float operands and np.where selections.
+
+    Its coefficients and derivatives are written out here too, from the
+    law's fixed tables, so that nothing of the law's per-call code is shared.
+    """
+    meas, eps = law._meas, law.cfg.epsilon
+    n_runs, n = len(rho), rho.shape[-1]
+    pop = rho.diagonal(axis1=1, axis2=2).real
+    p = (pop[:, None, :] * meas.weights).sum(axis=-1)
+    live = p > P_FLOOR
+    projectors = np.where(live[:, :, None, None], meas.projectors, 0.0)
+    y = law._wh @ (projectors.sum(axis=1) * rho) @ law._w
+    coeffs = y.reshape(n_runs, 1, n * n) * law._sigma_orders
+    branches = None
+    if eps > 0:
+        y = law._wh @ (projectors * rho[:, None]) @ law._w
+        table = (y.reshape(n_runs, -1, 1, n * n) * law._mix).reshape(n_runs, -1, n * n)
+        quad = np.where(live, -0.5 * eps / np.where(live, p, 1.0), 0.0)
+        weights = np.repeat(quad, n, axis=1)[:, None, :] * np.array([[1.0], [2.0], [2.0]])
+        branches = table.swapaxes(1, 2), weights
+
+    def derivatives(u):
+        phase = np.exp(np.multiply.outer(u, law._phase_rate))[:, None, :]
+        f = (coeffs * phase).real.sum(axis=-1)
+        if branches is not None:
+            table, weights = branches
+            d = ((phase * law._orders) @ table).real
+            products = d[:, :1] * d
+            products[:, 2] += d[:, 1] * d[:, 1]
+            f += (products * weights).sum(axis=-1)
+        return f.T
+
+    values = (law._grid_phase @ coeffs[:, 0, :, None]).real[..., 0]
+    if branches is not None:
+        table, weights = branches
+        d = (law._grid_phase @ table).real
+        values += ((d * d) @ weights[:, 0, :, None])[..., 0]
+    floor = values.min(axis=-1)
+    tied = values <= floor[:, None]
+    best = law._preference[tied[:, law._preference].argmax(axis=-1)]
+    lo = law.grid[np.maximum(best - 1, 0)]
+    hi = law.grid[np.minimum(best + 1, GRID_POINTS - 1)]
+    u = law.grid[best]
+    for _ in range(NEWTON_STEPS):
+        f, df, d2f = derivatives(u)
+        convex = d2f > 0
+        newton = u - df / np.where(convex, d2f, 1.0)
+        downhill = np.where(df > 0, lo, np.where(df < 0, hi, u))
+        step = np.minimum(np.maximum(np.where(convex, newton, downhill), lo), hi)
+        if (step == u).all():
+            break
+        u = step
+    else:
+        f = derivatives(u)[0]
+    worse = f > floor
+    return np.where(worse, law.grid[best], u) + 0.0, np.where(worse, floor, f)
+
+
+def coefficients_plain(law, rho):
+    """QuadraticLaw.coefficients with float operands and an .any() guard."""
+    ab = (rho.reshape(len(rho), 1, -1) * law._ops).sum(axis=-1)
+    if law.cfg.epsilon > 0:
+        h1 = law._h1
+        diag = (h1 * rho.swapaxes(1, 2)).sum(axis=-1) - (rho * h1.T).sum(axis=-1)
+        ab[:, 0] -= (law.cfg.epsilon / 4.0) * (diag**2).sum(axis=-1)
+    off = np.abs(ab.imag) > np.array([1e-9, 1e-10])
+    if off.any():
+        r = int(np.argmax(off.any(axis=-1)))
+        raise ValueError(
+            f"quadratic coefficients came out complex (a={ab[r, 0]}, b={ab[r, 1]})")
+    a, b = ab.real.T
+    return a, b

@@ -17,6 +17,7 @@ from qfcontrol import (
     photon_box,
     run_ensemble,
     solve_synthesis,
+    synthesis,
 )
 from qfcontrol.cli import REFERENCE_SIGMA, ExperimentConfig, main
 from qfcontrol.core import load_matrix
@@ -475,6 +476,34 @@ class TestOutDirThatCannotBeMade:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and repr(out) in err
             assert "Traceback" not in err
+
+    def test_synthesize_refuses_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                 p_diag_file):
+        """synthesize checks its --out-dir before the sparse solve, not after it."""
+        solves = []
+        monkeypatch.setattr(synthesis, "solve_synthesis", solves.append)
+        (tmp_path / "file").write_text("")
+        for out in ("file", "file/x"):
+            assert main(["synthesize", "--p-diag", str(p_diag_file), "--sparse",
+                         "--out-dir", str(tmp_path / out)]) == 1
+            printed = capsys.readouterr()
+            assert printed.err.startswith("error: ") and "Traceback" not in printed.err
+            assert "iterations =" not in printed.out
+        assert solves == []
+
+
+class TestWriteJson:
+    def test_written_as_one_json_text(self, tmp_path):
+        """The file holds json.dumps(obj, indent=2) and a newline: json.dump's bytes."""
+        obj = {"first_hit": [3, -1], "curve": [0.1, 1 / 3, -0.0, 1e-300], "median": None,
+               "nested": {"ok": True, "name": "x"}}
+        path, dumped = tmp_path / "summary.json", tmp_path / "dumped.json"
+        cli._write_json(path, obj)
+        with open(dumped, "w") as f:
+            json.dump(obj, f, indent=2)
+            f.write("\n")
+        text = json.dumps(obj, indent=2) + "\n"
+        assert path.read_bytes() == text.encode() == dumped.read_bytes()
 
 
 class TestReproducePaper:

@@ -176,6 +176,16 @@ class TestMatrixIO:
         assert obj["label"] == "test"
         assert obj["index_convention"] == "0-based"
 
+    def test_written_as_one_json_text(self, tmp_path):
+        """The file holds json.dumps(obj, indent=2): the bytes json.dump would write."""
+        a = np.array([[0.1, 1 / 3 + 2e-17j], [-0.0, np.pi]])
+        path, dumped = tmp_path / "m.json", tmp_path / "dumped.json"
+        save_matrix(path, a, label="test")
+        obj = {**matrix_to_json(a), "label": "test", "index_convention": "0-based"}
+        with open(dumped, "w") as f:
+            json.dump(obj, f, indent=2)
+        assert path.read_bytes() == json.dumps(obj, indent=2).encode() == dumped.read_bytes()
+
     def test_shape_mismatch_detected(self):
         obj = matrix_to_json(np.eye(3, dtype=complex))
         obj["n"] = 4
