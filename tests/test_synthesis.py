@@ -20,7 +20,7 @@ from qfcontrol import (
     synthesis_pipeline,
     verify_lambda,
 )
-from qfcontrol.synthesis import _r_of_edge_weights, cone_violations, in_cone
+from qfcontrol.synthesis import CONE_TOL, _r_of_edge_weights, cone_violations, in_cone
 from helpers import coinciding_gaps_by_pairs, random_hermitian
 
 SIGMA8 = np.array(
@@ -109,6 +109,34 @@ class TestRMaps:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             hamiltonian_of_r(np.zeros((3, 3)), "spiral")
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            hamiltonian_of_r(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        r = random_cone_point(np.random.default_rng(6), 4)
+        r[0, 1] = r[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            hamiltonian_of_r(r)
+
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError, match="real"):
+            hamiltonian_of_r(np.array([[-1.0, 1.0 + 1.0j], [1.0 - 1.0j, -1.0]]))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="asymmetric"):
+            hamiltonian_of_r(np.array([[-1.0, 1.0], [2.0, -2.0]]))
+
+    def test_asymmetry_within_tolerance_gives_a_hermitian_h1(self):
+        """The upper triangle fixes H1, so it is Hermitian under every policy."""
+        r = random_cone_point(np.random.default_rng(7), 5)
+        r[3, 1] += 0.5 * CONE_TOL
+        for policy in ("positive", "alternating", "imaginary-off-diagonal"):
+            h1 = hamiltonian_of_r(r, policy)
+            assert np.array_equal(h1, h1.conj().T)
 
 
 class TestVerifyLambda:
@@ -235,9 +263,14 @@ class TestSolverParity:
     so that the sparse ones also pin the max_iter exit and the polish that
     follows it, and one random sigma each at n = 16, 24 and 32, at alpha2 = 0
     and 1, capped at max_iter = 1500: the matrix-vector product sizes of the
-    benchmark's random set.  A change to the solver's arithmetic fails here
-    by name.  The bits are those of one NumPy/OpenBLAS build; another BLAS
-    kernel may round the matrix-vector products differently.
+    benchmark's random set.  Six more, a random sigma each at n = 5, 9 and
+    12 with gamma1 != gamma2 at alpha2 = 0 and 1, run to convergence, are
+    solves whose entry of largest drift changes while they run (up to 40
+    times), and the last case caps the n = 9 sparse one ten iterations
+    before its stop, inside a calm run.  A change to the solver's arithmetic
+    or to its drift test fails here by name.  The bits are those of one
+    NumPy/OpenBLAS build; another BLAS kernel may round the matrix-vector
+    products differently.
     """
 
     @pytest.mark.parametrize("case", PARITY, ids=[
@@ -259,6 +292,10 @@ class TestSolverParity:
         res = solve_synthesis(parity_problem(case), max_iter=1000)
         assert (res.iterations, res.converged) == (1000, False)
         assert res.to_json()["converged"] is False
+        # Capped ten iterations before its stop, 15 iterations into its calm run.
+        case = PARITY[-1]
+        res = solve_synthesis(parity_problem(case), max_iter=case["max_iter"])
+        assert (res.iterations, res.converged) == (5536, False)
 
 
 class TestAssumptions:
