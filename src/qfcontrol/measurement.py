@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 # Outcomes with probability at or below this floor are unsampleable: they are
-# skipped in ExactMinLaw's exact expectation and rejected in
-# sample_and_collapse and apply_outcomes, so the collapse's normalizing
-# factor 1/p is always finite.
+# skipped in ExactMinLaw's exact expectation and rejected by every collapse
+# of a state or of its populations, so the normalizing factor 1/p is always
+# finite.
 P_FLOOR = 1e-12
 _P_FLOOR = _frozen(P_FLOOR)
 
@@ -54,7 +54,17 @@ class OutcomeImpossible(RuntimeError):
 
 @dataclass(frozen=True)
 class QndMeasurement:
-    """Diagonal Kraus family given by its coefficient array c[mu, n]."""
+    """Diagonal Kraus family given by its coefficient array c[mu, n].
+
+    A measured step is split in two: ``sample`` draws the outcomes of a
+    stack from its outcome probabilities, and a collapse conditions on
+    them.  ``collapse`` conditions full states (R, n, n), as
+    ``sample_and_collapse`` and ``apply_outcomes`` do;
+    ``collapse_populations`` conditions only the populations (R, n), which
+    is all that changes them, since every Kraus operator is diagonal.  Both
+    make the same products on the diagonal, so the populations keep their
+    bits either way.
+    """
 
     coeffs: np.ndarray
 
@@ -93,22 +103,34 @@ class QndMeasurement:
         k.flags.writeable = False
         return k
 
+    @cached_property
+    def _population_factors(self):
+        """Re projectors[mu]_nn, the factors collapse applies to the populations (read-only).
+
+        projectors[mu]_nn is c c^* with an imaginary part of exactly 0, so
+        a product with it changes the real part of a diagonal entry as a
+        product with its real part does.  weights holds the same numbers
+        through hypot, which can differ in the last bit.
+        """
+        f = np.ascontiguousarray(self.projectors.diagonal(axis1=1, axis2=2).real)
+        f.flags.writeable = False
+        return f
+
     def apply_outcomes(self, mu, rho):
         """M_mu rho M_mu† / p_mu for a stack rho of shape (R, n, n), one mu[r] per state."""
         p = np.add.reduce(self.weights[mu] * rho.diagonal(axis1=1, axis2=2).real, -1)
-        return self._collapse(rho, mu, p)
+        return self.collapse(rho, mu, p)
 
-    def sample_and_collapse(self, rho, p, x):
-        """Draw an outcome for every state of a stack and collapse onto it.
+    def sample(self, p, x):
+        """Draw an outcome for every state of a stack from its outcome probabilities.
 
-        rho has shape (R, n, n) and x holds one uniform per state.  p holds
-        the unclamped outcome probabilities, p[r, mu] = sum_n |c[mu, n]|^2
-        rho[r]_nn as ``(d[:, None, :] * weights).sum(axis=-1)`` gives them
-        for the diagonals d, so that a caller reading the diagonals for
-        other uses too reads them once.  The outcome is drawn by inverse CDF
-        from p clamped at 0 and renormalized, so it is determined by x; its
-        unclamped probability normalizes the collapse, as in apply_outcomes.
-        Returns the outcomes and the post-measurement states.
+        p holds the unclamped outcome probabilities, p[r, mu] = sum_n
+        |c[mu, n]|^2 rho[r]_nn, as ``(d[:, None, :] * weights).sum(axis=-1)``
+        gives them for the diagonals d, so that a caller reading the
+        diagonals for other uses too reads them once; x holds one uniform per
+        state.  The outcome is drawn by inverse CDF from p clamped at 0 and
+        renormalized, so it is determined by x.  Returns the outcomes and
+        their unclamped probabilities, which normalize the collapse.
         """
         q = np.maximum(p, _ZERO)
         # np.add.reduce is ndarray.sum without its Python wrapper, which on
@@ -119,9 +141,29 @@ class QndMeasurement:
         if np.count_nonzero(ok) < len(ok):
             raise ValueError(f"outcome probabilities sum to {total[np.argmin(ok)]}, not 1")
         mu = _inverse_cdf(q / total[:, None], x)
-        return mu, self._collapse(rho, mu, p[np.arange(len(p)), mu])
+        return mu, p[np.arange(len(p)), mu]
 
-    def _collapse(self, rho, mu, p):
+    def sample_and_collapse(self, rho, p, x):
+        """sample, then collapse every state of the stack rho (R, n, n) onto its outcome.
+
+        Returns the outcomes and the post-measurement states.
+        """
+        mu, p_mu = self.sample(p, x)
+        return mu, self.collapse(rho, mu, p_mu)
+
+    def collapse_populations(self, d, mu, p):
+        """The populations (R, n) of the states collapse(rho, mu, p) returns, from those of rho.
+
+        QND Kraus operators are diagonal, so a collapse's populations depend
+        on the populations alone: d * Re projectors[mu]_nn * (1/p), the
+        products collapse makes on the diagonal, bit for bit.
+        """
+        post = self._population_factors[mu]
+        post *= d
+        post *= self._reciprocal(mu, p)[:, None]
+        return post
+
+    def collapse(self, rho, mu, p):
         """projectors[mu[r]] * rho[r] / p[r], p[r] being outcome mu[r]'s probability.
 
         The division is a multiply by 1/p[r].  NumPy divides a complex a by
@@ -130,15 +172,20 @@ class QndMeasurement:
         a_r 0 + a_i s), the same numbers up to the sign of a zero, in about
         half the time on a stack of 40 states.
         """
+        post = self.projectors[mu]
+        post *= rho
+        post *= self._reciprocal(mu, p)[:, None, None]
+        return post
+
+    @staticmethod
+    def _reciprocal(mu, p):
+        """1/p, once no outcome mu[r] has a probability p[r] at or below the floor."""
         low = p <= _P_FLOOR
         if np.count_nonzero(low):
             r = int(np.argmax(low))
             raise OutcomeImpossible(f"outcome {mu[r]} has probability {p[r]:.3e} <= floor")
-        post = self.projectors[mu]
-        post *= rho
         # np.reciprocal(p) is 1.0 / p, the same correctly rounded quotient.
-        post *= np.reciprocal(p)[:, None, None]
-        return post
+        return np.reciprocal(p)
 
     def level_distances(self):
         """max_mu |w[mu, i] - w[mu, j]| for every level pair (i, j), as an (n, n) array.

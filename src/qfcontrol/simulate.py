@@ -6,9 +6,12 @@ then apply exp(-i H1 u).  The deterministic (measurement-free) loop instead
 applies exp(-i H0) exp(-i H1 u) with the linear feedback law.  One kernel,
 ``_run``, executes the step in all four modes for a stack of R realizations
 at once: an (R, n, n) state, (R, steps + 1) logs and one random stream per
-realization.  ``run_ensemble`` runs every realization through it together;
-``run_trajectory`` checks its arguments against the mode and runs one
-(R = 1).
+realization.  The open loop, measurement alone, carries only the (R, n)
+populations, which the diagonal Kraus operators change through the
+populations alone; its purity and final states come from rho0 and the
+record in closed form (``_ClosedForm``).  ``run_ensemble`` runs every
+realization through the kernel together; ``run_trajectory`` checks its
+arguments against the mode and runs one (R = 1).
 
 Every realization owns an independent random stream derived from the master
 seed with splitmix64, and the kernel gives each row the same bits whatever
@@ -73,6 +76,10 @@ _TRACE_TOL = _frozen(TRACE_TOL)
 _MINUS_PSD_TOL = _frozen(-PSD_TOL)
 
 REVALIDATE_EVERY = 50
+
+# The open loop logs purity in blocks of this many states: one product per
+# block costs less than one per step on a stack of a few populations.
+PURITY_BLOCK = 50
 
 # The modes run_ensemble accepts.  A deterministic run has no stream to vary,
 # and a filtered ensemble would need an initial estimate no caller supplies.
@@ -175,36 +182,124 @@ class Trajectory:
         return float(self.fidelity[-1])
 
 
-def _revalidate(rho, k, ids):
-    """Absorb round-off drift in a stack of states; abort loudly if one broke.
+def _abort(state, where):
+    """End the run on a broken state with the report of density_violations.
 
-    Hermitize and renormalize every state, then check trace and positivity
-    with one batched eigvalsh.  The first state that fails aborts the run,
-    with the step, its realization index and the report of
-    density_violations: a ValueError for NaN or Inf entries, else a
-    RuntimeError.
+    A ValueError for NaN or Inf entries, else a RuntimeError.
     """
-    rho = hermitize(rho)
-    rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
+    try:
+        bad = density_violations(state)
+    except ValueError as e:  # NaN or Inf entries
+        raise ValueError(f"state broke {where}: {e}") from e
+    raise RuntimeError(f"state invariants violated {where}: "
+                       f"{bad or 'trace or positivity, in the batched check'}")
+
+
+def _first_broken(rho):
+    """Index of the first state of the stack that is not a density matrix, else -1.
+
+    Finiteness and trace are checked on every state, positivity with one
+    batched eigvalsh over those that pass.
+    """
     ok = np.logical_and.reduce(np.isfinite(rho), (1, 2))
     ok &= np.abs(rho.trace(axis1=1, axis2=2) - _ONE) <= _TRACE_TOL
     ok[ok] = np.linalg.eigvalsh(rho[ok])[:, 0] >= _MINUS_PSD_TOL
+    return int(np.argmin(ok)) if np.count_nonzero(ok) < len(ok) else -1
+
+
+def _revalidate(rho, k, ids):
+    """Absorb round-off drift in a stack of states; abort loudly if one broke.
+
+    Hermitize and renormalize every state, then check them.  The first
+    state that fails aborts the run, with the step and its realization
+    index.
+    """
+    rho = hermitize(rho)
+    rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
+    r = _first_broken(rho)
+    if r >= 0:
+        _abort(rho[r], f"at step {k} in realization {ids[r]}")
+    return rho
+
+
+def _renormalize(d, k, ids):
+    """_revalidate for the open loop's populations (R, n), with the same bits.
+
+    The trace is summed as ``rho.trace`` sums a complex diagonal, in
+    NumPy's pairwise order for complex numbers, which groups the terms
+    differently from a float sum once n >= 8.  The division of a complex
+    entry by the real trace is Smith's rule, a multiply by its reciprocal
+    on the real part.  A diagonal state is a density matrix when its
+    populations are finite, nonnegative to PSD_TOL and sum to 1, which is
+    what is checked; the final states get the full check at the end.
+    """
+    d = d * np.reciprocal(np.add.reduce(d.astype(complex), -1).real)[:, None]
+    ok = np.logical_and.reduce(d >= _MINUS_PSD_TOL, 1)
+    ok &= np.abs(np.add.reduce(d, -1) - _ONE) <= _TRACE_TOL
     if np.count_nonzero(ok) < len(ok):
         r = int(np.argmin(ok))
-        where = f"at step {k} in realization {ids[r]}"
-        try:
-            bad = density_violations(rho[r])
-        except ValueError as e:  # NaN or Inf entries
-            raise ValueError(f"state broke {where}: {e}") from e
-        raise RuntimeError(f"state invariants violated {where}: "
-                           f"{bad or 'trace or positivity, in the batched check'}")
-    return rho
+        _abort(np.diag(d[r]), f"at step {k} in realization {ids[r]}")
+    return d
+
+
+class _ClosedForm:
+    """The open loop's states from rho0, the populations and the record.
+
+    With no control, step k multiplies rho_ij by c[mu, i] c[mu, j]^* / p, so
+    the populations d evolve on their own, and after a record holding
+    outcome mu N_mu times,
+
+        rho_ij = rho0_ij sqrt(d_i d_j / (d0_i d0_j)) exp(i (phi_i - phi_j)),
+
+    with phi_i = sum_mu N_mu arg c[mu, i] (Bauer and Bernard, Phys. Rev. A
+    84, 044103, 2011).  The purity is then d^T G d with G_ij = |rho0_ij|^2
+    / (d0_i d0_j), and 0 where d0_i d0_j = 0, where rho0_ij is 0 too.  For
+    real coefficients exp(i phi_i) is a sign, counted exactly.  rho0 enters
+    by its Hermitian part, which the full-state loop's revalidation takes.
+    """
+
+    def __init__(self, meas, rho0):
+        self.rho0 = hermitize(rho0)
+        self.d0 = self.rho0.diagonal().real.copy()
+        outer = self.d0[:, None] * self.d0
+        self.gram = np.divide(np.abs(self.rho0) ** 2, outer,
+                              out=np.zeros_like(outer), where=outer > 0)
+        self.real = not np.any(meas.coeffs.imag)
+        # Per outcome and level: a sign flip for real coefficients, else the phase.
+        self.turns = meas.coeffs.real < 0 if self.real else np.angle(meas.coeffs)
+
+    def purity(self, d):
+        """Tr(rho^2) of the states with populations d, as d^T G d.
+
+        einsum's own loops give each row the same bits whatever the number
+        of rows, where a BLAS product does not, and cost less than a
+        broadcast product and reduction over (R, n, n).
+        """
+        return np.add.reduce(np.einsum("rj,jk->rk", d, self.gram) * d, -1)
+
+    def states(self, d, outcome, steps_run):
+        """The states (R, n, n) whose populations are d after the logged records.
+
+        Row r's record is outcome[r, :steps_run[r]].  The diagonal is d
+        exactly.  Sums run elementwise, so every row has the same bits
+        whatever the stack's size.
+        """
+        within = np.arange(outcome.shape[1]) < steps_run[:, None]
+        counts = np.stack([np.count_nonzero((outcome == mu) & within, axis=1)
+                           for mu in range(len(self.turns))], 1)
+        turned = np.add.reduce(counts[:, :, None] * self.turns, 1)
+        amp = np.sqrt(np.divide(d, self.d0, out=np.zeros_like(d), where=self.d0 > 0))
+        amp = np.where(turned % 2, -amp, amp) if self.real else amp * np.exp(1j * turned)
+        rho = self.rho0 * amp[:, :, None] * amp.conj()[:, None, :]
+        level = np.arange(d.shape[1])
+        rho[:, level, level] = d
+        return rho
 
 
 class _Log:
     """Logs of a stack of realizations as (R, steps + 1) arrays, by realization index."""
 
-    def __init__(self, cfg, n_runs, filtered):
+    def __init__(self, cfg, n_runs, filtered, form=None):
         self.threshold = cfg.fidelity_threshold
         self.n_star = cfg.p.n_star
         # Rows: the outcome weights (measured modes), then sigma.  One
@@ -221,23 +316,38 @@ class _Log:
         self.est_fid = np.zeros(states) if filtered else None
         self.dist = np.zeros(states) if filtered else None
         self.steps_run = np.zeros(n_runs, dtype=int)
-        self.final = np.zeros((n_runs, cfg.p.dim, cfg.p.dim), dtype=complex)
+        # The open loop's _ClosedForm, whose stack holds populations only,
+        # and the populations whose purity is not logged yet.
+        self.form = form
+        if form is None:
+            self.final = np.zeros((n_runs, cfg.p.dim, cfg.p.dim), dtype=complex)
+        else:
+            self.final = np.zeros((n_runs, cfg.p.dim))
+            self.block = np.zeros((n_runs, PURITY_BLOCK, cfg.p.dim))
 
     def record_state(self, k, rows, rho, est=None):
         """Log the states after k steps in the given rows.
 
-        Returns their diagonals and the diagonals' products with the table:
-        the unclamped outcome probabilities, then the Lyapunov value.
+        rho is the stack of states, or of the open loop's populations, whose
+        purity is logged when their block is full or they stop.  Returns
+        their diagonals and the diagonals' products with the table: the
+        unclamped outcome probabilities, then the Lyapunov value.
         """
-        d = rho.diagonal(axis1=1, axis2=2).real
+        if self.form is None:
+            d = rho.diagonal(axis1=1, axis2=2).real
+            # Tr(rho^2) = sum_ij |rho_ij|^2 for Hermitian rho: the sum of the
+            # squares of every real and imaginary part.
+            self.purity[rows, k] = np.add.reduce(np.square(rho.view(float)).reshape(len(rho), -1), -1)
+        else:
+            d = rho
+            self.block[rows, k % PURITY_BLOCK] = d
+            if k % PURITY_BLOCK == PURITY_BLOCK - 1:
+                self._log_purity(k, rows)
         # np.add.reduce is ndarray.sum without its Python wrapper, which on
         # arrays this small costs about as much as the sum itself.
         dots = np.add.reduce(d[:, None, :] * self.table, -1)
         self.fidelity[rows, k] = d[:, self.n_star]
         self.lyapunov[rows, k] = dots[:, -1]
-        # Tr(rho^2) = sum_ij |rho_ij|^2 for Hermitian rho: the sum of the
-        # squares of every real and imaginary part.
-        self.purity[rows, k] = np.add.reduce(np.square(rho.view(float)).reshape(len(rho), -1), -1)
         if est is not None:
             self.est_fid[rows, k] = est[:, self.n_star, self.n_star].real
             self.dist[rows, k] = trace_distance(rho, est)
@@ -248,16 +358,35 @@ class _Log:
         self.outcome[rows, k] = mu
 
     def stop(self, k, ids, rho):
-        """Realizations ids end after k steps in the states rho."""
+        """Realizations ids end after k steps in the states (or populations) rho."""
         self.steps_run[ids] = k
         self.final[ids] = rho
+        if self.form is not None:
+            self._log_purity(k, ids)
+
+    def _log_purity(self, k, rows):
+        """Log the purity of the given rows' blocked states, from the block's start to k."""
+        j = k % PURITY_BLOCK + 1
+        d = self.block[rows, :j]
+        purity = self.form.purity(d.reshape(-1, d.shape[-1]))
+        self.purity[rows, k + 1 - j:k + 1] = purity.reshape(d.shape[:2])
 
     def close(self):
         """Every realization's results, in one pass over the (R, steps + 1) logs.
 
-        first_hit and absorbed are -1 where there is none; the held curves
-        keep each realization's last logged value past its last step.
+        The open loop's final states are built here from their populations
+        and records, and checked like a revalidated stack.  first_hit and
+        absorbed are -1 where there is none; the held curves keep each
+        realization's last logged value past its last step.
         """
+        if self.form is not None:
+            # Free the block first: building the states and curves below
+            # sets the log's peak memory.
+            del self.block
+            self.final = self.form.states(self.final, self.outcome, self.steps_run)
+            r = _first_broken(self.final)
+            if r >= 0:
+                _abort(self.final[r], f"at step {self.steps_run[r]} in realization {r}")
         s = self.steps_run[:, None]
         past = np.arange(self.fidelity.shape[1]) > s
         hit = (self.fidelity >= self.threshold) & ~past
@@ -346,6 +475,16 @@ def _run(cfg, rho0, seeds, est0=None):
     does not depend on which others run beside it.  Returns the stack's
     closed _Log.
 
+    The open loop carries the populations d (R, n) in place of the states:
+    it samples from the same ``[weights; sigma]`` product, collapses with
+    ``QndMeasurement.collapse_populations`` and renormalizes with
+    ``_renormalize``, which make on d the products that the full-state
+    collapse and ``_revalidate`` make on the diagonal.  So every outcome,
+    fidelity, Lyapunov value, hit and absorbed level has the bits of the
+    full-state loop.  Its purity (d^T G d, to about 1e-15) and its final
+    states come from ``_ClosedForm``; the final states' diagonals are d
+    exactly, and they pass the batched density check when the log closes.
+
     A measured realization takes one uniform per step, and all of them are
     drawn up front as one (R, steps) table; rng.random(k) gives the same
     bits as k calls of rng.random(), so step k reads the k-th draw of each
@@ -355,11 +494,15 @@ def _run(cfg, rho0, seeds, est0=None):
     open_loop = cfg.mode == "open-loop"
     measured = cfg.mode != "deterministic"
     n_runs = len(seeds)
-    rho = np.repeat(_initial_state(rho0, cfg.p.dim, "rho0")[None], n_runs, axis=0)
+    rho0 = _initial_state(rho0, cfg.p.dim, "rho0")
+    form = _ClosedForm(cfg.meas, rho0) if open_loop else None
+    rho = np.repeat((rho0 if form is None else form.d0)[None], n_runs, axis=0)
     est = None if est0 is None else np.repeat(_initial_state(est0, cfg.p.dim, "est0")[None], n_runs, axis=0)
     if measured:
         uniforms = np.array([np.random.Generator(np.random.PCG64(s)).random(cfg.steps)
                              for s in seeds])
+        # The open loop carries populations, the other measured modes states.
+        collapse = cfg.meas.collapse_populations if open_loop else cfg.meas.collapse
     prop = None if open_loop else HermitianPropagator(cfg.h1)
     if not open_loop:
         control = _controller(cfg, prop)
@@ -371,7 +514,7 @@ def _run(cfg, rho0, seeds, est0=None):
     # Log and table rows of the live realizations: a slice, which is cheaper
     # to index with, until the first one stops.
     rows = slice(None)
-    log = _Log(cfg, n_runs, est is not None)
+    log = _Log(cfg, n_runs, est is not None, form)
     d, dots = log.record_state(0, rows, rho, est)
     for k in range(cfg.steps):
         if cfg.stop_at_threshold:
@@ -387,7 +530,8 @@ def _run(cfg, rho0, seeds, est0=None):
                     break
         mu = np.nan
         if measured:
-            mu, rho = cfg.meas.sample_and_collapse(rho, dots[:, :-1], uniforms[rows, k])
+            mu, p_mu = cfg.meas.sample(dots[:, :-1], uniforms[rows, k])
+            rho = collapse(rho, mu, p_mu)
             if est is not None:
                 est = _collapse_estimate(cfg.meas, est, mu, k)
         u = 0.0
@@ -399,7 +543,7 @@ def _run(cfg, rho0, seeds, est0=None):
             if not measured:
                 rho = u0 @ rho @ u0_dag
         if (k + 1) % REVALIDATE_EVERY == 0:
-            rho = _revalidate(rho, k + 1, ids)
+            rho = (_renormalize if open_loop else _revalidate)(rho, k + 1, ids)
             if est is not None:
                 est = _revalidate(est, k + 1, ids)
         log.record_step(k, rows, u, mu)

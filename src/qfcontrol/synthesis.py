@@ -72,8 +72,14 @@ class InfeasibleLambda(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def cone_violations(r):
-    """Violation magnitudes of the four cone membership conditions."""
+    """Violation magnitudes of the four cone membership conditions.
+
+    R must be a square matrix with at least one entry; any other shape is a
+    ValueError that names it.
+    """
     r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or not r.size:
+        raise ValueError(f"R must be a non-empty square matrix, got shape {r.shape}")
     n = r.shape[0]
     off = r[~np.eye(n, dtype=bool)]
     return {

@@ -13,8 +13,10 @@ one state at a time, apart from the batched kernel that logs them, and
 ``assumption_report``'s vectorized rows.  ``minimize_every_step`` runs
 ``ExactMinLaw``'s search with all of its Newton steps, never stopping
 early.  ``collapse_by_division`` divides the collapsed states by p, where
-``QndMeasurement`` multiplies them by 1/p.  ``break_state`` injects a fault
-into the step kernel, such as ``trace_one_not_positive``.
+``QndMeasurement`` multiplies them by 1/p.  ``replay_open_loop`` replays
+an open-loop record on the full state, where the kernel carries only the
+populations.  ``break_state`` injects a fault into the step kernel, such
+as ``trace_one_not_positive``.
 
 The ``*_plain`` functions are the step kernel's methods written the plain
 way: Python-float operands, ``.any()`` and ``.all()`` guards, ``np.where``
@@ -27,7 +29,9 @@ import numpy as np
 
 from qfcontrol import HermitianPropagator, QndMeasurement
 from qfcontrol.control import GRID_POINTS, NEWTON_STEPS
+from qfcontrol.core import hermitize
 from qfcontrol.measurement import P_FLOOR, OutcomeImpossible
+from qfcontrol.simulate import ABSORB_THRESHOLD, REVALIDATE_EVERY
 
 
 def lyapunov_v(p, rho):
@@ -124,6 +128,56 @@ def collapse_by_division(meas, mu, rho):
     """M_mu rho M_mu† / p_mu for a stack, one mu[r] per state, dividing by p."""
     p = (meas.weights[mu] * rho.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
     return meas.projectors[mu] * rho / p[:, None, None]
+
+
+def replay_open_loop(cfg, rho0, seed, outcomes):
+    """The open loop of cfg replayed on the full state from a logged record.
+
+    Step k applies ``outcomes[k]`` to the (1, n, n) state through
+    ``QndMeasurement.apply_outcomes``, and every REVALIDATE_EVERY steps takes
+    the Hermitian part and divides by the trace's real part, as
+    ``simulate._revalidate`` does.  Before it applies an outcome, it draws
+    the one that the state's probabilities and the stream's k-th uniform
+    give, by a plain inverse CDF; once the record runs out it applies its
+    own draws.  It stops by the open loop's rule: at absorption when
+    cfg.stop_at_threshold, else after cfg.steps.  Returns the drawn outcomes,
+    the per-state fidelity, Lyapunov value and purity, first_hit and
+    absorbed_state (None where there is none), steps_run and the final state.
+    """
+    meas, p = cfg.meas, cfg.p
+    uniforms = np.random.Generator(np.random.PCG64(seed)).random(cfg.steps)
+    rho = np.asarray(rho0, dtype=complex)[None]
+    drawn, fidelity, lyapunov, pur = [], [], [], []
+    k = 0
+    while True:
+        d = rho[0].diagonal().real
+        fidelity.append(d[p.n_star])
+        lyapunov.append(np.add.reduce(p.sigma * d))
+        pur.append(float(np.sum(np.abs(rho[0]) ** 2)))
+        if k == cfg.steps or (cfg.stop_at_threshold and d.max() >= ABSORB_THRESHOLD):
+            break
+        q = np.maximum(np.add.reduce(meas.weights * d, -1), 0.0)
+        mu = int(np.count_nonzero(np.cumsum(q / q.sum())[:-1] <= uniforms[k]))
+        drawn.append(mu)
+        rho = meas.apply_outcomes(np.array([outcomes[k] if k < len(outcomes) else mu]), rho)
+        k += 1
+        if k % REVALIDATE_EVERY == 0:
+            rho = hermitize(rho)
+            rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
+    fidelity = np.array(fidelity)
+    hits = np.flatnonzero(fidelity >= cfg.fidelity_threshold)
+    final = rho[0]
+    top = final.diagonal().real
+    return {
+        "outcome": np.array(drawn, dtype=float),
+        "fidelity": fidelity,
+        "lyapunov": np.array(lyapunov),
+        "purity": np.array(pur),
+        "first_hit": int(hits[0]) if hits.size else None,
+        "absorbed_state": int(top.argmax()) if top.max() >= ABSORB_THRESHOLD else None,
+        "steps_run": k,
+        "state": final,
+    }
 
 
 def minimize_every_step(law, rho):

@@ -167,6 +167,34 @@ class TestCollapseByReciprocal:
         assert np.array_equal(post[nonzero].view(np.int64), oracle[nonzero].view(np.int64))
 
 
+class TestCollapsePopulations:
+    """The populations' collapse gives the full collapse's diagonal, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 5),
+           stack=st.integers(1, 64), real=st.booleans())
+    def test_equals_the_diagonal_of_apply_outcomes(self, seed, dim, m, stack, real):
+        """Complex or signed real coefficients, states of random rank with
+        imaginary round-off on the diagonal, and for each state an outcome
+        drawn among those above P_FLOOR; a floor outcome is refused as in
+        apply_outcomes."""
+        rng = np.random.default_rng(seed)
+        meas = random_measurement(rng, m, dim)
+        if real:
+            meas = QndMeasurement(np.abs(meas.coeffs) * rng.choice([-1.0, 1.0], (m, dim)))
+        rho = np.array([random_mixed_density(rng, dim) for _ in range(stack)])
+        rho[:, np.arange(dim), np.arange(dim)] += 1e-17j * rng.normal(size=(stack, dim))
+        d = np.ascontiguousarray(rho.diagonal(axis1=1, axis2=2).real)
+        p = unclamped_probabilities(meas, rho)
+        mu = np.array([rng.choice(np.flatnonzero(row > P_FLOOR)) for row in p])
+        p_mu = np.add.reduce(meas.weights[mu] * d, -1)
+        post = meas.apply_outcomes(mu, rho).diagonal(axis1=1, axis2=2).real
+        assert meas.collapse_populations(d, mu, p_mu).tobytes() == post.tobytes()
+        p_mu[-1] = P_FLOOR
+        with pytest.raises(OutcomeImpossible, match="<= floor"):
+            meas.collapse_populations(d, mu, p_mu)
+
+
 class TestMartingale:
     def test_diagonal_observable_is_martingale(self):
         rng = np.random.default_rng(4)

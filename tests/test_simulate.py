@@ -38,6 +38,8 @@ from helpers import (
     random_density,
     random_hermitian,
     random_measurement,
+    random_mixed_density,
+    replay_open_loop,
     trace_one_not_positive,
 )
 
@@ -60,6 +62,19 @@ def seed_state():
     rho = np.ones((8, 8), dtype=complex) / 16.0
     rho[0, 0] += 0.5
     return rho
+
+
+def seed_state_without(level):
+    """seed_state() with one level's row and column zeroed, renormalized: a zero population."""
+    rho = seed_state()
+    rho[level, :] = rho[:, level] = 0.0
+    return rho / np.trace(rho).real
+
+
+def complex_box():
+    """The theta = pi/10 photon box with phases that differ by outcome and level."""
+    box = photon_box(8, 1 / 8, np.pi / 10).coeffs
+    return QndMeasurement(box * np.exp(1j * np.outer([0.3, -1.1], np.arange(8))))
 
 
 def stochastic_config(steps=200, theta=np.pi / 10, controller=None, **kw):
@@ -335,6 +350,105 @@ class TestOpenLoop:
         assert t.purity[-1] >= t.purity[0] - 1e-9
 
 
+class TestOpenLoopReplay:
+    """The open loop against its replay on the full state, over random systems."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 4),
+           real=st.booleans(), empty_level=st.booleans(), steps=st.integers(1, 160))
+    def test_matches_the_replay(self, seed, dim, m, real, empty_level, steps):
+        """Outcomes, fidelity, Lyapunov, first_hit, absorbed_state and steps_run bit for bit.
+
+        Purity and the final state agree within 1e-12, and every final state
+        is a density matrix.  The early stop is on, so the realizations of an
+        ensemble end at different steps; complex coefficients, or real ones
+        of both signs, and a rho0 of random rank, with one level emptied in
+        half of the examples.
+        """
+        rng = np.random.default_rng(seed)
+        meas = random_measurement(rng, m, dim)
+        if real:
+            meas = QndMeasurement(np.abs(meas.coeffs) * rng.choice([-1.0, 1.0], (m, dim)))
+        sigma = rng.uniform(0.0, 10.0, dim)
+        rho0 = random_mixed_density(rng, dim)
+        if empty_level:
+            level = int(rng.integers(dim))
+            rho0[level, :] = rho0[:, level] = 0.0
+            rho0 /= np.trace(rho0).real
+        cfg = LoopConfig(mode="open-loop", p=DiagonalObservable(sigma, int(np.argmin(sigma))),
+                         h1=np.zeros((dim, dim)), meas=meas, steps=steps, fidelity_threshold=0.9)
+        ens = run_ensemble(cfg, rho0, 4, seed)
+        for i, t in enumerate(ens.trajectories):
+            ref = replay_open_loop(cfg, rho0, derive_seed(seed, i), t.outcome.astype(int))
+            for key in ("outcome", "fidelity", "lyapunov"):
+                assert getattr(t, key).tobytes() == ref[key].tobytes(), key
+            assert (t.first_hit, t.absorbed_state, t.steps_run) == (
+                ref["first_hit"], ref["absorbed_state"], ref["steps_run"])
+            assert np.allclose(t.purity, ref["purity"], rtol=0.0, atol=1e-12)
+            final = t.states[t.steps_run]
+            assert np.allclose(final, ref["state"], rtol=0.0, atol=1e-12)
+            assert density_violations(final) == []
+
+
+def open_loop_config():
+    """Criterion 6's open loop, 60 steps with the early stop off."""
+    return LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
+                      meas=photon_box(8, 1 / 8, np.pi / 10), steps=60, stop_at_threshold=False)
+
+
+class TestOpenLoopChecks:
+    """Broken populations or final states abort the open loop by step and realization."""
+
+    @pytest.mark.parametrize("broken, error, message", [
+        ([np.nan], ValueError, r"state broke at step 50 in realization 2: .*NaN or Inf"),
+        ([1.5, -0.5], RuntimeError,
+         r"state invariants violated at step 50 in realization 2: \[\('positivity', 0\.5"),
+    ], ids=["nan", "negative"])
+    def test_broken_populations_abort_at_the_renormalization(self, monkeypatch, broken, error,
+                                                               message):
+        original = QndMeasurement.collapse_populations
+        calls = []
+
+        def collapse_populations(self, d, mu, p):
+            out = original(self, d, mu, p)
+            calls.append(None)
+            if len(calls) == 50:
+                out[2] = 0.0
+                out[2, :len(broken)] = broken
+            return out
+
+        monkeypatch.setattr(QndMeasurement, "collapse_populations", collapse_populations)
+        with pytest.raises(error, match=message):
+            run_ensemble(open_loop_config(), seed_state(), 4, 0)
+
+    def test_broken_final_state_aborts(self, monkeypatch):
+        original = simulate._ClosedForm.states
+
+        def states(self, d, outcome, steps_run):
+            out = original(self, d, outcome, steps_run)
+            out[1] = trace_one_not_positive(out[1])
+            return out
+
+        monkeypatch.setattr(simulate._ClosedForm, "states", states)
+        with pytest.raises(RuntimeError, match=r"at step 60 in realization 1: \[\('positivity'"):
+            run_ensemble(open_loop_config(), seed_state(), 3, 0)
+
+    def test_csv_identical_alone_and_in_an_ensemble(self, tmp_path):
+        """Purity, logged in blocks of populations, has the same bits whatever the stack."""
+        cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
+                         meas=complex_box(), steps=120)
+        rho0 = seed_state_without(4)
+        ensemble = run_ensemble(cfg, rho0, 6, 9).trajectories
+        alone = [run_trajectory(cfg, rho0, derive_seed(9, i)) for i in range(6)]
+        assert len({t.steps_run for t in ensemble}) > 1
+        blobs = []
+        for j, trajectories in enumerate([ensemble, alone]):
+            path = tmp_path / f"{j}.csv"
+            write_trajectories_csv(path, trajectories, cfg_hash="x", master_seed=9)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+
 class TestDeterministicLoop:
     def test_diagonal_states_stationary(self):
         rng = np.random.default_rng(21)
@@ -550,6 +664,12 @@ def parity_case(name):
         cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
                          meas=pi10, steps=300, stop_at_threshold=stop)
         return run_trajectory(cfg, seed_state(), 1)
+    if kind == "open-loop-complex":
+        # Complex coefficients from a rho0 with level 4 empty.  Seed 4
+        # absorbs level 6 at step 295; seed 5 ends with coherences near 0.5.
+        cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
+                         meas=complex_box(), steps=300, stop_at_threshold=stop)
+        return run_trajectory(cfg, seed_state_without(4), 4 if stop else 5)
     if kind == "filtered":
         cfg = LoopConfig(mode="filtered", p=observable8(), h1=star_h1(), meas=pi10,
                          controller=quad, steps=300, stop_at_threshold=False)

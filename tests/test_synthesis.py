@@ -41,6 +41,16 @@ def random_cone_point(rng, n):
 
 
 class TestCone:
+    @pytest.mark.parametrize("check", [cone_violations, in_cone])
+    def test_rejects_non_square(self, check):
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(2, 3\)"):
+            check(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("check", [cone_violations, in_cone])
+    def test_rejects_empty(self, check):
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            check(np.zeros((0, 0)))
+
     def test_violation_report_keys(self):
         keys = set(cone_violations(np.zeros((3, 3))))
         assert keys == {
