@@ -86,6 +86,11 @@ class ConfigError(ValueError):
     """A command's input (config, p-diag file or flag) is malformed or names missing files."""
 
 
+def _reader_error(e):
+    """A reader's error as its message, which for a KeyError is the bare key."""
+    return f"missing key {e.args[0]!r}" if isinstance(e, KeyError) and e.args else str(e)
+
+
 # The keys of an inline matrix object: its data, and the keys save_matrix
 # writes beside it.
 _MATRIX_KEYS = ("n", "re", "im", "index_convention", "phase_policy", "config_hash")
@@ -143,7 +148,7 @@ class ExperimentConfig:
         try:
             return cls.from_json(raw, base_dir=base)
         except (AttributeError, LookupError, OSError, ValueError, TypeError) as e:
-            raise ConfigError(f"bad config {path}: {e}") from e
+            raise ConfigError(f"bad config {path}: {_reader_error(e)}") from e
 
     @classmethod
     def from_json(cls, raw, base_dir="."):
@@ -253,7 +258,7 @@ def cmd_synthesize(args):
         with open(args.p_diag) as f:
             p = DiagonalObservable.from_json(json.load(f))
     except (OSError, LookupError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad p-diag file {args.p_diag}: {e}") from e
+        raise ConfigError(f"bad p-diag file {args.p_diag}: {_reader_error(e)}") from e
 
     problem = {"gamma1": args.gamma1, "gamma2": args.gamma2,
                "alpha2": 1.0 if args.sparse else 0.0}

@@ -57,13 +57,9 @@ class QndMeasurement:
     """Diagonal Kraus family given by its coefficient array c[mu, n].
 
     A measured step is split in two: ``sample`` draws the outcomes of a
-    stack from its outcome probabilities, and a collapse conditions on
-    them.  ``collapse`` conditions full states (R, n, n), as
-    ``sample_and_collapse`` and ``apply_outcomes`` do;
-    ``collapse_populations`` conditions only the populations (R, n), which
-    is all that changes them, since every Kraus operator is diagonal.  Both
-    make the same products on the diagonal, so the populations keep their
-    bits either way.
+    stack from its outcome probabilities, and ``collapse`` conditions the
+    states (R, n, n) on them.  ``apply_outcomes`` collapses onto given
+    outcomes, computing their probabilities itself.
     """
 
     coeffs: np.ndarray
@@ -103,19 +99,6 @@ class QndMeasurement:
         k.flags.writeable = False
         return k
 
-    @cached_property
-    def _population_factors(self):
-        """Re projectors[mu]_nn, the factors collapse applies to the populations (read-only).
-
-        projectors[mu]_nn is c c^* with an imaginary part of exactly 0, so
-        a product with it changes the real part of a diagonal entry as a
-        product with its real part does.  weights holds the same numbers
-        through hypot, which can differ in the last bit.
-        """
-        f = np.ascontiguousarray(self.projectors.diagonal(axis1=1, axis2=2).real)
-        f.flags.writeable = False
-        return f
-
     def apply_outcomes(self, mu, rho):
         """M_mu rho M_mu† / p_mu for a stack rho of shape (R, n, n), one mu[r] per state."""
         p = np.add.reduce(self.weights[mu] * rho.diagonal(axis1=1, axis2=2).real, -1)
@@ -143,26 +126,6 @@ class QndMeasurement:
         mu = _inverse_cdf(q / total[:, None], x)
         return mu, p[np.arange(len(p)), mu]
 
-    def sample_and_collapse(self, rho, p, x):
-        """sample, then collapse every state of the stack rho (R, n, n) onto its outcome.
-
-        Returns the outcomes and the post-measurement states.
-        """
-        mu, p_mu = self.sample(p, x)
-        return mu, self.collapse(rho, mu, p_mu)
-
-    def collapse_populations(self, d, mu, p):
-        """The populations (R, n) of the states collapse(rho, mu, p) returns, from those of rho.
-
-        QND Kraus operators are diagonal, so a collapse's populations depend
-        on the populations alone: d * Re projectors[mu]_nn * (1/p), the
-        products collapse makes on the diagonal, bit for bit.
-        """
-        post = self._population_factors[mu]
-        post *= d
-        post *= self._reciprocal(mu, p)[:, None]
-        return post
-
     def collapse(self, rho, mu, p):
         """projectors[mu[r]] * rho[r] / p[r], p[r] being outcome mu[r]'s probability.
 
@@ -174,18 +137,8 @@ class QndMeasurement:
         """
         post = self.projectors[mu]
         post *= rho
-        post *= self._reciprocal(mu, p)[:, None, None]
+        post *= _reciprocal(mu, p)[:, None, None]
         return post
-
-    @staticmethod
-    def _reciprocal(mu, p):
-        """1/p, once no outcome mu[r] has a probability p[r] at or below the floor."""
-        low = p <= _P_FLOOR
-        if np.count_nonzero(low):
-            r = int(np.argmax(low))
-            raise OutcomeImpossible(f"outcome {mu[r]} has probability {p[r]:.3e} <= floor")
-        # np.reciprocal(p) is 1.0 / p, the same correctly rounded quotient.
-        return np.reciprocal(p)
 
     def level_distances(self):
         """max_mu |w[mu, i] - w[mu, j]| for every level pair (i, j), as an (n, n) array.
@@ -232,6 +185,19 @@ class QndMeasurement:
         return cls(c)
 
 
+def _reciprocal(mu, p):
+    """1/p, once no outcome mu[r] has a probability p[r] at or below the floor.
+
+    Both collapses, of states and of the open loop's populations, use it.
+    """
+    low = p <= _P_FLOOR
+    if np.count_nonzero(low):
+        r = int(np.argmax(low))
+        raise OutcomeImpossible(f"outcome {mu[r]} has probability {p[r]:.3e} <= floor")
+    # np.reciprocal(p) is 1.0 / p, the same correctly rounded quotient.
+    return np.reciprocal(p)
+
+
 def _inverse_cdf(p, x):
     """First outcome whose cumulative probability exceeds x, capped at the last.
 
@@ -250,7 +216,7 @@ def photon_box(n, phi0, theta):
     period pi, so theta = pi/4 with n = 8 leaves the pairs (k, k+4)
     indistinguishable; check_distinguishability flags them.
     """
-    if n < 2:
+    if json_int(n, "n") < 2:
         raise ValueError("dimension must be at least 2")
     if not (np.isfinite(phi0) and np.isfinite(theta)):
         raise ValueError(f"phi0 and theta must be finite, but are {phi0!r} and {theta!r}")

@@ -8,10 +8,11 @@ applies exp(-i H0) exp(-i H1 u) with the linear feedback law.  One kernel,
 at once: an (R, n, n) state, (R, steps + 1) logs and one random stream per
 realization.  The open loop, measurement alone, carries only the (R, n)
 populations, which the diagonal Kraus operators change through the
-populations alone; its purity and final states come from rho0 and the
-record in closed form (``_ClosedForm``).  ``run_ensemble`` runs every
-realization through the kernel together; ``run_trajectory`` checks its
-arguments against the mode and runs one (R = 1).
+populations alone; ``_ClosedForm`` holds that update and gives the
+purity and final states from rho0 and the record in closed form.
+``run_ensemble`` runs every realization through the kernel together;
+``run_trajectory`` checks its arguments against the mode and runs one
+(R = 1).
 
 Every realization owns an independent random stream derived from the master
 seed with splitmix64, and the kernel gives each row the same bits whatever
@@ -42,6 +43,7 @@ from .core import (
     density_violations,
     hermitize,
     is_hermitian,
+    json_int,
     validate_density,
 )
 from .control import (
@@ -50,7 +52,7 @@ from .control import (
     LinearLaw,
     QuadraticLaw,
 )
-from .measurement import OutcomeImpossible
+from .measurement import OutcomeImpossible, _reciprocal
 
 __all__ = [
     "ABSORB_THRESHOLD",
@@ -129,7 +131,7 @@ class LoopConfig:
     def __post_init__(self):
         if self.mode not in ("deterministic", "stochastic", "open-loop", "filtered"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.steps < 1:
+        if json_int(self.steps, "steps") < 1:
             raise ValueError("steps must be at least 1")
         if self.mode == "deterministic" and self.h0 is None:
             raise ValueError("deterministic mode needs a drift Hamiltonian (may be zero)")
@@ -222,32 +224,12 @@ def _revalidate(rho, k, ids):
     return rho
 
 
-def _renormalize(d, k, ids):
-    """_revalidate for the open loop's populations (R, n), with the same bits.
-
-    The trace is summed as ``rho.trace`` sums a complex diagonal, in
-    NumPy's pairwise order for complex numbers, which groups the terms
-    differently from a float sum once n >= 8.  The division of a complex
-    entry by the real trace is Smith's rule, a multiply by its reciprocal
-    on the real part.  A diagonal state is a density matrix when its
-    populations are finite, nonnegative to PSD_TOL and sum to 1, which is
-    what is checked; the final states get the full check at the end.
-    """
-    d = d * np.reciprocal(np.add.reduce(d.astype(complex), -1).real)[:, None]
-    ok = np.logical_and.reduce(d >= _MINUS_PSD_TOL, 1)
-    ok &= np.abs(np.add.reduce(d, -1) - _ONE) <= _TRACE_TOL
-    if np.count_nonzero(ok) < len(ok):
-        r = int(np.argmin(ok))
-        _abort(np.diag(d[r]), f"at step {k} in realization {ids[r]}")
-    return d
-
-
 class _ClosedForm:
-    """The open loop's states from rho0, the populations and the record.
+    """The open loop's model: its populations step by step, its states in closed form.
 
     With no control, step k multiplies rho_ij by c[mu, i] c[mu, j]^* / p, so
-    the populations d evolve on their own, and after a record holding
-    outcome mu N_mu times,
+    the populations d evolve on their own (``collapse``, ``renormalize``),
+    and after a record holding outcome mu N_mu times,
 
         rho_ij = rho0_ij sqrt(d_i d_j / (d0_i d0_j)) exp(i (phi_i - phi_j)),
 
@@ -267,6 +249,43 @@ class _ClosedForm:
         self.real = not np.any(meas.coeffs.imag)
         # Per outcome and level: a sign flip for real coefficients, else the phase.
         self.turns = meas.coeffs.real < 0 if self.real else np.angle(meas.coeffs)
+        # Re projectors[mu]_nn, by which a collapse multiplies the
+        # populations: c c^* has an imaginary part of exactly 0, so the
+        # product has the bits of the full collapse's diagonal, where
+        # weights, the same numbers through hypot, can differ in the last bit.
+        self.factors = np.ascontiguousarray(meas.projectors.diagonal(axis1=1, axis2=2).real)
+
+    def collapse(self, d, mu, p):
+        """The populations (R, n) after outcomes mu of probabilities p, from d.
+
+        d * Re projectors[mu]_nn * (1/p): the products that
+        QndMeasurement.collapse makes on the diagonal, bit for bit.
+        """
+        post = self.factors[mu]
+        post *= d
+        post *= _reciprocal(mu, p)[:, None]
+        return post
+
+    @staticmethod
+    def renormalize(d, k, ids):
+        """_revalidate for the populations (R, n), with the same bits.
+
+        The trace is summed as ``rho.trace`` sums a complex diagonal, in
+        NumPy's pairwise order for complex numbers, which groups the terms
+        differently from a float sum once n >= 8.  The division of a complex
+        entry by the real trace is Smith's rule, a multiply by its
+        reciprocal on the real part.  A diagonal state is a density matrix
+        when its populations are finite, nonnegative to PSD_TOL and sum to
+        1, which is what is checked; the final states get the full check
+        when the log closes.
+        """
+        d = d * np.reciprocal(np.add.reduce(d.astype(complex), -1).real)[:, None]
+        ok = np.logical_and.reduce(d >= _MINUS_PSD_TOL, 1)
+        ok &= np.abs(np.add.reduce(d, -1) - _ONE) <= _TRACE_TOL
+        if np.count_nonzero(ok) < len(ok):
+            r = int(np.argmin(ok))
+            _abort(np.diag(d[r]), f"at step {k} in realization {ids[r]}")
+        return d
 
     def purity(self, d):
         """Tr(rho^2) of the states with populations d, as d^T G d.
@@ -476,14 +495,14 @@ def _run(cfg, rho0, seeds, est0=None):
     closed _Log.
 
     The open loop carries the populations d (R, n) in place of the states:
-    it samples from the same ``[weights; sigma]`` product, collapses with
-    ``QndMeasurement.collapse_populations`` and renormalizes with
-    ``_renormalize``, which make on d the products that the full-state
-    collapse and ``_revalidate`` make on the diagonal.  So every outcome,
-    fidelity, Lyapunov value, hit and absorbed level has the bits of the
-    full-state loop.  Its purity (d^T G d, to about 1e-15) and its final
-    states come from ``_ClosedForm``; the final states' diagonals are d
-    exactly, and they pass the batched density check when the log closes.
+    it samples from the same ``[weights; sigma]`` product, and its
+    ``_ClosedForm`` collapses and renormalizes d with the products that the
+    full-state collapse and ``_revalidate`` make on the diagonal.  So every
+    outcome, fidelity, Lyapunov value, hit and absorbed level has the bits
+    of the full-state loop.  Its purity (d^T G d, to about 1e-15) and its
+    final states come from the same ``_ClosedForm``; the final states'
+    diagonals are d exactly, and they pass the batched density check when
+    the log closes.
 
     A measured realization takes one uniform per step, and all of them are
     drawn up front as one (R, steps) table; rng.random(k) gives the same
@@ -502,7 +521,7 @@ def _run(cfg, rho0, seeds, est0=None):
         uniforms = np.array([np.random.Generator(np.random.PCG64(s)).random(cfg.steps)
                              for s in seeds])
         # The open loop carries populations, the other measured modes states.
-        collapse = cfg.meas.collapse_populations if open_loop else cfg.meas.collapse
+        collapse = cfg.meas.collapse if form is None else form.collapse
     prop = None if open_loop else HermitianPropagator(cfg.h1)
     if not open_loop:
         control = _controller(cfg, prop)
@@ -543,7 +562,7 @@ def _run(cfg, rho0, seeds, est0=None):
             if not measured:
                 rho = u0 @ rho @ u0_dag
         if (k + 1) % REVALIDATE_EVERY == 0:
-            rho = (_renormalize if open_loop else _revalidate)(rho, k + 1, ids)
+            rho = (_revalidate if form is None else form.renormalize)(rho, k + 1, ids)
             if est is not None:
                 est = _revalidate(est, k + 1, ids)
         log.record_step(k, rows, u, mu)
@@ -607,8 +626,11 @@ def run_ensemble(cfg, rho0, n_realizations, master_seed):
     seeded by derive_seed(master_seed, i).  All realizations advance
     together through the batched kernel, which gives each the same bits as
     a run of it alone; the mean curves add them up in index order.
+    n_realizations and master_seed must be integers: a bool or a float is
+    refused, not truncated.
     """
-    if n_realizations < 1:
+    json_int(master_seed, "master_seed")
+    if json_int(n_realizations, "n_realizations") < 1:
         raise ValueError("need at least one realization")
     if cfg.mode not in ENSEMBLE_MODES:
         raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")

@@ -87,7 +87,7 @@ def cone_violations(r):
         "negative_semidefinite": float(max(np.linalg.eigvalsh((r + r.T) / 2)[-1], 0.0)),
         "row_sums": float(np.max(np.abs(r.sum(axis=1)))),
         "diagonal_sign": float(max(np.max(np.diag(r)), 0.0)),
-        "offdiagonal_sign": float(max(np.max(-off), 0.0)),
+        "offdiagonal_sign": float(np.max(-off, initial=0.0)),
     }
 
 
@@ -103,9 +103,11 @@ def r_of_hamiltonian(h1):
     """Connectivity matrix of a control Hamiltonian.
 
     Off-diagonal 2|H1_ij|^2, diagonal 2(|H1_ii|^2 - (H1^2)_ii).  The zero
-    row sums are an algebraic identity: (H1^2)_ii = sum_j |H1_ij|^2.
+    row sums are an algebraic identity: (H1^2)_ii = sum_j |H1_ij|^2.  H1
+    must be a non-empty square matrix; any other shape is a ValueError that
+    names it.
     """
-    h1 = np.asarray(h1, dtype=complex)
+    h1 = _as_square_complex(h1, "H1")
     if not is_hermitian(h1):
         raise ValueError("r_of_hamiltonian requires a Hermitian input")
     r = 2.0 * np.abs(h1) ** 2

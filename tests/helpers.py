@@ -250,8 +250,14 @@ def choose_plain(law, a, b):
     return u
 
 
+def sample_and_collapse(meas, rho, p, x):
+    """The kernel's measured step: QndMeasurement.sample, then collapse onto the outcomes."""
+    mu, p_mu = meas.sample(p, x)
+    return mu, meas.collapse(rho, mu, p_mu)
+
+
 def sample_and_collapse_plain(meas, rho, p, x):
-    """QndMeasurement.sample_and_collapse with float operands and .all()/.any() guards."""
+    """sample_and_collapse with float operands and .all()/.any() guards."""
     q = np.maximum(p, 0.0)
     total = q.sum(axis=-1)
     ok = np.abs(total - 1.0) <= 1e-10

@@ -113,6 +113,12 @@ class TestSynthesize:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_missing_diag_is_named(self, tmp_path, capsys):
+        path = tmp_path / "pdiag.json"
+        path.write_text(json.dumps({"n_star": 1}))
+        assert main(["synthesize", "--p-diag", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: bad p-diag file {path}: missing key 'diag'\n"
+
     @pytest.mark.parametrize("flag", [["--alpha1", "1"], ["--alpha2", "1"], ["--norm", "l1"]])
     def test_removed_solver_flags_are_rejected(self, capsys, p_diag_file, flag):
         with pytest.raises(SystemExit) as exc:
@@ -401,6 +407,9 @@ MALFORMED = {
     "photon-box-key-misspelt": lambda cfg: cfg["measurement"]["photon_box"].update(thetta=0.3),
     "measurement-key-beside-photon-box": lambda cfg: cfg["measurement"].update(n=8),
     "h1-key-misspelt": lambda cfg: cfg["h1"].update(nn=8),
+    "p-missing": lambda cfg: cfg.pop("p"),
+    "h1-im-missing": lambda cfg: cfg["h1"].pop("im"),
+    "photon-box-theta-missing": lambda cfg: cfg["measurement"]["photon_box"].pop("theta"),
 }
 
 
@@ -416,6 +425,13 @@ UNKNOWN_KEY = {
     "photon-box-key-misspelt": "measurement.photon_box.thetta",
     "measurement-key-beside-photon-box": "measurement.n",
     "h1-key-misspelt": "h1.nn",
+}
+
+# The MALFORMED cases whose config leaves out a key its reader needs, and that key.
+MISSING_KEY = {
+    "p-missing": "p",
+    "h1-im-missing": "im",
+    "photon-box-theta-missing": "theta",
 }
 
 
@@ -450,6 +466,19 @@ class TestMalformedConfig:
         path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path)]) == 1
         assert f"unknown config key {UNKNOWN_KEY[case]}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("case", sorted(MISSING_KEY))
+    def test_missing_key_is_named(self, tmp_path, capsys, command, case):
+        """A missing key is named as missing, not printed as a bare KeyError's quoted key."""
+        cfg = experiment_config("unused", np.pi / 10)
+        cfg["h1"] = zeros_json(8)
+        MALFORMED[case](cfg)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 1
+        key = MISSING_KEY[case]
+        assert capsys.readouterr().err == f"error: bad config {path}: missing key '{key}'\n"
 
 
 class TestOutDirThatCannotBeMade:

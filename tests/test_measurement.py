@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 from qfcontrol import OutcomeImpossible, QndMeasurement, photon_box
 from qfcontrol.measurement import P_FLOOR
 from qfcontrol.core import basis_state, density_violations
+from qfcontrol.simulate import _ClosedForm
 from helpers import (collapse_by_division, expected_update, random_density,
-                     random_measurement, random_mixed_density)
+                     random_measurement, random_mixed_density, sample_and_collapse)
 
 
 def unclamped_probabilities(meas, rho):
-    """sum_n |c[mu, n]|^2 rho_nn for a stack, as sample_and_collapse takes them."""
+    """sum_n |c[mu, n]|^2 rho_nn for a stack, as QndMeasurement.sample takes them."""
     return (rho.diagonal(axis1=1, axis2=2).real[:, None, :] * meas.weights).sum(axis=-1)
 
 
 def sample(meas, rho, rng):
     """One outcome for the single state rho, drawn from rng by sample_and_collapse."""
     stack = rho[None]
-    return int(meas.sample_and_collapse(stack, unclamped_probabilities(meas, stack),
-                                        rng.random(1))[0][0])
+    return int(sample_and_collapse(meas, stack, unclamped_probabilities(meas, stack),
+                                   rng.random(1))[0][0])
 
 
 class TestConstruction:
@@ -50,6 +51,15 @@ class TestConstruction:
         """Refused by name, before cos and sin would warn on an infinite phase."""
         with pytest.raises(ValueError, match="phi0 and theta must be finite"):
             photon_box(4, phi0, theta)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_photon_box_dimension_must_be_an_integer(self, n):
+        """Refused by name, where np.arange(2.5) would build 3 levels."""
+        with pytest.raises(ValueError, match=f"n is {n!r}, but must be an integer"):
+            photon_box(n, 0.125, 0.3)
+
+    def test_photon_box_takes_a_numpy_integer(self):
+        assert photon_box(np.int64(3), 0.125, 0.3).dim == 3
 
     def test_needs_two_outcomes(self):
         with pytest.raises(ValueError):
@@ -107,13 +117,13 @@ class TestOutcomes:
         rho[1, 2, 2] = np.nan
         p = (rho.diagonal(axis1=1, axis2=2).real[:, None, :] * m.weights).sum(axis=-1)
         with pytest.raises(ValueError, match="sum to nan"):
-            m.sample_and_collapse(rho, p, rng.random(3))
+            sample_and_collapse(m, rho, p, rng.random(3))
         with pytest.raises(ValueError, match="sum to nan"):
-            m.sample_and_collapse(rho[1:2], p[1:2], rng.random(1))
+            sample_and_collapse(m, rho[1:2], p[1:2], rng.random(1))
 
 
 class TestSampleAndCollapse:
-    """The fused stack method against the inverse CDF and apply_outcomes, on random systems."""
+    """sample, then collapse, against the inverse CDF and apply_outcomes, on random systems."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 4),
@@ -124,7 +134,7 @@ class TestSampleAndCollapse:
         rho = np.array([random_mixed_density(rng, dim) for _ in range(stack)])
         x = rng.random(stack)
         p = unclamped_probabilities(meas, rho)
-        mu, post = meas.sample_and_collapse(rho, p, x)
+        mu, post = sample_and_collapse(meas, rho, p, x)
         for r in range(stack):
             q = np.maximum(p[r], 0.0)
             cdf = np.cumsum(q / q.sum())
@@ -134,13 +144,13 @@ class TestSampleAndCollapse:
         bad = rho.copy()
         bad[-1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="sum to nan"):
-            meas.sample_and_collapse(bad, unclamped_probabilities(meas, bad), x)
+            sample_and_collapse(meas, bad, unclamped_probabilities(meas, bad), x)
         # Outcome 0 at probability 1e-13 is drawn by x = 0 and must not divide.
         tiny = p.copy()
         tiny[-1] = 0.0
         tiny[-1, :2] = 1e-13, 1.0 - 1e-13
         with pytest.raises(OutcomeImpossible, match="outcome 0"):
-            meas.sample_and_collapse(rho, tiny, np.where(np.arange(stack) == stack - 1, 0.0, x))
+            sample_and_collapse(meas, rho, tiny, np.where(np.arange(stack) == stack - 1, 0.0, x))
 
 
 class TestCollapseByReciprocal:
@@ -168,7 +178,7 @@ class TestCollapseByReciprocal:
 
 
 class TestCollapsePopulations:
-    """The populations' collapse gives the full collapse's diagonal, bit for bit."""
+    """_ClosedForm.collapse gives the full collapse's diagonal, bit for bit."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 5),
@@ -189,10 +199,11 @@ class TestCollapsePopulations:
         mu = np.array([rng.choice(np.flatnonzero(row > P_FLOOR)) for row in p])
         p_mu = np.add.reduce(meas.weights[mu] * d, -1)
         post = meas.apply_outcomes(mu, rho).diagonal(axis1=1, axis2=2).real
-        assert meas.collapse_populations(d, mu, p_mu).tobytes() == post.tobytes()
+        form = _ClosedForm(meas, rho[0])
+        assert form.collapse(d, mu, p_mu).tobytes() == post.tobytes()
         p_mu[-1] = P_FLOOR
         with pytest.raises(OutcomeImpossible, match="<= floor"):
-            meas.collapse_populations(d, mu, p_mu)
+            form.collapse(d, mu, p_mu)
 
 
 class TestMartingale:

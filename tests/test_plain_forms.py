@@ -35,6 +35,7 @@ from helpers import (
     random_hermitian,
     random_measurement,
     random_mixed_density,
+    sample_and_collapse,
     sample_and_collapse_plain,
 )
 
@@ -145,7 +146,7 @@ class TestSampleAndCollapse:
         on_cdf = rng.random(stack) < 0.3
         x[on_cdf] = cdf[on_cdf, rng.integers(0, m, size=stack)[on_cdf]]
         x = np.minimum(x, np.nextafter(1.0, 0.0))
-        assert outcome(lambda: meas.sample_and_collapse(rho, p, x)) == outcome(
+        assert outcome(lambda: sample_and_collapse(meas, rho, p, x)) == outcome(
             lambda: sample_and_collapse_plain(meas, rho, p, x))
 
     def test_nan_and_impossible_rows_are_refused_alike(self):
@@ -161,7 +162,7 @@ class TestSampleAndCollapse:
         floor[4] = P_FLOOR, 1.0 - P_FLOOR, 0.0
         x = np.where(np.arange(5) == 4, 0.0, rng.random(5))
         for probs, error in ((nan, ValueError), (tiny, RuntimeError), (floor, RuntimeError)):
-            got = outcome(lambda: meas.sample_and_collapse(rho, probs, x))
+            got = outcome(lambda: sample_and_collapse(meas, rho, probs, x))
             assert got[0] == "raised" and issubclass(got[1], error)
             assert got == outcome(lambda: sample_and_collapse_plain(meas, rho, probs, x))
 

@@ -141,6 +141,18 @@ class TestLoopConfig:
                        controller=ControllerConfig(kind="linear"))
 
 
+    @pytest.mark.parametrize("steps", [2.5, True])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match=f"steps is {steps!r}, but must be an integer"):
+            stochastic_config(steps=steps)
+
+    def test_numpy_integer_steps_run(self):
+        cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
+                         meas=photon_box(8, 1 / 8, np.pi / 10), steps=np.int64(3),
+                         stop_at_threshold=False)
+        assert run_ensemble(cfg, seed_state(), 1, 0).trajectories[0].steps_run == 3
+
+
 class TestRunTrajectoryArguments:
     """run_trajectory takes a seed and est0 exactly where the mode uses them."""
 
@@ -406,10 +418,10 @@ class TestOpenLoopChecks:
     ], ids=["nan", "negative"])
     def test_broken_populations_abort_at_the_renormalization(self, monkeypatch, broken, error,
                                                                message):
-        original = QndMeasurement.collapse_populations
+        original = simulate._ClosedForm.collapse
         calls = []
 
-        def collapse_populations(self, d, mu, p):
+        def collapse(self, d, mu, p):
             out = original(self, d, mu, p)
             calls.append(None)
             if len(calls) == 50:
@@ -417,7 +429,7 @@ class TestOpenLoopChecks:
                 out[2, :len(broken)] = broken
             return out
 
-        monkeypatch.setattr(QndMeasurement, "collapse_populations", collapse_populations)
+        monkeypatch.setattr(simulate._ClosedForm, "collapse", collapse)
         with pytest.raises(error, match=message):
             run_ensemble(open_loop_config(), seed_state(), 4, 0)
 
@@ -524,6 +536,23 @@ class TestFilteredLoop:
 
 
 class TestEnsemble:
+    @pytest.mark.parametrize("n_realizations, master_seed, name", [
+        (True, 0, "n_realizations is True"),
+        (2.0, 0, "n_realizations is 2.0"),
+        (3, 1.5, "master_seed is 1.5"),
+        (3, True, "master_seed is True"),
+    ], ids=["realizations-true", "realizations-float", "seed-float", "seed-true"])
+    def test_counts_must_be_integers(self, n_realizations, master_seed, name):
+        """Refused by name, where int() would run 1 realization or master seed 1."""
+        with pytest.raises(ValueError, match=f"{name}, but must be an integer"):
+            run_ensemble(open_loop_config(), seed_state(), n_realizations, master_seed)
+
+    def test_numpy_integer_counts_run(self):
+        res = run_ensemble(open_loop_config(), seed_state(), np.int64(2), np.int64(5))
+        ref = run_ensemble(open_loop_config(), seed_state(), 2, 5)
+        assert res.realizations == 2
+        assert np.array_equal(res.final_fidelity, ref.final_fidelity)
+
     def test_thread_count_invariance(self):
         """A rerun, and each realization run alone, repeat the ensemble exactly."""
         cfg = stochastic_config(steps=120)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,17 @@ class TestCone:
         with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
             check(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("entry, violated", [
+        (0.0, {}),
+        (1.0, {"negative_semidefinite": 1.0, "row_sums": 1.0, "diagonal_sign": 1.0}),
+        (-1.0, {"row_sums": 1.0}),
+    ], ids=["in-cone", "positive", "negative"])
+    def test_one_by_one(self, entry, violated):
+        """A 1x1 R has no off-diagonal entry, so it violates no off-diagonal sign."""
+        r = np.array([[entry]])
+        assert {k: v for k, v in cone_violations(r).items() if v} == violated
+        assert in_cone(r) == (not violated)
+
     def test_violation_report_keys(self):
         keys = set(cone_violations(np.zeros((3, 3))))
         assert keys == {
@@ -63,6 +75,12 @@ class TestCone:
 
 
 class TestRMaps:
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)])
+    def test_r_of_hamiltonian_rejects_shape(self, shape):
+        message = re.escape(f"H1 must be a non-empty square matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            r_of_hamiltonian(np.zeros(shape))
+
     def test_edge_weights_match_the_edge_loop_bit_for_bit(self):
         """R(w) equals the edge-by-edge loop's bits, +0.0 diagonals included.
 
