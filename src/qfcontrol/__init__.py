@@ -18,7 +18,6 @@ from .control import (
 from .measurement import OutcomeImpossible, QndMeasurement, photon_box
 from .simulate import (
     EnsembleResult,
-    FilterBreakdown,
     LoopConfig,
     Trajectory,
     config_hash,

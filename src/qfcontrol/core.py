@@ -99,7 +99,9 @@ def json_bool(value, name):
 
 def json_number(value, name):
     """float(value) when value is a number; float() would take true and "0.5"."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # A plain float skips the ABC check, as in json_int.
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} is {value!r}, but must be a number")
     return float(value)
 
@@ -223,6 +225,7 @@ class DiagonalObservable:
             raise ValueError("sigma must be a vector of at least two energies")
         if not np.isfinite(sig).all():
             raise ValueError("sigma contains NaN or Inf entries")
+        json_int(self.n_star, "n_star")
         if not 0 <= self.n_star < sig.size:
             raise IndexError(f"n_star {self.n_star} out of range")
         if sig[self.n_star] > sig.min() + 1e-12:
@@ -241,7 +244,7 @@ class DiagonalObservable:
     @classmethod
     def from_json(cls, obj):
         json_object(obj, "p", ("diag", "n_star"))
-        return cls(json_numbers(obj["diag"], "p.diag"), json_int(obj["n_star"], "n_star"))
+        return cls(json_numbers(obj["diag"], "p.diag"), obj["n_star"])
 
 
 class HermitianPropagator:

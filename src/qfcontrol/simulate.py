@@ -4,7 +4,7 @@ One step of the measurement-driven loop is: sample an outcome from the
 current state, collapse, compute the control from the post-measurement state,
 then apply exp(-i H1 u).  The deterministic (measurement-free) loop instead
 applies exp(-i H0) exp(-i H1 u) with the linear feedback law.  One kernel,
-``_run``, executes the step in all four modes for a stack of R realizations
+``_run``, executes the step in all three modes for a stack of R realizations
 at once: an (R, n, n) state, (R, steps + 1) logs and one random stream per
 realization.  The open loop, measurement alone, carries only the (R, n)
 populations, which the diagonal Kraus operators change through the
@@ -43,7 +43,9 @@ from .core import (
     density_violations,
     hermitize,
     is_hermitian,
+    json_bool,
     json_int,
+    json_number,
     validate_density,
 )
 from .control import (
@@ -52,13 +54,12 @@ from .control import (
     LinearLaw,
     QuadraticLaw,
 )
-from .measurement import OutcomeImpossible, _reciprocal
+from .measurement import _reciprocal
 
 __all__ = [
     "ABSORB_THRESHOLD",
     "ENSEMBLE_MODES",
     "EnsembleResult",
-    "FilterBreakdown",
     "LoopConfig",
     "Trajectory",
     "config_hash",
@@ -83,13 +84,9 @@ REVALIDATE_EVERY = 50
 # block costs less than one per step on a stack of a few populations.
 PURITY_BLOCK = 50
 
-# The modes run_ensemble accepts.  A deterministic run has no stream to vary,
-# and a filtered ensemble would need an initial estimate no caller supplies.
+# The modes run_ensemble accepts: the measured ones.  A deterministic run has
+# no stream to vary.
 ENSEMBLE_MODES = ("stochastic", "open-loop")
-
-
-class FilterBreakdown(RuntimeError):
-    """The filter assigned (near-)zero probability to the observed outcome."""
 
 
 def _fmix64(x):
@@ -109,9 +106,10 @@ def derive_seed(master_seed, index):
 
     Mixing the master before the XOR keeps masters that differ only in low
     bits from sharing a set of streams; master 0 keeps splitmix64(index).
+    Both must be integers: a bool or a float is refused, not truncated.
     """
-    master = _fmix64(int(master_seed) & 0xFFFFFFFFFFFFFFFF)
-    return splitmix64(master ^ (int(index) & 0xFFFFFFFFFFFFFFFF))
+    master = _fmix64(json_int(master_seed, "master_seed") & 0xFFFFFFFFFFFFFFFF)
+    return splitmix64(master ^ (json_int(index, "index") & 0xFFFFFFFFFFFFFFFF))
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ class LoopConfig:
     stop_at_threshold: bool = True
 
     def __post_init__(self):
-        if self.mode not in ("deterministic", "stochastic", "open-loop", "filtered"):
+        if self.mode not in ("deterministic", "stochastic", "open-loop"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if json_int(self.steps, "steps") < 1:
             raise ValueError("steps must be at least 1")
@@ -140,7 +138,8 @@ class LoopConfig:
         if (self.mode == "deterministic") != (self.controller.kind == "linear"):
             raise ValueError(f"{self.mode} mode cannot use the {self.controller.kind} controller"
                              "; the linear controller runs the deterministic mode only")
-        if not 0.0 < self.fidelity_threshold <= 1.0:
+        json_bool(self.stop_at_threshold, "stop_at_threshold")
+        if not 0.0 < json_number(self.fidelity_threshold, "fidelity_threshold") <= 1.0:
             raise ValueError(f"fidelity_threshold is {self.fidelity_threshold}, "
                              "but must be in (0, 1]")
         dim = self.p.dim
@@ -171,9 +170,6 @@ class Trajectory:
     states: dict
     first_hit: int | None
     absorbed_state: int | None
-    # filtered mode only:
-    estimate_fidelity: np.ndarray | None = None
-    trace_distance: np.ndarray | None = None
 
     @property
     def steps_run(self):
@@ -318,7 +314,7 @@ class _ClosedForm:
 class _Log:
     """Logs of a stack of realizations as (R, steps + 1) arrays, by realization index."""
 
-    def __init__(self, cfg, n_runs, filtered, form=None):
+    def __init__(self, cfg, n_runs, form):
         self.threshold = cfg.fidelity_threshold
         self.n_star = cfg.p.n_star
         # Rows: the outcome weights (measured modes), then sigma.  One
@@ -332,8 +328,6 @@ class _Log:
         self.fidelity = np.zeros(states)
         self.lyapunov = np.zeros(states)
         self.purity = np.zeros(states)
-        self.est_fid = np.zeros(states) if filtered else None
-        self.dist = np.zeros(states) if filtered else None
         self.steps_run = np.zeros(n_runs, dtype=int)
         # The open loop's _ClosedForm, whose stack holds populations only,
         # and the populations whose purity is not logged yet.
@@ -344,7 +338,7 @@ class _Log:
             self.final = np.zeros((n_runs, cfg.p.dim))
             self.block = np.zeros((n_runs, PURITY_BLOCK, cfg.p.dim))
 
-    def record_state(self, k, rows, rho, est=None):
+    def record_state(self, k, rows, rho):
         """Log the states after k steps in the given rows.
 
         rho is the stack of states, or of the open loop's populations, whose
@@ -367,9 +361,6 @@ class _Log:
         dots = np.add.reduce(d[:, None, :] * self.table, -1)
         self.fidelity[rows, k] = d[:, self.n_star]
         self.lyapunov[rows, k] = dots[:, -1]
-        if est is not None:
-            self.est_fid[rows, k] = est[:, self.n_star, self.n_star].real
-            self.dist[rows, k] = trace_distance(rho, est)
         return d, dots
 
     def record_step(self, k, rows, u, mu):
@@ -422,7 +413,7 @@ class _Log:
         out = []
         for r, s in enumerate(self.steps_run):
             hit, level = int(self.first_hit[r]), int(self.absorbed[r])
-            traj = Trajectory(
+            out.append(Trajectory(
                 u=self.u[r, :s].copy(),
                 outcome=self.outcome[r, :s].copy(),
                 fidelity=self.fidelity[r, :s + 1].copy(),
@@ -431,11 +422,7 @@ class _Log:
                 states={int(s): self.final[r].copy()},
                 first_hit=hit if hit >= 0 else None,
                 absorbed_state=level if level >= 0 else None,
-            )
-            if self.est_fid is not None:
-                traj.estimate_fidelity = self.est_fid[r, :s + 1].copy()
-                traj.trace_distance = self.dist[r, :s + 1].copy()
-            out.append(traj)
+            ))
         return out
 
 
@@ -452,19 +439,6 @@ def _controller(cfg, prop):
     return ExactMinLaw(cfg.p, prop, cfg.meas, cfg.controller).controls
 
 
-def _collapse_estimate(meas, est, mu, k):
-    """Condition the filter states on the observed outcomes mu at step k.
-
-    An outcome the filter gives probability at or below the floor ends the
-    run with FilterBreakdown; the filter is never patched up and run on.
-    """
-    try:
-        return meas.apply_outcomes(mu, est)
-    except OutcomeImpossible as e:
-        raise FilterBreakdown(f"step {k}: the filter state cannot explain the "
-                              f"observation: {e}") from e
-
-
 def _initial_state(state, dim, name):
     """state as a complex array, when it is a dim x dim density matrix."""
     if np.shape(state) != (dim, dim):
@@ -475,16 +449,16 @@ def _initial_state(state, dim, name):
         raise ValueError(f"{name} is not a density matrix: {e}") from e
 
 
-def _run(cfg, rho0, seeds, est0=None):
+def _run(cfg, rho0, seeds):
     """The one step kernel: advance len(seeds) realizations of cfg as one stack.
 
-    Realization r starts from rho0 (and the filter from est0), each checked
-    to be a density matrix of the config's dimension, and draws from the
-    PCG64 stream seeded by seeds[r]; the deterministic loop draws nothing,
-    and its seeds hold one None per realization.  Each step measures (all
-    modes but deterministic), takes the control from the post-measurement
-    state, or from the filter state when ``est0`` is given, and propagates,
-    for every live realization at once.
+    Realization r starts from rho0, checked to be a density matrix of the
+    config's dimension, and draws from the PCG64 stream seeded by seeds[r];
+    the deterministic loop draws nothing, and its seeds hold one None per
+    realization.  Each step measures (the stochastic and open-loop modes),
+    takes the control from the post-measurement state (the stochastic and
+    deterministic modes) and propagates, for every live realization at
+    once.
     Open-loop applies no unitary and logs u = 0; the deterministic loop
     applies exp(-i H0) after exp(-i H1 u) and logs the outcome as NaN.
     Open-loop stops once a basis state is absorbed, the other modes once
@@ -516,7 +490,6 @@ def _run(cfg, rho0, seeds, est0=None):
     rho0 = _initial_state(rho0, cfg.p.dim, "rho0")
     form = _ClosedForm(cfg.meas, rho0) if open_loop else None
     rho = np.repeat((rho0 if form is None else form.d0)[None], n_runs, axis=0)
-    est = None if est0 is None else np.repeat(_initial_state(est0, cfg.p.dim, "est0")[None], n_runs, axis=0)
     if measured:
         uniforms = np.array([np.random.Generator(np.random.PCG64(s)).random(cfg.steps)
                              for s in seeds])
@@ -533,8 +506,8 @@ def _run(cfg, rho0, seeds, est0=None):
     # Log and table rows of the live realizations: a slice, which is cheaper
     # to index with, until the first one stops.
     rows = slice(None)
-    log = _Log(cfg, n_runs, est is not None, form)
-    d, dots = log.record_state(0, rows, rho, est)
+    log = _Log(cfg, n_runs, form)
+    d, dots = log.record_state(0, rows, rho)
     for k in range(cfg.steps):
         if cfg.stop_at_threshold:
             done = (np.maximum.reduce(d, -1) >= _ABSORB_THRESHOLD if open_loop
@@ -544,54 +517,37 @@ def _run(cfg, rho0, seeds, est0=None):
                 live = ~done
                 ids, rho, dots = ids[live], rho[live], dots[live]
                 rows = ids
-                est = None if est is None else est[live]
                 if not ids.size:
                     break
         mu = np.nan
         if measured:
             mu, p_mu = cfg.meas.sample(dots[:, :-1], uniforms[rows, k])
             rho = collapse(rho, mu, p_mu)
-            if est is not None:
-                est = _collapse_estimate(cfg.meas, est, mu, k)
         u = 0.0
         if not open_loop:
-            u = control(rho if est is None else est)
+            u = control(rho)
             rho = prop.conjugate_stack(rho, u)
-            if est is not None:
-                est = prop.conjugate_stack(est, u)
             if not measured:
                 rho = u0 @ rho @ u0_dag
         if (k + 1) % REVALIDATE_EVERY == 0:
             rho = (_revalidate if form is None else form.renormalize)(rho, k + 1, ids)
-            if est is not None:
-                est = _revalidate(est, k + 1, ids)
         log.record_step(k, rows, u, mu)
-        d, dots = log.record_state(k + 1, rows, rho, est)
+        d, dots = log.record_state(k + 1, rows, rho)
     log.stop(cfg.steps, ids, rho)
     log.close()
     return log
 
 
-def run_trajectory(cfg, rho0, seed=None, est0=None):
+def run_trajectory(cfg, rho0, seed=None):
     """Run one realization of cfg from rho0 and return its Trajectory.
 
-    seed seeds the stream of every mode but the deterministic one, which
-    draws nothing.  est0 starts the filter state that the filtered mode,
-    and no other, takes its controls from.
+    seed seeds the stream of the stochastic and open-loop modes; the
+    deterministic mode draws nothing and takes no seed.
     """
     deterministic = cfg.mode == "deterministic"
     if (seed is None) != deterministic:
         raise ValueError(f"{cfg.mode} mode {'takes no' if deterministic else 'needs a'} seed")
-    if (est0 is None) == (cfg.mode == "filtered"):
-        raise ValueError(f"{cfg.mode} mode {'needs an' if est0 is None else 'takes no'} "
-                         "initial filter state est0")
-    return _run(cfg, rho0, [seed], est0).trajectories()[0]
-
-
-def trace_distance(a, b):
-    """(1/2) * trace norm of a - b, pair by pair for stacks of shape (R, n, n)."""
-    w = np.linalg.eigvalsh(hermitize(np.asarray(a) - np.asarray(b)))
-    return 0.5 * np.sum(np.abs(w), axis=-1)
+    return _run(cfg, rho0, [seed]).trajectories()[0]
 
 
 @dataclass
@@ -627,9 +583,8 @@ def run_ensemble(cfg, rho0, n_realizations, master_seed):
     together through the batched kernel, which gives each the same bits as
     a run of it alone; the mean curves add them up in index order.
     n_realizations and master_seed must be integers: a bool or a float is
-    refused, not truncated.
+    refused, not truncated (master_seed by derive_seed).
     """
-    json_int(master_seed, "master_seed")
     if json_int(n_realizations, "n_realizations") < 1:
         raise ValueError("need at least one realization")
     if cfg.mode not in ENSEMBLE_MODES:

@@ -250,13 +250,7 @@ class TestSimulateModes:
         cfg["h0"] = {"n": 8, "re": h0.tolist(), "im": np.zeros((8, 8)).tolist()}
         return cfg
 
-    @staticmethod
-    def filtered_config():
-        cfg = inline_h1(experiment_config("unused", np.pi / 10), 0.1)
-        cfg["loop"]["mode"] = "filtered"
-        return cfg
-
-    @pytest.mark.parametrize("mode", ["deterministic", "filtered"])
+    @pytest.mark.parametrize("mode", ["deterministic"])
     def test_simulate_rejects_non_ensemble_mode(self, tmp_path, capsys, mode):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(getattr(self, f"{mode}_config")()))
@@ -264,6 +258,20 @@ class TestSimulateModes:
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad config") and repr(mode) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_filtered_mode_is_refused(self, tmp_path, capsys, command):
+        """No mode is left that validate passes and simulate refuses."""
+        cfg = inline_h1(experiment_config("unused", np.pi / 10), 0.1)
+        cfg["loop"]["mode"] = "filtered"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        args = [command, "--config", str(path)]
+        assert main(args + (["--out-dir", str(out)] if command == "simulate" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config") and "'filtered'" in err
         assert not out.exists()
 
     def test_validate_checks_deterministic_config(self, tmp_path, capsys):

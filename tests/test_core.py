@@ -155,6 +155,15 @@ class TestDiagonalObservable:
         with pytest.raises(ValueError):
             DiagonalObservable(np.array([1.0, 2.0, 3.0]), 1)
 
+    @pytest.mark.parametrize("n_star", [True, 1.5])
+    def test_n_star_must_be_an_integer(self, n_star):
+        """Refused by name, not by a NumPy indexing error."""
+        with pytest.raises(ValueError, match=f"n_star is {n_star!r}, but must be an integer"):
+            DiagonalObservable(np.array([4.0, 0.5, 2.0]), n_star)
+
+    def test_n_star_may_be_a_numpy_integer(self):
+        assert DiagonalObservable(np.array([4.0, 0.5, 2.0]), np.int64(1)).n_star == 1
+
     def test_json_round_trip(self):
         p = DiagonalObservable(np.array([4.0, 0.5, 2.0]), 1)
         q = DiagonalObservable.from_json(p.to_json())

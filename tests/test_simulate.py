@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qfcontrol import (
     ControllerConfig,
     DiagonalObservable,
-    FilterBreakdown,
     LinearLaw,
     LoopConfig,
     QndMeasurement,
@@ -105,6 +104,20 @@ class TestSeeding:
     def test_master_zero_streams_are_splitmix64_of_index(self):
         assert all(derive_seed(0, i) == splitmix64(i) for i in range(256))
 
+    @pytest.mark.parametrize("master_seed, index, name", [
+        (1.5, 0, "master_seed is 1.5"),
+        (True, 0, "master_seed is True"),
+        (0, 2.7, "index is 2.7"),
+    ], ids=["master-float", "master-true", "index-float"])
+    def test_derive_seed_refuses_non_integers(self, master_seed, index, name):
+        """Refused by name, where int() would run the streams of master 1 or index 2."""
+        with pytest.raises(ValueError, match=f"{name}, but must be an integer"):
+            derive_seed(master_seed, index)
+
+    def test_derive_seed_takes_numpy_integers(self):
+        assert [derive_seed(np.int64(42), np.int64(i)) for i in range(8)] == \
+            [derive_seed(42, i) for i in range(8)]
+
     def test_neighbouring_masters_draw_different_ensembles(self):
         # Seeding with splitmix64(master XOR index) gave masters 0 and 1 the
         # same 48 streams in another order, hence the same sorted results.
@@ -133,13 +146,23 @@ class TestLoopConfig:
                 controller=ControllerConfig(kind="linear"),
             )
 
-    @pytest.mark.parametrize("mode", ["stochastic", "open-loop", "filtered"])
+    @pytest.mark.parametrize("mode", ["stochastic", "open-loop"])
     def test_linear_controller_only_in_deterministic_mode(self, mode):
         with pytest.raises(ValueError, match=f"{mode} mode cannot use the linear"):
             LoopConfig(mode=mode, p=observable8(), h1=coupling8(),
                        meas=photon_box(8, 1 / 8, np.pi / 10),
                        controller=ControllerConfig(kind="linear"))
 
+
+    def test_fidelity_threshold_must_be_a_number(self):
+        """Refused by name, where True would run at threshold 1.0."""
+        with pytest.raises(ValueError, match="fidelity_threshold is True, but must be a number"):
+            stochastic_config(fidelity_threshold=True)
+
+    def test_stop_at_threshold_must_be_a_boolean(self):
+        """Refused by name, where "no" would run with the early stop on."""
+        with pytest.raises(ValueError, match="stop_at_threshold is 'no', but must be true or false"):
+            stochastic_config(stop_at_threshold="no")
 
     @pytest.mark.parametrize("steps", [2.5, True])
     def test_steps_must_be_an_integer(self, steps):
@@ -154,7 +177,7 @@ class TestLoopConfig:
 
 
 class TestRunTrajectoryArguments:
-    """run_trajectory takes a seed and est0 exactly where the mode uses them."""
+    """run_trajectory takes a seed exactly where the mode uses one."""
 
     @staticmethod
     def config(mode):
@@ -168,28 +191,16 @@ class TestRunTrajectoryArguments:
         with pytest.raises(ValueError, match="deterministic mode takes no seed"):
             run_trajectory(self.config("deterministic"), seed_state(), 0)
 
-    @pytest.mark.parametrize("mode", ["stochastic", "open-loop", "filtered"])
+    @pytest.mark.parametrize("mode", ["stochastic", "open-loop"])
     def test_measured_modes_need_a_seed(self, mode):
         with pytest.raises(ValueError, match=f"{mode} mode needs a seed"):
-            run_trajectory(self.config(mode), seed_state(), est0=seed_state())
-
-    def test_filtered_mode_needs_est0(self):
-        with pytest.raises(ValueError, match="filtered mode needs an initial filter state"):
-            run_trajectory(self.config("filtered"), seed_state(), 0)
+            run_trajectory(self.config(mode), seed_state())
 
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "open-loop"])
-    def test_other_modes_take_no_est0(self, mode):
-        seed = None if mode == "deterministic" else 0
-        with pytest.raises(ValueError, match=f"{mode} mode takes no initial filter state"):
-            run_trajectory(self.config(mode), seed_state(), seed, est0=seed_state())
-
-    @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "open-loop", "filtered"])
     def test_runs_with_the_arguments_its_mode_uses(self, mode):
         seed = None if mode == "deterministic" else 0
-        est0 = np.eye(8, dtype=complex) / 8 if mode == "filtered" else None
-        t = run_trajectory(self.config(mode), seed_state(), seed, est0)
+        t = run_trajectory(self.config(mode), seed_state(), seed)
         assert t.steps_run == 5
-        assert (t.estimate_fidelity is not None) == (mode == "filtered")
 
     BAD_STATES = {
         "trace-2": (2 * np.eye(8), "rho0 is not a density matrix"),
@@ -207,12 +218,6 @@ class TestRunTrajectoryArguments:
                 run_trajectory(self.config("stochastic"), rho0, 0)
             else:
                 run_ensemble(self.config("stochastic"), rho0, 2, 0)
-
-    @pytest.mark.parametrize("bad", sorted(BAD_STATES))
-    def test_est0_must_be_a_density_matrix_of_the_config(self, bad):
-        est0, message = self.BAD_STATES[bad]
-        with pytest.raises(ValueError, match=message.replace("rho0", "est0")):
-            run_trajectory(self.config("filtered"), seed_state(), 0, est0)
 
 
 class TestStochasticLoop:
@@ -500,41 +505,6 @@ class TestDeterministicLoop:
         assert all(row.split(",")[2] != "-0" for row in rows)
 
 
-class TestFilteredLoop:
-    def test_filter_converges_to_truth(self):
-        """With informative measurements the estimate tracks the true state."""
-        cfg = LoopConfig(
-            mode="filtered",
-            p=observable8(),
-            h1=coupling8(),
-            meas=photon_box(8, 1 / 8, np.pi / 10),
-            controller=ControllerConfig(kind="quadratic", u_bar=0.1),
-            steps=400,
-            stop_at_threshold=False,
-        )
-        rho0 = seed_state()
-        est0 = np.eye(8, dtype=complex) / 8
-        t = run_trajectory(cfg, rho0, 31, est0)
-        assert t.trace_distance[-1] < t.trace_distance[0]
-
-    def test_impossible_observation_breaks_the_filter(self):
-        """The truth |0> always gives outcome 0, which the estimate |1> rules out.
-
-        The run must stop at the first step, not patch the estimate and go on.
-        """
-        cfg = LoopConfig(
-            mode="filtered",
-            p=DiagonalObservable(np.array([2.0, 1.0]), 1),
-            h1=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            meas=QndMeasurement([[1, 0], [0, 1]]),
-            steps=5,
-        )
-        rho0 = np.diag([1.0, 0.0]).astype(complex)
-        est0 = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(FilterBreakdown, match="^step 0: "):
-            run_trajectory(cfg, rho0, 0, est0)
-
-
 class TestEnsemble:
     @pytest.mark.parametrize("n_realizations, master_seed, name", [
         (True, 0, "n_realizations is True"),
@@ -616,12 +586,6 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(stochastic_config(), seed_state(), 0, 1)
 
-    def test_rejects_filtered_mode(self):
-        cfg = LoopConfig(mode="filtered", p=observable8(), h1=coupling8(),
-                         meas=photon_box(8, 1 / 8, np.pi / 10))
-        with pytest.raises(ValueError, match="not defined for mode 'filtered'"):
-            run_ensemble(cfg, seed_state(), 3, 1)
-
 
 def nan_off_diagonal(rho):
     rho = rho.copy()
@@ -699,10 +663,6 @@ def parity_case(name):
         cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
                          meas=complex_box(), steps=300, stop_at_threshold=stop)
         return run_trajectory(cfg, seed_state_without(4), 4 if stop else 5)
-    if kind == "filtered":
-        cfg = LoopConfig(mode="filtered", p=observable8(), h1=star_h1(), meas=pi10,
-                         controller=quad, steps=300, stop_at_threshold=False)
-        return run_trajectory(cfg, seed_state(), 0, np.eye(8, dtype=complex) / 8)
     if kind == "deterministic":
         cfg = LoopConfig(mode="deterministic", p=observable8(), h1=star_h1(),
                          h0=np.diag(np.linspace(0.0, 3.0, 8)).astype(complex),
@@ -715,7 +675,7 @@ def parity_case(name):
 def parity_record(t):
     """What the parity test compares: integers exactly, floats to 1e-12."""
     final = t.states[max(t.states)]
-    rec = {
+    return {
         "outcomes": "".join("" if np.isnan(m) else str(int(m)) for m in t.outcome),
         "first_hit": t.first_hit,
         "absorbed_state": t.absorbed_state,
@@ -727,17 +687,13 @@ def parity_record(t):
         "state_re": final.real.tolist(),
         "state_im": final.imag.tolist(),
     }
-    if t.estimate_fidelity is not None:
-        rec["estimate_fidelity"] = float(t.estimate_fidelity[-1])
-        rec["trace_distance"] = float(t.trace_distance[-1])
-    return rec
 
 
 PARITY = json.loads((Path(__file__).parent / "engine_parity.json").read_text())
 
 
 class TestFixedSeedParity:
-    """The engine reproduces outputs recorded from the four hand-written loops."""
+    """The engine reproduces outputs recorded from the original hand-written loops."""
 
     @pytest.mark.parametrize("name", sorted(PARITY))
     def test_matches_recording(self, name):
