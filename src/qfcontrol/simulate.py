@@ -80,9 +80,10 @@ _MINUS_PSD_TOL = _frozen(-PSD_TOL)
 
 REVALIDATE_EVERY = 50
 
-# The open loop logs purity in blocks of this many states: one product per
-# block costs less than one per step on a stack of a few populations.
-PURITY_BLOCK = 50
+# The log keeps the populations of this many states per realization and
+# derives their curves once the block is full: one product per block costs
+# less than one per step on a stack of a few states.
+LOG_BLOCK = 50
 
 # The modes run_ensemble accepts: the measured ones.  A deterministic run has
 # no stream to vary.
@@ -159,7 +160,8 @@ class Trajectory:
 
     fidelity/lyapunov/purity have one entry per visited state (steps+1 at
     most); u and outcome have one entry per executed step.  states maps the
-    last step index to the final density matrix.
+    last step index to the final density matrix.  The arrays are views of
+    the rows of the run's log.
     """
 
     u: np.ndarray
@@ -312,16 +314,22 @@ class _ClosedForm:
 
 
 class _Log:
-    """Logs of a stack of realizations as (R, steps + 1) arrays, by realization index."""
+    """Logs of a stack of realizations as (R, steps + 1) arrays, by realization index.
+
+    Every state's populations go into an (R, LOG_BLOCK, n) block; when the
+    block is full, or its rows stop, the fidelity (column n*), the Lyapunov
+    value (the sum of sigma times the populations) and, in the open loop,
+    the purity are logged for its states at once.  The full-state modes log
+    their purity, which needs the whole state, one state at a time.
+    """
 
     def __init__(self, cfg, n_runs, form):
         self.threshold = cfg.fidelity_threshold
         self.n_star = cfg.p.n_star
-        # Rows: the outcome weights (measured modes), then sigma.  One
-        # product with a stack's diagonals gives the unclamped outcome
-        # probabilities and the Lyapunov value together.
-        self.table = (cfg.p.sigma[None] if cfg.meas is None
-                      else np.concatenate([cfg.meas.weights, cfg.p.sigma[None]]))
+        self.sigma = cfg.p.sigma
+        # A table of no rows without a measurement: the deterministic loop
+        # samples nothing.
+        self.weights = np.zeros((0, cfg.p.dim)) if cfg.meas is None else cfg.meas.weights
         states = (n_runs, cfg.steps + 1)
         self.u = np.zeros((n_runs, cfg.steps))
         self.outcome = np.zeros((n_runs, cfg.steps))
@@ -329,22 +337,20 @@ class _Log:
         self.lyapunov = np.zeros(states)
         self.purity = np.zeros(states)
         self.steps_run = np.zeros(n_runs, dtype=int)
-        # The open loop's _ClosedForm, whose stack holds populations only,
-        # and the populations whose purity is not logged yet.
+        self.block = np.zeros((n_runs, LOG_BLOCK, cfg.p.dim))
+        # The open loop's _ClosedForm, whose stack holds populations only.
         self.form = form
         if form is None:
             self.final = np.zeros((n_runs, cfg.p.dim, cfg.p.dim), dtype=complex)
         else:
             self.final = np.zeros((n_runs, cfg.p.dim))
-            self.block = np.zeros((n_runs, PURITY_BLOCK, cfg.p.dim))
 
     def record_state(self, k, rows, rho):
         """Log the states after k steps in the given rows.
 
-        rho is the stack of states, or of the open loop's populations, whose
-        purity is logged when their block is full or they stop.  Returns
-        their diagonals and the diagonals' products with the table: the
-        unclamped outcome probabilities, then the Lyapunov value.
+        rho is the stack of states, or of the open loop's populations.
+        Returns their populations and the unclamped outcome probabilities,
+        the populations' products with the outcome weights.
         """
         if self.form is None:
             d = rho.diagonal(axis1=1, axis2=2).real
@@ -353,15 +359,12 @@ class _Log:
             self.purity[rows, k] = np.add.reduce(np.square(rho.view(float)).reshape(len(rho), -1), -1)
         else:
             d = rho
-            self.block[rows, k % PURITY_BLOCK] = d
-            if k % PURITY_BLOCK == PURITY_BLOCK - 1:
-                self._log_purity(k, rows)
+        self.block[rows, k % LOG_BLOCK] = d
+        if k % LOG_BLOCK == LOG_BLOCK - 1:
+            self._log_block(k, rows)
         # np.add.reduce is ndarray.sum without its Python wrapper, which on
         # arrays this small costs about as much as the sum itself.
-        dots = np.add.reduce(d[:, None, :] * self.table, -1)
-        self.fidelity[rows, k] = d[:, self.n_star]
-        self.lyapunov[rows, k] = dots[:, -1]
-        return d, dots
+        return d, np.add.reduce(d[:, None, :] * self.weights, -1)
 
     def record_step(self, k, rows, u, mu):
         self.u[rows, k] = u
@@ -371,15 +374,18 @@ class _Log:
         """Realizations ids end after k steps in the states (or populations) rho."""
         self.steps_run[ids] = k
         self.final[ids] = rho
-        if self.form is not None:
-            self._log_purity(k, ids)
+        self._log_block(k, ids)
 
-    def _log_purity(self, k, rows):
-        """Log the purity of the given rows' blocked states, from the block's start to k."""
-        j = k % PURITY_BLOCK + 1
+    def _log_block(self, k, rows):
+        """Log the curves of the given rows' blocked states, from the block's start to k."""
+        j = k % LOG_BLOCK + 1
         d = self.block[rows, :j]
-        purity = self.form.purity(d.reshape(-1, d.shape[-1]))
-        self.purity[rows, k + 1 - j:k + 1] = purity.reshape(d.shape[:2])
+        logged = slice(k + 1 - j, k + 1)
+        self.fidelity[rows, logged] = d[..., self.n_star]
+        self.lyapunov[rows, logged] = np.add.reduce(d * self.sigma, -1)
+        if self.form is not None:
+            purity = self.form.purity(d.reshape(-1, d.shape[-1]))
+            self.purity[rows, logged] = purity.reshape(d.shape[:2])
 
     def close(self):
         """Every realization's results, in one pass over the (R, steps + 1) logs.
@@ -389,10 +395,10 @@ class _Log:
         absorbed are -1 where there is none; the held curves keep each
         realization's last logged value past its last step.
         """
+        # Free the block first: building the states and curves below sets
+        # the log's peak memory.
+        del self.block
         if self.form is not None:
-            # Free the block first: building the states and curves below
-            # sets the log's peak memory.
-            del self.block
             self.final = self.form.states(self.final, self.outcome, self.steps_run)
             r = _first_broken(self.final)
             if r >= 0:
@@ -410,16 +416,20 @@ class _Log:
         self.held_lyapunov = np.where(past, np.take_along_axis(self.lyapunov, s, 1), self.lyapunov)
 
     def trajectories(self):
+        """One Trajectory per realization, holding views of the log's rows.
+
+        The log belongs to one run, so nothing else writes to the rows.
+        """
         out = []
         for r, s in enumerate(self.steps_run):
             hit, level = int(self.first_hit[r]), int(self.absorbed[r])
             out.append(Trajectory(
-                u=self.u[r, :s].copy(),
-                outcome=self.outcome[r, :s].copy(),
-                fidelity=self.fidelity[r, :s + 1].copy(),
-                lyapunov=self.lyapunov[r, :s + 1].copy(),
-                purity=self.purity[r, :s + 1].copy(),
-                states={int(s): self.final[r].copy()},
+                u=self.u[r, :s],
+                outcome=self.outcome[r, :s],
+                fidelity=self.fidelity[r, :s + 1],
+                lyapunov=self.lyapunov[r, :s + 1],
+                purity=self.purity[r, :s + 1],
+                states={int(s): self.final[r]},
                 first_hit=hit if hit >= 0 else None,
                 absorbed_state=level if level >= 0 else None,
             ))
@@ -469,7 +479,7 @@ def _run(cfg, rho0, seeds):
     closed _Log.
 
     The open loop carries the populations d (R, n) in place of the states:
-    it samples from the same ``[weights; sigma]`` product, and its
+    it samples from the same products with the outcome weights, and its
     ``_ClosedForm`` collapses and renormalizes d with the products that the
     full-state collapse and ``_revalidate`` make on the diagonal.  So every
     outcome, fidelity, Lyapunov value, hit and absorbed level has the bits
@@ -479,10 +489,16 @@ def _run(cfg, rho0, seeds):
     the log closes.
 
     A measured realization takes one uniform per step, and all of them are
-    drawn up front as one (R, steps) table; rng.random(k) gives the same
-    bits as k calls of rng.random(), so step k reads the k-th draw of each
-    stream.  The table is one float array beside the five (R, steps [+ 1])
-    arrays of the log, so it adds at most about 20 % to the log's memory.
+    drawn up front into one (R, steps) table, each row filled in place by
+    its own stream; rng.random(k) gives the same bits as k calls of
+    rng.random(), so step k reads the k-th draw of each stream.  The table
+    is one float array beside the five (R, steps [+ 1]) arrays of the log,
+    so it adds at most 20 % to the log's memory, and about 14 % once the
+    log closes and holds its two held curves too.  Seeding a stream goes
+    through NumPy's SeedSequence, which hashes the seed into PCG64's state:
+    with the generator, about 11 us per realization, some 4 % of the
+    open_loop workload's run.  That cost stays, because the hash fixes
+    every stream's bits.
     """
     open_loop = cfg.mode == "open-loop"
     measured = cfg.mode != "deterministic"
@@ -491,8 +507,9 @@ def _run(cfg, rho0, seeds):
     form = _ClosedForm(cfg.meas, rho0) if open_loop else None
     rho = np.repeat((rho0 if form is None else form.d0)[None], n_runs, axis=0)
     if measured:
-        uniforms = np.array([np.random.Generator(np.random.PCG64(s)).random(cfg.steps)
-                             for s in seeds])
+        uniforms = np.empty((n_runs, cfg.steps))
+        for row, s in zip(uniforms, seeds):
+            np.random.Generator(np.random.PCG64(s)).random(out=row)
         # The open loop carries populations, the other measured modes states.
         collapse = cfg.meas.collapse if form is None else form.collapse
     prop = None if open_loop else HermitianPropagator(cfg.h1)
@@ -507,7 +524,7 @@ def _run(cfg, rho0, seeds):
     # to index with, until the first one stops.
     rows = slice(None)
     log = _Log(cfg, n_runs, form)
-    d, dots = log.record_state(0, rows, rho)
+    d, p = log.record_state(0, rows, rho)
     for k in range(cfg.steps):
         if cfg.stop_at_threshold:
             done = (np.maximum.reduce(d, -1) >= _ABSORB_THRESHOLD if open_loop
@@ -515,13 +532,13 @@ def _run(cfg, rho0, seeds):
             if np.count_nonzero(done):
                 log.stop(k, ids[done], rho[done])
                 live = ~done
-                ids, rho, dots = ids[live], rho[live], dots[live]
+                ids, rho, p = ids[live], rho[live], p[live]
                 rows = ids
                 if not ids.size:
                     break
         mu = np.nan
         if measured:
-            mu, p_mu = cfg.meas.sample(dots[:, :-1], uniforms[rows, k])
+            mu, p_mu = cfg.meas.sample(p, uniforms[rows, k])
             rho = collapse(rho, mu, p_mu)
         u = 0.0
         if not open_loop:
@@ -532,7 +549,7 @@ def _run(cfg, rho0, seeds):
         if (k + 1) % REVALIDATE_EVERY == 0:
             rho = (_revalidate if form is None else form.renormalize)(rho, k + 1, ids)
         log.record_step(k, rows, u, mu)
-        d, dots = log.record_state(k + 1, rows, rho)
+        d, p = log.record_state(k + 1, rows, rho)
     log.stop(cfg.steps, ids, rho)
     log.close()
     return log
@@ -542,11 +559,14 @@ def run_trajectory(cfg, rho0, seed=None):
     """Run one realization of cfg from rho0 and return its Trajectory.
 
     seed seeds the stream of the stochastic and open-loop modes; the
-    deterministic mode draws nothing and takes no seed.
+    deterministic mode draws nothing and takes no seed.  It must be a
+    nonnegative integer: a bool or a float is refused, not truncated.
     """
     deterministic = cfg.mode == "deterministic"
     if (seed is None) != deterministic:
         raise ValueError(f"{cfg.mode} mode {'takes no' if deterministic else 'needs a'} seed")
+    if seed is not None and json_int(seed, "seed") < 0:
+        raise ValueError(f"seed is {seed}, but must be nonnegative")
     return _run(cfg, rho0, [seed]).trajectories()[0]
 
 

@@ -15,8 +15,10 @@ one state at a time, apart from the batched kernel that logs them, and
 early.  ``collapse_by_division`` divides the collapsed states by p, where
 ``QndMeasurement`` multiplies them by 1/p.  ``replay_open_loop`` replays
 an open-loop record on the full state, where the kernel carries only the
-populations.  ``break_state`` injects a fault into the step kernel, such
-as ``trace_one_not_positive``.
+populations, and ``replay_measured`` replays a controlled record with
+explicit Kraus and unitary matrices, one state at a time.
+``break_state`` injects a fault into the step kernel, such as
+``trace_one_not_positive``.
 
 The ``*_plain`` functions are the step kernel's methods written the plain
 way: Python-float operands, ``.any()`` and ``.all()`` guards, ``np.where``
@@ -27,7 +29,7 @@ with ``np.count_nonzero``, and fills with ``np.copysign`` and masked
 
 import numpy as np
 
-from qfcontrol import HermitianPropagator, QndMeasurement
+from qfcontrol import ExactMinLaw, HermitianPropagator, QndMeasurement, QuadraticLaw
 from qfcontrol.control import GRID_POINTS, NEWTON_STEPS
 from qfcontrol.core import hermitize
 from qfcontrol.measurement import P_FLOOR, OutcomeImpossible
@@ -177,6 +179,40 @@ def replay_open_loop(cfg, rho0, seed, outcomes):
         "absorbed_state": int(top.argmax()) if top.max() >= ABSORB_THRESHOLD else None,
         "steps_run": k,
         "state": final,
+    }
+
+
+def replay_measured(cfg, rho0, outcomes, controls):
+    """A stochastic run of cfg replayed on the full state from its logged record.
+
+    Step k conditions the state on ``outcomes[k]`` with the Kraus matrix
+    diag(c[mu]) and the branch's trace, asks cfg's law for its control at
+    that state, then rotates by exp(-i H1 controls[k]), the logged control,
+    with ``rotated``.  Every REVALIDATE_EVERY steps it takes the Hermitian
+    part and divides by the trace's real part, as ``simulate._revalidate``
+    does.  Returns the fidelity, Lyapunov value and purity of every visited
+    state, and the law's control at every post-measurement state.
+    """
+    meas, p, h1 = cfg.meas, cfg.p, cfg.h1
+    law = (QuadraticLaw(p, h1, cfg.controller) if cfg.controller.kind == "quadratic"
+           else ExactMinLaw(p, h1, meas, cfg.controller))
+    rho = np.asarray(rho0, dtype=complex)
+    states, chosen = [rho], []
+    for k, (mu, u) in enumerate(zip(outcomes, controls)):
+        kraus = np.diag(meas.coeffs[int(mu)])
+        branch = kraus @ rho @ kraus.conj().T
+        rho = branch / np.trace(branch).real
+        chosen.append(float(law.controls(rho[None])[0]))
+        rho = rotated(h1, rho, u)
+        if (k + 1) % REVALIDATE_EVERY == 0:
+            rho = (rho + rho.conj().T) / 2
+            rho = rho / np.trace(rho).real
+        states.append(rho)
+    return {
+        "fidelity": np.array([fidelity_to_basis(r, p.n_star) for r in states]),
+        "lyapunov": np.array([lyapunov_v(p, r) for r in states]),
+        "purity": np.array([purity(r) for r in states]),
+        "u": np.array(chosen),
     }
 
 
