@@ -77,7 +77,7 @@ class ControllerConfig:
 
     kappa applies to the linear law only; u_bar bounds the stochastic
     controllers; epsilon is the Lyapunov regularizer (0 by default, matching
-    the reference experiments).
+    the reference experiments).  Each is a number, stored as a float.
     """
 
     kind: str = "quadratic"
@@ -89,6 +89,7 @@ class ControllerConfig:
         if self.kind not in ("linear", "exact-min", "quadratic"):
             raise ValueError(f"unknown controller kind {self.kind!r}")
         for name in ("kappa", "u_bar", "epsilon"):
+            object.__setattr__(self, name, json_number(getattr(self, name), name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "linear" and self.kappa <= 0:
@@ -108,10 +109,7 @@ class ControllerConfig:
 
     @classmethod
     def from_json(cls, obj):
-        json_object(obj, "controller", [f.name for f in fields(cls)])
-        checked = {name: json_number(obj[name], name)
-                   for name in ("kappa", "u_bar", "epsilon") if name in obj}
-        return cls(**{**obj, **checked})
+        return cls(**json_object(obj, "controller", [f.name for f in fields(cls)]))
 
 
 class LinearLaw:
@@ -227,8 +225,7 @@ class ExactMinLaw:
         """
         meas = self._meas
         n_runs, n = len(rho), rho.shape[-1]
-        pop = rho.diagonal(axis1=1, axis2=2).real
-        p = np.add.reduce(pop[:, None, :] * meas.weights, -1)
+        p = meas.probabilities(rho.diagonal(axis1=1, axis2=2).real)
         live = p > _P_FLOOR
         # X_mu = projectors[mu] * rho, with the dead branches' projectors zeroed.
         projectors = np.where(live[:, :, None, None], meas.projectors, _ZERO)

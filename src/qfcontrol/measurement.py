@@ -57,9 +57,9 @@ class QndMeasurement:
     """Diagonal Kraus family given by its coefficient array c[mu, n].
 
     A measured step is split in two: ``sample`` draws the outcomes of a
-    stack from its outcome probabilities, and ``collapse`` conditions the
-    states (R, n, n) on them.  ``apply_outcomes`` collapses onto given
-    outcomes, computing their probabilities itself.
+    stack from its outcome probabilities, which ``probabilities`` computes
+    from the populations, and ``collapse`` conditions the states (R, n, n)
+    on them.  ``apply_outcomes`` collapses onto given outcomes.
     """
 
     coeffs: np.ndarray
@@ -99,19 +99,26 @@ class QndMeasurement:
         k.flags.writeable = False
         return k
 
+    def probabilities(self, d):
+        """p[r, mu] = sum_n |c[mu, n]|^2 d[r, n] = Tr(M_mu rho[r] M_mu†), unclamped.
+
+        d holds populations (R, n); each row sums its own products, so it has
+        the same bits whatever the stack's size.
+        """
+        return np.add.reduce(d[:, None, :] * self.weights, -1)
+
     def apply_outcomes(self, mu, rho):
         """M_mu rho M_mu† / p_mu for a stack rho of shape (R, n, n), one mu[r] per state."""
-        p = np.add.reduce(self.weights[mu] * rho.diagonal(axis1=1, axis2=2).real, -1)
-        return self.collapse(rho, mu, p)
+        p = self.probabilities(rho.diagonal(axis1=1, axis2=2).real)
+        return self.collapse(rho, mu, p[np.arange(len(p)), mu])
 
     def sample(self, p, x):
         """Draw an outcome for every state of a stack from its outcome probabilities.
 
-        p holds the unclamped outcome probabilities, p[r, mu] = sum_n
-        |c[mu, n]|^2 rho[r]_nn, as ``(d[:, None, :] * weights).sum(axis=-1)``
-        gives them for the diagonals d, so that a caller reading the
-        diagonals for other uses too reads them once; x holds one uniform per
-        state.  The outcome is drawn by inverse CDF from p clamped at 0 and
+        p holds the unclamped outcome probabilities that ``probabilities``
+        gives for the populations, so that a caller reading the populations
+        for other uses too reads them once; x holds one uniform per state.
+        The outcome is drawn by inverse CDF from p clamped at 0 and
         renormalized, so it is determined by x.  Returns the outcomes and
         their unclamped probabilities, which normalize the collapse.
         """
@@ -218,6 +225,7 @@ def photon_box(n, phi0, theta):
     """
     if json_int(n, "n") < 2:
         raise ValueError("dimension must be at least 2")
+    phi0, theta = json_number(phi0, "phi0"), json_number(theta, "theta")
     if not (np.isfinite(phi0) and np.isfinite(theta)):
         raise ValueError(f"phi0 and theta must be finite, but are {phi0!r} and {theta!r}")
     phases = phi0 + theta * np.arange(n)

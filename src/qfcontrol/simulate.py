@@ -327,9 +327,6 @@ class _Log:
         self.threshold = cfg.fidelity_threshold
         self.n_star = cfg.p.n_star
         self.sigma = cfg.p.sigma
-        # A table of no rows without a measurement: the deterministic loop
-        # samples nothing.
-        self.weights = np.zeros((0, cfg.p.dim)) if cfg.meas is None else cfg.meas.weights
         states = (n_runs, cfg.steps + 1)
         self.u = np.zeros((n_runs, cfg.steps))
         self.outcome = np.zeros((n_runs, cfg.steps))
@@ -349,8 +346,7 @@ class _Log:
         """Log the states after k steps in the given rows.
 
         rho is the stack of states, or of the open loop's populations.
-        Returns their populations and the unclamped outcome probabilities,
-        the populations' products with the outcome weights.
+        Returns their populations.
         """
         if self.form is None:
             d = rho.diagonal(axis1=1, axis2=2).real
@@ -362,19 +358,23 @@ class _Log:
         self.block[rows, k % LOG_BLOCK] = d
         if k % LOG_BLOCK == LOG_BLOCK - 1:
             self._log_block(k, rows)
-        # np.add.reduce is ndarray.sum without its Python wrapper, which on
-        # arrays this small costs about as much as the sum itself.
-        return d, np.add.reduce(d[:, None, :] * self.weights, -1)
+        return d
 
     def record_step(self, k, rows, u, mu):
         self.u[rows, k] = u
         self.outcome[rows, k] = mu
 
     def stop(self, k, ids, rho):
-        """Realizations ids end after k steps in the states (or populations) rho."""
+        """Realizations ids end after k steps in the states (or populations) rho.
+
+        Their last fidelity and Lyapunov value fill the rest of their rows,
+        which moves no first hit: a copy is a hit only if its original is.
+        """
         self.steps_run[ids] = k
         self.final[ids] = rho
         self._log_block(k, ids)
+        self.fidelity[ids, k + 1:] = self.fidelity[ids, k, None]
+        self.lyapunov[ids, k + 1:] = self.lyapunov[ids, k, None]
 
     def _log_block(self, k, rows):
         """Log the curves of the given rows' blocked states, from the block's start to k."""
@@ -392,28 +392,20 @@ class _Log:
 
         The open loop's final states are built here from their populations
         and records, and checked like a revalidated stack.  first_hit and
-        absorbed are -1 where there is none; the held curves keep each
-        realization's last logged value past its last step.
+        absorbed are -1 where there is none.
         """
-        # Free the block first: building the states and curves below sets
-        # the log's peak memory.
+        # Free the block before the arrays below are built.
         del self.block
         if self.form is not None:
             self.final = self.form.states(self.final, self.outcome, self.steps_run)
             r = _first_broken(self.final)
             if r >= 0:
                 _abort(self.final[r], f"at step {self.steps_run[r]} in realization {r}")
-        s = self.steps_run[:, None]
-        past = np.arange(self.fidelity.shape[1]) > s
-        hit = (self.fidelity >= self.threshold) & ~past
+        hit = self.fidelity >= self.threshold
         self.first_hit = np.where(np.logical_or.reduce(hit, 1), hit.argmax(axis=1), -1)
         diag = self.final.diagonal(axis1=1, axis2=2).real
         self.absorbed = np.where(np.maximum.reduce(diag, 1) >= _ABSORB_THRESHOLD,
                                  diag.argmax(axis=1), -1)
-        last_fid = np.take_along_axis(self.fidelity, s, 1)
-        self.final_fidelity = last_fid[:, 0]
-        self.held_fidelity = np.where(past, last_fid, self.fidelity)
-        self.held_lyapunov = np.where(past, np.take_along_axis(self.lyapunov, s, 1), self.lyapunov)
 
     def trajectories(self):
         """One Trajectory per realization, holding views of the log's rows.
@@ -468,18 +460,19 @@ def _run(cfg, rho0, seeds):
     realization.  Each step measures (the stochastic and open-loop modes),
     takes the control from the post-measurement state (the stochastic and
     deterministic modes) and propagates, for every live realization at
-    once.
+    once.  A measured step samples from ``QndMeasurement.probabilities``
+    of the populations that the log returns.
     Open-loop applies no unitary and logs u = 0; the deterministic loop
     applies exp(-i H0) after exp(-i H1 u) and logs the outcome as NaN.
     Open-loop stops once a basis state is absorbed, the other modes once
     the fidelity threshold is reached; a realization that stops leaves the
-    stack, which is compacted by index.  Every array operation gives row r
-    the same bits whatever the stack's size, so a realization's trajectory
-    does not depend on which others run beside it.  Returns the stack's
-    closed _Log.
+    stack, which is compacted by index, its populations with it.  Every
+    array operation gives row r the same bits whatever the stack's size,
+    so a realization's trajectory does not depend on which others run
+    beside it.  Returns the stack's closed _Log.
 
     The open loop carries the populations d (R, n) in place of the states:
-    it samples from the same products with the outcome weights, and its
+    it samples from the same probabilities of the same populations, and its
     ``_ClosedForm`` collapses and renormalizes d with the products that the
     full-state collapse and ``_revalidate`` make on the diagonal.  So every
     outcome, fidelity, Lyapunov value, hit and absorbed level has the bits
@@ -493,8 +486,7 @@ def _run(cfg, rho0, seeds):
     its own stream; rng.random(k) gives the same bits as k calls of
     rng.random(), so step k reads the k-th draw of each stream.  The table
     is one float array beside the five (R, steps [+ 1]) arrays of the log,
-    so it adds at most 20 % to the log's memory, and about 14 % once the
-    log closes and holds its two held curves too.  Seeding a stream goes
+    so it adds at most 20 % to the log's memory.  Seeding a stream goes
     through NumPy's SeedSequence, which hashes the seed into PCG64's state:
     with the generator, about 11 us per realization, some 4 % of the
     open_loop workload's run.  That cost stays, because the hash fixes
@@ -524,7 +516,7 @@ def _run(cfg, rho0, seeds):
     # to index with, until the first one stops.
     rows = slice(None)
     log = _Log(cfg, n_runs, form)
-    d, p = log.record_state(0, rows, rho)
+    d = log.record_state(0, rows, rho)
     for k in range(cfg.steps):
         if cfg.stop_at_threshold:
             done = (np.maximum.reduce(d, -1) >= _ABSORB_THRESHOLD if open_loop
@@ -532,13 +524,13 @@ def _run(cfg, rho0, seeds):
             if np.count_nonzero(done):
                 log.stop(k, ids[done], rho[done])
                 live = ~done
-                ids, rho, p = ids[live], rho[live], p[live]
+                ids, rho, d = ids[live], rho[live], d[live]
                 rows = ids
                 if not ids.size:
                     break
         mu = np.nan
         if measured:
-            mu, p_mu = cfg.meas.sample(p, uniforms[rows, k])
+            mu, p_mu = cfg.meas.sample(cfg.meas.probabilities(d), uniforms[rows, k])
             rho = collapse(rho, mu, p_mu)
         u = 0.0
         if not open_loop:
@@ -549,7 +541,7 @@ def _run(cfg, rho0, seeds):
         if (k + 1) % REVALIDATE_EVERY == 0:
             rho = (_revalidate if form is None else form.renormalize)(rho, k + 1, ids)
         log.record_step(k, rows, u, mu)
-        d, p = log.record_state(k + 1, rows, rho)
+        d = log.record_state(k + 1, rows, rho)
     log.stop(cfg.steps, ids, rho)
     log.close()
     return log
@@ -613,11 +605,11 @@ def run_ensemble(cfg, rho0, n_realizations, master_seed):
     absorbed = log.absorbed
     return EnsembleResult(
         realizations=n_realizations,
-        final_fidelity=log.final_fidelity,
+        final_fidelity=log.fidelity[:, -1],
         first_hit=log.first_hit,
         absorbed_state=absorbed,
-        mean_fidelity_curve=np.add.reduce(log.held_fidelity, 0, initial=0.0) / n_realizations,
-        mean_lyapunov_curve=np.add.reduce(log.held_lyapunov, 0, initial=0.0) / n_realizations,
+        mean_fidelity_curve=np.add.reduce(log.fidelity, 0, initial=0.0) / n_realizations,
+        mean_lyapunov_curve=np.add.reduce(log.lyapunov, 0, initial=0.0) / n_realizations,
         hit_histogram=np.bincount(absorbed[absorbed >= 0], minlength=cfg.p.dim),
         unabsorbed=int(np.count_nonzero(absorbed < 0)),
         trajectories=log.trajectories(),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ASSUMPTION_TOL, HERMITICITY_TOL, DiagonalObservable, _as_square_complex,
-                   is_hermitian, json_int)
+                   is_hermitian, json_int, json_number)
 
 __all__ = [
     "CONE_TOL",
@@ -187,7 +187,7 @@ class SynthesisProblem:
     """Hyper-parameters of the synthesis program.
 
     gamma1/gamma2 keep lambda away from zero; alpha2 > 0 switches on the
-    sparsity penalty.
+    sparsity penalty.  Each is a number, stored as a float.
     """
 
     sigma: DiagonalObservable
@@ -196,6 +196,8 @@ class SynthesisProblem:
     alpha2: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma1", "gamma2", "alpha2"):
+            object.__setattr__(self, name, json_number(getattr(self, name), name))
         # Written so that NaN fails too.
         if not (0 < self.gamma1 < math.inf and 0 < self.gamma2 < math.inf):
             raise ValueError("gamma1 and gamma2 must be finite and strictly positive")

@@ -99,6 +99,27 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match=r"^unknown config key controller\.tie_break$"):
             ControllerConfig.from_json({**cfg.to_json(), "tie_break": "random-sign"})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"u_bar": True}, "u_bar is True"),
+        ({"epsilon": np.True_}, "epsilon is np.True_"),
+        ({"kind": "linear", "kappa": "0.1"}, "kappa is '0.1'"),
+        ({"u_bar": "0.1"}, "u_bar is '0.1'"),
+    ], ids=["u-bar-true", "epsilon-numpy-true", "kappa-string", "u-bar-string"])
+    def test_parameters_must_be_numbers(self, kwargs, message):
+        """Refused by name, where a bool would run as 0 or 1 and a string
+        would fail in math.isfinite with a bare TypeError."""
+        with pytest.raises(ValueError, match=f"^{message}, but must be a number$"):
+            ControllerConfig(**kwargs)
+
+    def test_from_json_refuses_a_bool_by_name(self):
+        with pytest.raises(ValueError, match="^u_bar is True, but must be a number$"):
+            ControllerConfig.from_json({"kind": "quadratic", "u_bar": True})
+
+    def test_parameters_are_stored_as_floats(self):
+        cfg = ControllerConfig(kind="linear", kappa=1, u_bar=np.float64(0.2), epsilon=np.int64(0))
+        assert [type(getattr(cfg, name)) for name in ("kappa", "u_bar", "epsilon")] == [float] * 3
+        assert cfg == ControllerConfig(kind="linear", kappa=1.0, u_bar=0.2, epsilon=0.0)
+
 
 def non_hermitian_stack():
     """Three 2-level states whose middle one has rho_01 = 0.5 but rho_10 = 0.
@@ -133,6 +154,12 @@ class TestLinearFeedback:
             ) / (2 * h)
             assert u == pytest.approx(-0.05 * slope, abs=1e-6)
 
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.05])
+    def test_kappa_must_be_positive(self, kappa):
+        p = DiagonalObservable(np.array([2.0, 1.0]), 1)
+        with pytest.raises(ValueError, match="^kappa must be positive$"):
+            LinearLaw(p, np.array([[0.0, 1.0], [1.0, 0.0]]), kappa)
 
     def test_complex_control_raises(self):
         p, h1, rho = non_hermitian_stack()

@@ -80,6 +80,10 @@ class TestBasics:
         c = commutator(a, b)
         assert np.allclose(c, -c.conj().T)
 
+    def test_commutator_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"):
+            commutator(np.eye(2), np.eye(3))
+
     def test_fidelity_is_population(self):
         rho = np.diag([0.1, 0.7, 0.2]).astype(complex)
         assert fidelity_to_basis(rho, 1) == pytest.approx(0.7)
@@ -160,6 +164,10 @@ class TestDiagonalObservable:
         """Refused by name, not by a NumPy indexing error."""
         with pytest.raises(ValueError, match=f"n_star is {n_star!r}, but must be an integer"):
             DiagonalObservable(np.array([4.0, 0.5, 2.0]), n_star)
+
+    def test_needs_two_energies(self):
+        with pytest.raises(ValueError, match="^sigma must be a vector of at least two energies$"):
+            DiagonalObservable(np.array([1.0]), 0)
 
     def test_n_star_may_be_a_numpy_integer(self):
         assert DiagonalObservable(np.array([4.0, 0.5, 2.0]), np.int64(1)).n_star == 1

@@ -58,6 +58,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"n is {n!r}, but must be an integer"):
             photon_box(n, 0.125, 0.3)
 
+    @pytest.mark.parametrize("phi0, theta, name, value", [
+        (True, 0.3, "phi0", "True"),
+        (0.125, np.True_, "theta", "np.True_"),
+        (0.125, "0.3", "theta", "'0.3'"),
+        ("0.125", 0.3, "phi0", "'0.125'"),
+    ], ids=["phi0-true", "theta-numpy-true", "theta-string", "phi0-string"])
+    def test_photon_box_angles_must_be_numbers(self, phi0, theta, name, value):
+        """Refused by name, where a bool would run as 0 or 1 and a string
+        would fail inside NumPy with a bare TypeError."""
+        message = f"^{name} is {re.escape(value)}, but must be a number$"
+        with pytest.raises(ValueError, match=message):
+            photon_box(4, phi0, theta)
+
+    def test_photon_box_takes_numpy_and_integer_angles(self):
+        assert np.array_equal(photon_box(4, np.float64(0.125), 1).coeffs,
+                              photon_box(4, 0.125, 1.0).coeffs)
+
+    def test_photon_box_needs_two_levels(self):
+        with pytest.raises(ValueError, match="^dimension must be at least 2$"):
+            photon_box(1, 0.125, 0.3)
+
+    def test_coefficients_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match=r"^coeffs must be an \(m, n\) array$"):
+            QndMeasurement(np.array([0.6, 0.8]))
+
     def test_photon_box_takes_a_numpy_integer(self):
         assert photon_box(np.int64(3), 0.125, 0.3).dim == 3
 
@@ -120,6 +145,39 @@ class TestOutcomes:
             sample_and_collapse(m, rho, p, rng.random(3))
         with pytest.raises(ValueError, match="sum to nan"):
             sample_and_collapse(m, rho[1:2], p[1:2], rng.random(1))
+
+
+class TestProbabilities:
+    """QndMeasurement.probabilities, the one place outcome probabilities are computed."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 4),
+           stack=st.integers(1, 40))
+    def test_equals_the_traces_of_the_kraus_branches(self, seed, dim, m, stack):
+        """p[r, mu] = Tr(M_mu rho[r] M_mu†), with M_mu the diagonal matrix of c[mu]."""
+        rng = np.random.default_rng(seed)
+        meas = random_measurement(rng, m, dim)
+        rho = np.array([random_mixed_density(rng, dim) for _ in range(stack)])
+        kraus = np.array([np.diag(c) for c in meas.coeffs])
+        traces = np.trace(kraus[None] @ rho[:, None] @ kraus.conj().swapaxes(1, 2)[None],
+                          axis1=2, axis2=3)
+        p = meas.probabilities(rho.diagonal(axis1=1, axis2=2).real)
+        assert p.shape == (stack, m)
+        assert np.max(np.abs(p - traces)) <= 1e-14
+        assert np.max(np.abs(traces.imag)) <= 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), m=st.integers(2, 4),
+           stack=st.integers(2, 64))
+    def test_each_row_has_the_same_bits_whatever_the_stack(self, seed, dim, m, stack):
+        """Every row alone, and the stack's every other row, give the full stack's bits."""
+        rng = np.random.default_rng(seed)
+        meas = random_measurement(rng, m, dim)
+        d = rng.dirichlet(np.full(dim, 0.5), size=stack)
+        p = meas.probabilities(d)
+        for r in range(stack):
+            assert meas.probabilities(d[r:r + 1]).tobytes() == p[r:r + 1].tobytes()
+        assert meas.probabilities(d[::2]).tobytes() == p[::2].tobytes()
 
 
 class TestSampleAndCollapse:
@@ -276,4 +334,10 @@ class TestSerialization:
     ], ids=["beside-photon-box", "inside-photon-box", "written-out"])
     def test_unknown_key_is_refused_by_name(self, obj, key):
         with pytest.raises(ValueError, match=f"^unknown config key {re.escape(key)}$"):
+            QndMeasurement.from_json(obj)
+
+    def test_arrays_must_match_the_claimed_shape(self):
+        obj = {**photon_box(3, 0.125, 0.3).to_json(), "n": 4}
+        with pytest.raises(ValueError, match=re.escape(
+                "measurement file claims shape (2, 4) but arrays are (2, 3)")):
             QndMeasurement.from_json(obj)

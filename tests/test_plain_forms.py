@@ -77,8 +77,8 @@ def dead_branch_measurement(rng, m, dim):
 
 
 def probabilities(meas, rho):
-    """The unclamped outcome probabilities, as the kernel's log computes them."""
-    return np.add.reduce(rho.diagonal(axis1=1, axis2=2).real[:, None, :] * meas.weights, -1)
+    """The unclamped outcome probabilities of a stack of states, which the kernel samples from."""
+    return meas.probabilities(rho.diagonal(axis1=1, axis2=2).real)
 
 
 class TestQuadraticChoose:

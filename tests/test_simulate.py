@@ -635,6 +635,14 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(stochastic_config(), seed_state(), 0, 1)
 
+    def test_deterministic_mode_is_refused(self):
+        """An ensemble varies the random streams, which the deterministic loop has not."""
+        cfg = LoopConfig(mode="deterministic", p=observable8(), h1=star_h1(),
+                         h0=np.zeros((8, 8)), controller=ControllerConfig(kind="linear"), steps=5)
+        message = "^ensembles are not defined for mode 'deterministic'$"
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(cfg, seed_state(), 2, 0)
+
 
 def nan_off_diagonal(rho):
     rho = rho.copy()

@@ -81,6 +81,10 @@ class TestRMaps:
         with pytest.raises(ValueError, match=message):
             r_of_hamiltonian(np.zeros(shape))
 
+    def test_r_of_hamiltonian_rejects_a_non_hermitian_matrix(self):
+        with pytest.raises(ValueError, match="^r_of_hamiltonian requires a Hermitian input$"):
+            r_of_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
     def test_edge_weights_match_the_edge_loop_bit_for_bit(self):
         """R(w) equals the edge-by-edge loop's bits, +0.0 diagonals included.
 
@@ -253,6 +257,30 @@ class TestSolver:
         p = DiagonalObservable(SIGMA8, 2)
         with pytest.raises(ValueError, match="alpha2"):
             SynthesisProblem(sigma=p, alpha2=-1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gamma1": True}, "gamma1 is True"),
+        ({"alpha2": True}, "alpha2 is True"),
+        ({"gamma2": "2"}, "gamma2 is '2'"),
+        ({"gamma1": np.True_}, "gamma1 is np.True_"),
+    ], ids=["gamma1-true", "alpha2-true", "gamma2-string", "gamma1-numpy-true"])
+    def test_parameters_must_be_numbers(self, kwargs, message):
+        """Refused by name, where a bool would solve as 0 or 1 and a string
+        would fail in the comparison with a bare TypeError."""
+        with pytest.raises(ValueError, match=f"^{message}, but must be a number$"):
+            SynthesisProblem(sigma=DiagonalObservable(SIGMA8, 2), **kwargs)
+
+    def test_parameters_are_stored_as_floats(self):
+        problem = SynthesisProblem(sigma=DiagonalObservable(SIGMA8, 2), gamma1=2,
+                                   gamma2=np.float64(1.5), alpha2=np.int64(1))
+        names = ("gamma1", "gamma2", "alpha2")
+        assert [type(getattr(problem, name)) for name in names] == [float] * 3
+        assert (problem.gamma1, problem.gamma2, problem.alpha2) == (2.0, 1.5, 1.0)
+
+    def test_zero_sigma_rejected(self):
+        problem = SynthesisProblem(sigma=DiagonalObservable(np.zeros(3), 0))
+        with pytest.raises(ValueError, match="^sigma must not be the zero vector$"):
+            solve_synthesis(problem)
 
     @pytest.mark.parametrize("max_iter", [0, -5, 2.5, True, "100"])
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
