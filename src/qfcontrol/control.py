@@ -120,6 +120,9 @@ class LinearLaw:
     """
 
     def __init__(self, p, h1, kappa):
+        kappa = json_number(kappa, "kappa")
+        if not math.isfinite(kappa):
+            raise ValueError(f"kappa must be finite, got {kappa}")
         if kappa <= 0:
             raise ValueError("kappa must be positive")
         gain = 1j * kappa * commutator(p.matrix(), np.asarray(h1, dtype=complex))
@@ -147,23 +150,29 @@ class ExactMinLaw:
 
     and the objective is
 
-        f(u) = sum_mu [sigma . d_mu(u) - (eps / 2 p_mu) d_mu(u) . d_mu(u)]
+        f(u) = sum_mu sigma . d_mu(u) - sum_live (eps / 2 p_mu) d_mu(u) . d_mu(u),
 
-    over the live branches, those with p_mu > P_FLOOR: an outcome at or below
-    the floor cannot be sampled, so it adds nothing.
+    the first sum over every outcome, the second over the live branches, those
+    with p_mu > P_FLOOR: an outcome at or below the floor cannot be sampled,
+    and its weight eps / (2 p_mu) would be unbounded.
 
-    The sigma term is linear in X_mu, so it is the same function of the sum
-    of the live branches: with Y = W^dagger (sum_mu X_mu) W and
+    The sigma term is linear in X_mu, so it sees only the averaged channel
+    rho -> sum_mu X_mu = D * rho, with D = sum_mu c_mu c_mu^* an (n, n)
+    matrix of unit diagonal (the martingale property), summed once at
+    construction.  With Y = W^dagger (D * rho) W and
     s_jk = sum_i sigma_i W_ij conj(W_ik),
 
         sum_mu sigma . d_mu(u) = Re sum_jk c_jk exp(-i omega_jk u),   c_jk = Y_jk s_jk,
 
     n^2 coefficients per state, whatever the number of outcomes; f' and f''
     multiply c_jk by -i omega_jk and -omega_jk^2.  At eps = 0 that is all of
-    f.  The eps term, -(eps / 2 p_mu) d_mu . d_mu, is quadratic in each
-    branch and weighted by its own p_mu, so it cannot be summed first: only
-    when eps > 0 does the law also keep every live branch's d_mu, d_mu' and
-    d_mu'' and add the term and its derivatives.
+    f, and the law computes no outcome probability.  A branch with p_mu = 0
+    adds exactly 0 to the sigma term; one with 0 < p_mu <= P_FLOOR adds at
+    most P_FLOOR max|sigma|, so the term is the exact expectation.  The eps
+    term, -(eps / 2 p_mu) d_mu . d_mu, is quadratic in each branch and
+    weighted by its own p_mu, so it cannot be summed first: only when
+    eps > 0 does the law also keep every branch's d_mu, d_mu' and d_mu'',
+    and add the term and its derivatives with weight 0 on the dead ones.
 
     u starts at the best of GRID_POINTS evenly spaced controls, ties broken
     toward 0, then toward +u_bar.  At most NEWTON_STEPS steps follow, each
@@ -190,10 +199,17 @@ class ExactMinLaw:
     def __init__(self, p, h1, meas, cfg):
         if cfg.kind != "exact-min":
             raise ValueError("controller config is not exact-min")
-        self.cfg = cfg
-        self._meas = meas
+        if meas.dim != p.dim:
+            raise ValueError(f"the measurement has dimension {meas.dim}, "
+                             f"but p has dimension {p.dim}")
         # h1 is a matrix or a HermitianPropagator already built for it.
         prop = h1 if isinstance(h1, HermitianPropagator) else HermitianPropagator(h1)
+        if prop.h.shape != (p.dim, p.dim):
+            raise ValueError(f"h1 has shape {prop.h.shape}, but p has dimension {p.dim}")
+        self.cfg = cfg
+        self._meas = meas
+        # D = sum_mu c_mu c_mu^*: D * rho = sum_mu X_mu, the averaged channel.
+        self._channel = np.add.reduce(meas.projectors, 0)
         e, w = prop.eigh
         n = e.size
         self._w, self._wh = w, w.conj().T
@@ -223,19 +239,18 @@ class ExactMinLaw:
         weights (1, 2, 2) * -eps / (2 p_mu) of d d, d d' and d d'' + d' d',
         0 on dead branches.
         """
-        meas = self._meas
         n_runs, n = len(rho), rho.shape[-1]
-        p = meas.probabilities(rho.diagonal(axis1=1, axis2=2).real)
-        live = p > _P_FLOOR
-        # X_mu = projectors[mu] * rho, with the dead branches' projectors zeroed.
-        projectors = np.where(live[:, :, None, None], meas.projectors, _ZERO)
-        y = self._wh @ (np.add.reduce(projectors, 1) * rho) @ self._w
+        y = self._wh @ (self._channel * rho) @ self._w
         coeffs = y.reshape(n_runs, 1, n * n) * self._sigma_orders
         branches = None
         if self.cfg.epsilon > 0:
-            y = self._wh @ (projectors * rho[:, None]) @ self._w
+            meas = self._meas
+            # X_mu = projectors[mu] * rho; the weights drop the dead branches.
+            y = self._wh @ (meas.projectors * rho[:, None]) @ self._w
             table = (y.reshape(n_runs, -1, 1, n * n) * self._mix).reshape(n_runs, -1, n * n)
             # -eps / (2 p_mu) on the live branches, 0.0 on the dead ones.
+            p = meas.probabilities(rho.diagonal(axis1=1, axis2=2).real)
+            live = p > _P_FLOOR
             quad = np.divide(self._minus_half_eps, p, out=np.zeros(p.shape), where=live)
             weights = np.repeat(quad, n, axis=1)[:, None, :] * _PRODUCT_RULE
             branches = table.swapaxes(1, 2), weights

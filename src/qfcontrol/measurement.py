@@ -36,9 +36,8 @@ __all__ = [
 ]
 
 # Outcomes with probability at or below this floor are unsampleable: they are
-# skipped in ExactMinLaw's exact expectation and rejected by every collapse
-# of a state or of its populations, so the normalizing factor 1/p is always
-# finite.
+# skipped in ExactMinLaw's eps term and rejected by every collapse of a state
+# or of its populations, so the normalizing factor 1/p is always finite.
 P_FLOOR = 1e-12
 _P_FLOOR = _frozen(P_FLOOR)
 

@@ -2,6 +2,9 @@
 
 The random helpers draw from the caller's generator in a fixed order, so a
 test seeded with a given generator always sees the same data.
+``register_measurement`` and ``random_field_ising`` build a register of q
+qubits (n = 2^q): a weak Z read-out per qubit, with m = n outcomes, and a
+random-field Ising energy.
 
 ``expected_update`` and ``expected_v_after`` average over the measurement
 branches with explicit Kraus matrices M_mu = diag(c[mu]) and the unitary
@@ -99,6 +102,32 @@ def random_measurement(rng, m, dim):
     # Columns of |c|^2 on the simplex give completeness; phases are free.
     weights = rng.dirichlet(np.full(m, 0.5), size=dim).T
     return QndMeasurement(np.sqrt(weights) * np.exp(2j * np.pi * rng.random((m, dim))))
+
+
+def register_spins(qubits):
+    """z[n, i] = +1 where bit i of level n is 0, else -1: shape (2^qubits, qubits)."""
+    return 1 - 2 * ((np.arange(2**qubits)[:, None] >> np.arange(qubits)) & 1)
+
+
+def register_measurement(qubits, theta):
+    """One weak Z read-out per qubit: m = n = 2^qubits outcomes, as bit strings.
+
+    Bit i of outcome mu picks cos (0) or sin (1) of qubit i's angle, so
+    c[mu, n] = prod_i cos or sin(pi/4 + theta z[n, i]).
+    """
+    z = register_spins(qubits)
+    angle = np.pi / 4 + theta * z
+    # factor[mu, n, i]: cos where z[mu, i] = +1 (bit 0), sin where it is -1.
+    factor = np.where(z[:, None, :] > 0, np.cos(angle), np.sin(angle))
+    return QndMeasurement(factor.prod(axis=-1))
+
+
+def random_field_ising(rng, qubits):
+    """sigma_n = sum_{i<j} J_ij z_i z_j + sum_i h_i z_i, with normal J and h."""
+    z = register_spins(qubits)
+    coupling = np.triu(rng.normal(size=(qubits, qubits)), 1)
+    fields = rng.normal(size=qubits)
+    return np.einsum("ni,ij,nj->n", z, coupling, z) + z @ fields
 
 
 def rotated(h1, rho, u):
@@ -332,19 +361,20 @@ def minimize_plain(law, rho):
 
     Its coefficients and derivatives are written out here too, from the
     law's fixed tables, so that nothing of the law's per-call code is shared.
+    The sigma term sums the projectors over every outcome, floor branches
+    included; the eps term gives the branches at or below P_FLOOR weight 0.
     """
     meas, eps = law._meas, law.cfg.epsilon
     n_runs, n = len(rho), rho.shape[-1]
-    pop = rho.diagonal(axis1=1, axis2=2).real
-    p = (pop[:, None, :] * meas.weights).sum(axis=-1)
-    live = p > P_FLOOR
-    projectors = np.where(live[:, :, None, None], meas.projectors, 0.0)
-    y = law._wh @ (projectors.sum(axis=1) * rho) @ law._w
+    y = law._wh @ (meas.projectors.sum(axis=0) * rho) @ law._w
     coeffs = y.reshape(n_runs, 1, n * n) * law._sigma_orders
     branches = None
     if eps > 0:
-        y = law._wh @ (projectors * rho[:, None]) @ law._w
+        y = law._wh @ (meas.projectors * rho[:, None]) @ law._w
         table = (y.reshape(n_runs, -1, 1, n * n) * law._mix).reshape(n_runs, -1, n * n)
+        pop = rho.diagonal(axis1=1, axis2=2).real
+        p = (pop[:, None, :] * meas.weights).sum(axis=-1)
+        live = p > P_FLOOR
         quad = np.where(live, -0.5 * eps / np.where(live, p, 1.0), 0.0)
         weights = np.repeat(quad, n, axis=1)[:, None, :] * np.array([[1.0], [2.0], [2.0]])
         branches = table.swapaxes(1, 2), weights

@@ -1,5 +1,7 @@
 """Unit tests for the feedback laws and their Lyapunov objectives."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from qfcontrol import (
     ControllerConfig,
     DiagonalObservable,
     ExactMinLaw,
+    HermitianPropagator,
     LinearLaw,
     QndMeasurement,
     QuadraticLaw,
@@ -28,7 +31,9 @@ from helpers import (
     random_density,
     random_hermitian,
     random_measurement,
+    random_field_ising,
     random_mixed_density,
+    register_measurement,
     rotated,
 )
 
@@ -159,6 +164,20 @@ class TestLinearFeedback:
     def test_kappa_must_be_positive(self, kappa):
         p = DiagonalObservable(np.array([2.0, 1.0]), 1)
         with pytest.raises(ValueError, match="^kappa must be positive$"):
+            LinearLaw(p, np.array([[0.0, 1.0], [1.0, 0.0]]), kappa)
+
+    @pytest.mark.parametrize("kappa, message", [
+        (True, "kappa is True, but must be a number"),
+        ("0.1", "kappa is '0.1', but must be a number"),
+        (float("nan"), "kappa must be finite, got nan"),
+        (float("inf"), "kappa must be finite, got inf"),
+        (0, "kappa must be positive"),
+        (-1, "kappa must be positive"),
+    ])
+    def test_bad_gain_refused_by_name(self, kappa, message):
+        """A gain that is not a finite positive number, as ControllerConfig refuses it."""
+        p = DiagonalObservable(np.array([2.0, 1.0]), 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LinearLaw(p, np.array([[0.0, 1.0], [1.0, 0.0]]), kappa)
 
     def test_complex_control_raises(self):
@@ -316,6 +335,35 @@ class TestExactMin:
         with pytest.raises(ValueError):
             ExactMinLaw(p, np.zeros((2, 2)), meas, ControllerConfig(kind="quadratic"))
 
+    def test_dimensions_must_match_p(self):
+        """A measurement or an H1 of another size is refused by name when the law is built."""
+        p = DiagonalObservable(np.array([3.0, 1.0, 2.0]), 1)
+        h1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        cfg = ControllerConfig(kind="exact-min")
+        with pytest.raises(ValueError, match="^the measurement has dimension 4, "
+                                             "but p has dimension 3$"):
+            ExactMinLaw(p, h1, photon_box(4, 0.125, 0.3), cfg)
+        for big in (np.eye(4), HermitianPropagator(np.eye(4))):
+            with pytest.raises(ValueError, match=r"^h1 has shape \(4, 4\), "
+                                                 "but p has dimension 3$"):
+                ExactMinLaw(p, big, photon_box(3, 0.125, 0.3), cfg)
+
+    def test_no_outcome_probabilities_at_zero_eps(self, monkeypatch):
+        """At eps = 0 the objective goes through D * rho alone, with no p_mu."""
+        rng = np.random.default_rng(9)
+        p = DiagonalObservable(SIGMA8, 2)
+        h1 = random_hermitian(rng, 8)
+        law = ExactMinLaw(p, h1, photon_box(8, 1 / 8, np.pi / 4),
+                          ControllerConfig(kind="exact-min", u_bar=0.1))
+        rho = np.stack([random_density(rng, 8) for _ in range(3)])
+
+        def refused(self, d):
+            raise AssertionError("outcome probabilities computed at eps = 0")
+
+        monkeypatch.setattr(QndMeasurement, "probabilities", refused)
+        u, f = law.minimize(rho)
+        assert u.shape == f.shape == (3,)
+
 
 def random_exact_min_instance(seed, dim, regularized):
     """Observable, H1, measurement, mixed state of random rank and exact-min config.
@@ -426,6 +474,30 @@ class TestExactMinClosedForm:
         for n in range(dim):
             scale = np.abs(r[n]) @ np.abs(p.sigma - p.sigma[n])
             assert abs(curvature_at_eigenstate(p, h1, meas, n) - lam[n]) <= 1e-9 * scale
+
+
+class TestExactMinOnRegisters:
+    """The closed form on qubit registers: a weak read-out per qubit (m = n), Ising sigma."""
+
+    @pytest.mark.parametrize("qubits, regularized", [(4, False), (5, False), (4, True)])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_objective_equals_expected_v_after(self, qubits, regularized, seed):
+        """n = 16 and 32 at eps = 0, and n = 16 at eps > 0, within 1e-10."""
+        rng = np.random.default_rng(seed)
+        n = 2**qubits
+        sigma = random_field_ising(rng, qubits)
+        p = DiagonalObservable(sigma, int(np.argmin(sigma)))
+        meas = register_measurement(qubits, 0.3)
+        h1 = rng.uniform(0.1, 1.0) * random_hermitian(rng, n)
+        rho = random_mixed_density(rng, n)
+        cfg = ControllerConfig(kind="exact-min", u_bar=float(rng.uniform(0.05, 1.0)),
+                               epsilon=float(rng.uniform(0.5, 20.0)) * regularized)
+        u = rng.uniform(-cfg.u_bar, cfg.u_bar, 3)
+        f, _, _ = ExactMinLaw(p, h1, meas, cfg).objective(np.repeat(rho[None], 3, axis=0), u)
+        want = [expected_v_after(p, h1, meas, rho, x, cfg.epsilon) for x in u]
+        assert meas.m == n
+        assert np.allclose(f, want, rtol=0.0, atol=1e-10)
 
 
 def bits(*arrays):

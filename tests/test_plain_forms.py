@@ -68,11 +68,11 @@ def random_stack(rng, dim, stack):
     return np.array([random_mixed_density(rng, dim) for _ in range(stack)])
 
 
-def dead_branch_measurement(rng, m, dim):
-    """Outcome 0 has weight exactly 0 on level 0, so |0><0| gives it probability 0."""
+def dead_branch_measurement(rng, m, dim, floor=0.0):
+    """Outcome 0 has weight floor on level 0, so |0><0| gives it probability floor."""
     weights = rng.dirichlet(np.full(m, 0.5), size=dim).T
-    weights[0, 0] = 0.0
-    weights[1:, 0] = rng.dirichlet(np.full(m - 1, 0.5))
+    weights[0, 0] = floor
+    weights[1:, 0] = (1.0 - floor) * rng.dirichlet(np.full(m - 1, 0.5))
     return QndMeasurement(np.sqrt(weights) * np.exp(2j * np.pi * rng.random((m, dim))))
 
 
@@ -225,4 +225,22 @@ class TestExactMinimize:
         if dead:
             rho[0] = np.diag(np.eye(dim)[0]).astype(complex)
         rho[-1, 0, 0] = np.nan
+        assert outcome(lambda: law.minimize(rho)) == outcome(lambda: minimize_plain(law, rho))
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(seed=SEEDS, stack=STACKS, dim=st.integers(2, 6), m=st.integers(2, 3),
+           eps=st.sampled_from([0.0, 2.0]))
+    def test_a_branch_below_the_floor(self, seed, stack, dim, m, eps):
+        """At |0><0| outcome 0 has 0 < p_0 = 1e-13 <= P_FLOOR.
+
+        The sigma term takes that branch in, through D * rho; at eps > 0 its
+        weight -eps / (2 p_0) is 0, as for a dead branch.
+        """
+        rng = np.random.default_rng(seed)
+        p, h1 = random_system(rng, dim)
+        meas = dead_branch_measurement(rng, m, dim, floor=1e-13)
+        law = ExactMinLaw(p, h1, meas, ControllerConfig(kind="exact-min", epsilon=eps))
+        rho = random_stack(rng, dim, stack)
+        rho[0] = np.diag(np.eye(dim)[0]).astype(complex)
+        assert 0.0 < probabilities(meas, rho[:1])[0, 0] <= P_FLOOR
         assert outcome(lambda: law.minimize(rho)) == outcome(lambda: minimize_plain(law, rho))
