@@ -212,9 +212,10 @@ def _synthesize(out_dir, p, chash, phase_policy="positive", **problem):
     """sigma -> checked H1: write synthesis.json, and h1.json when feasible.
 
     Returns the solve and H1, which is None when the solve misses the sign
-    condition.  ``problem`` holds the solver's hyper-parameters.  They are
-    checked first, so that bad ones make no output directory, and the
-    directory is made before the solve, so that a bad one fails at once.
+    condition.  ``problem`` holds the solver's hyper-parameters.  They and
+    p's minimum, which must not be tied, are checked first, so that bad ones
+    make no output directory, and the directory is made before the solve,
+    so that a bad one fails at once.
     """
     SynthesisProblem(sigma=p, **problem)
     os.makedirs(out_dir, exist_ok=True)
@@ -266,7 +267,7 @@ def cmd_synthesize(args):
     try:
         result, h1 = _synthesize(args.out_dir, p, chash, args.phase_policy, **problem)
     except ValueError as e:
-        # A bad --gamma1 or --gamma2, refused before the output directory is made.
+        # A bad --gamma1 or --gamma2 or a tied minimum, refused before any output.
         raise ConfigError(e) from e
 
     ok, report = verify_lambda(result.lambda_tilde, p.n_star)

@@ -66,6 +66,7 @@ _TWO = _frozen(2.0)
 # structural checks (synthesis.assumption_report and
 # QndMeasurement.check_distinguishability).
 ASSUMPTION_TOL = 1e-8
+_TIE_TOL = 1e-12  # an energy this close to the minimum ties with it
 
 
 class DensityInvariantError(ValueError):
@@ -212,7 +213,9 @@ class DiagonalObservable:
     """Energy operator given by its diagonal and the index of the minimum.
 
     Internally 0-based; published figures for the 8-level example use
-    1-based indices (their n=3 is our n_star=2).
+    1-based indices (their n=3 is our n_star=2).  n_star must lie within
+    1e-12 of the minimum; the private ``_ground`` marks every level that
+    does, which SynthesisProblem reads to refuse a tied minimum.
     """
 
     sigma: np.ndarray
@@ -223,13 +226,15 @@ class DiagonalObservable:
         object.__setattr__(self, "sigma", sig)
         if sig.ndim != 1 or sig.size < 2:
             raise ValueError("sigma must be a vector of at least two energies")
-        if not np.isfinite(sig).all():
+        if np.count_nonzero(np.isfinite(sig)) < sig.size:
             raise ValueError("sigma contains NaN or Inf entries")
         json_int(self.n_star, "n_star")
         if not 0 <= self.n_star < sig.size:
             raise IndexError(f"n_star {self.n_star} out of range")
-        if sig[self.n_star] > sig.min() + 1e-12:
+        ground = sig <= sig.min() + _TIE_TOL
+        if not ground[self.n_star]:
             raise ValueError("sigma[n_star] is not the minimum energy")
+        object.__setattr__(self, "_ground", ground)
 
     @property
     def dim(self):

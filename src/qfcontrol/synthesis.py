@@ -26,7 +26,6 @@ exactly, and is kept only when every polished weight is positive.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,10 +183,19 @@ def verify_lambda(lambda_tilde, n_star):
 
 @dataclass(frozen=True)
 class SynthesisProblem:
-    """Hyper-parameters of the synthesis program.
+    """The energy to synthesize for and the hyper-parameters of the program.
 
     gamma1/gamma2 keep lambda away from zero; alpha2 > 0 switches on the
     sparsity penalty.  Each is a number, stored as a float.
+
+    sigma's minimum must be unique: a ValueError names the levels within
+    1e-12 of it when there are two or more, before any solve.  No R can
+    serve a tied minimum, since for R in the cone and a second minimizer b,
+    lambda_tilde_b = sum_j R_bj (sigma_j - sigma_b) >= 0 (rows sum to 0,
+    off-diagonal entries >= 0, sigma_j >= sigma_b).  So the zero vector is
+    refused here too, as tied at every level.  The levels are those that
+    DiagonalObservable found within 1e-12 of the minimum when it checked
+    n_star, so the test costs no pass over sigma of its own.
     """
 
     sigma: DiagonalObservable
@@ -203,6 +211,10 @@ class SynthesisProblem:
             raise ValueError("gamma1 and gamma2 must be finite and strictly positive")
         if not 0 <= self.alpha2 < math.inf:
             raise ValueError("alpha2 must be finite and non-negative")
+        if np.count_nonzero(self.sigma._ground) > 1:
+            tied = ", ".join(map(str, np.flatnonzero(self.sigma._ground)))
+            raise ValueError(f"the minimum energy is tied at levels {tied}; no R in the cone "
+                             "meets the sign condition at a second minimizer")
 
 
 @dataclass
@@ -285,8 +297,6 @@ def solve_synthesis(problem, max_iter=50000):
     n = sigma.size
     n_star = problem.sigma.n_star
     scale = float(np.linalg.norm(sigma))
-    if scale == 0.0:
-        raise ValueError("sigma must not be the zero vector")
     sig = sigma / scale
     g1 = problem.gamma1 / scale
     g2 = problem.gamma2 / scale
@@ -516,16 +526,14 @@ def synthesis_pipeline(p, phase_policy="positive", **problem):
     """Solve, verify the sign condition, and construct H1.
 
     ``problem`` takes the SynthesisProblem fields other than sigma (gamma1,
-    gamma2, alpha2).  Refuses to emit a Hamiltonian when the solved
-    lambda_tilde fails the sign condition: the raised InfeasibleLambda
-    carries the solve as ``result``.  ``phase_policy`` picks one of the
-    Hamiltonians that share the solved R (see hamiltonian_of_r).
+    gamma2, alpha2).  A tied minimum energy is a ValueError from
+    SynthesisProblem, before the solve.  Refuses to emit a Hamiltonian when
+    the solved lambda_tilde fails the sign condition: the raised
+    InfeasibleLambda carries the solve as ``result``.  ``phase_policy``
+    picks one of the Hamiltonians that share the solved R (see
+    hamiltonian_of_r).
     """
-    problem = SynthesisProblem(sigma=p, **problem)
-    if np.sum(np.abs(p.sigma - p.sigma.min()) <= 1e-12) > 1:
-        warnings.warn("minimum energy is degenerate; n_star selects one minimizer")
-
-    result = solve_synthesis(problem)
+    result = solve_synthesis(SynthesisProblem(sigma=p, **problem))
     if not result.feasible:
         raise InfeasibleLambda(result)
     return PipelineResult(h1=hamiltonian_of_r(result.r, phase_policy), result=result)

@@ -4,7 +4,8 @@ The random helpers draw from the caller's generator in a fixed order, so a
 test seeded with a given generator always sees the same data.
 ``register_measurement`` and ``random_field_ising`` build a register of q
 qubits (n = 2^q): a weak Z read-out per qubit, with m = n outcomes, and a
-random-field Ising energy.
+random-field Ising energy.  ``star_connectivity`` is the closed-form R on
+the star of n_star that meets the sign condition for any unique minimum.
 
 ``expected_update`` and ``expected_v_after`` average over the measurement
 branches with explicit Kraus matrices M_mu = diag(c[mu]) and the unitary
@@ -128,6 +129,32 @@ def random_field_ising(rng, qubits):
     coupling = np.triu(rng.normal(size=(qubits, qubits)), 1)
     fields = rng.normal(size=qubits)
     return np.einsum("ni,ij,nj->n", z, coupling, z) + z @ fields
+
+
+def star_connectivity(sigma, n_star, gamma1, gamma2):
+    """The star R on n_star: edge (i, n_star) of weight gamma1 / Delta_i, Delta_i = sigma_i - sigma*.
+
+    Each edge gives lambda_tilde_i = -gamma1 and adds gamma1 to
+    lambda_tilde at n_star.  When gamma2 > (n - 1) gamma1, the excess
+    gamma2 - (n - 1) gamma1 goes onto the edge of largest Delta_i, as the
+    extra weight excess / Delta_max, so lambda_tilde at n_star is
+    max(gamma2, (n - 1) gamma1).  Needs a unique minimum: every Delta_i > 0.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    n = sigma.size
+    delta = sigma - sigma[n_star]
+    others = np.arange(n) != n_star
+    w = np.zeros(n)
+    w[others] = gamma1 / delta[others]
+    excess = gamma2 - (n - 1) * gamma1
+    if excess > 0:
+        far = int(np.argmax(delta))
+        w[far] += excess / delta[far]
+    r = np.zeros((n, n))
+    r[n_star] = r[:, n_star] = w
+    np.fill_diagonal(r, -w)
+    r[n_star, n_star] = -w.sum()
+    return r
 
 
 def rotated(h1, rho, u):

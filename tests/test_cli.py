@@ -77,16 +77,30 @@ class TestSynthesize:
         mask[2, :] = mask[:, 2] = False
         assert np.max(np.abs(h1[mask])) <= 1e-3
 
-    def test_constant_diag_exits_2(self, tmp_path):
+    def test_constant_diag_exits_1(self, tmp_path, capsys):
+        """A tied minimum: one error line naming the levels, and no output directory."""
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(
             {"diag": [1.0, 1.0 + 1e-13, 1.0 + 2e-13], "n_star": 0}
         ))
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="degenerate"):
-            code = main(["synthesize", "--p-diag", str(path), "--out-dir", str(out)])
+        code = main(["synthesize", "--p-diag", str(path), "--out-dir", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: the minimum energy is tied at levels 0, 1, 2; .*\n",
+                            captured.err)
+        assert not out.exists()
+
+    def test_untied_sparse_miss_exits_2(self, tmp_path, capsys):
+        """A solved program that misses the sign condition: synthesis.json, no h1.json."""
+        path = tmp_path / "miss.json"
+        path.write_text(json.dumps({"diag": [63.6962, 26.9787, 4.0974, 1.6528], "n_star": 3}))
+        out = tmp_path / "out"
+        code = main(["synthesize", "--p-diag", str(path), "--sparse", "--out-dir", str(out)])
         assert code == 2
-        assert (out / "synthesis.json").exists()
+        assert "iterations = 1426" in capsys.readouterr().out
+        assert json.loads((out / "synthesis.json").read_text())["feasible"] is False
         assert not (out / "h1.json").exists()
 
     def test_missing_file_exits_1(self, tmp_path):
@@ -220,6 +234,17 @@ class TestValidate:
         assert "(0, 4)" in out
         dist, i, j = smallest_distance(out)
         assert dist <= 1e-8 and j == i + 4
+
+    def test_tied_minimum_fails_with_pair_listed(self, tmp_path, synthesized, capsys):
+        cfg = experiment_config(synthesized / "h1.json", np.pi / 10)
+        cfg["p"] = {"diag": [1.0, 1.0] + REFERENCE_SIGMA[2:].tolist(), "n_star": 0}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["validate", "--config", str(cfg_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "nondegenerate_spectrum: FAIL (required)" in out
+        assert "  witnesses: [(0, 1)]" in out.splitlines()
 
     def test_tenth_pi_passes(self, tmp_path, synthesized, capsys):
         cfg_path = tmp_path / "exp.json"

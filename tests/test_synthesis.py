@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,14 @@ from qfcontrol import (
     verify_lambda,
 )
 from qfcontrol.synthesis import CONE_TOL, _r_of_edge_weights, cone_violations, in_cone
-from helpers import coinciding_gaps_by_pairs, random_hermitian
+from helpers import coinciding_gaps_by_pairs, random_hermitian, star_connectivity
 
 SIGMA8 = np.array(
     [51.7022, 82.0324, 10.0114, 40.2333, 24.6756, 19.2339, 28.6260, 44.5561]
 )
+# Untied, yet the sparse solve (alpha2 = 1) ends with lambda_tilde_2 = 0 after
+# 1426 iterations: infeasible, where the dense solve is feasible.
+SIGMA_SPARSE_MISS = np.array([63.6962, 26.9787, 4.0974, 1.6528])
 
 
 def random_cone_point(rng, n):
@@ -234,10 +238,26 @@ class TestSolver:
         assert kept[0].iterations == polished.iterations
         assert in_cone(kept[0].r)
 
-    def test_constant_sigma_infeasible(self):
-        p = DiagonalObservable(np.array([1.0, 1.0 + 1e-13, 1.0 + 2e-13]), 0)
-        res = solve_synthesis(SynthesisProblem(sigma=p))
-        assert not res.feasible
+    @pytest.mark.parametrize("sigma, n_star, tied", [
+        ([0.0, 0.0, 1.0, 2.0], 0, "0, 1"),
+        ([1.0, 1.0 + 1e-13, 1.0 + 2e-13], 0, "0, 1, 2"),
+        ([2.0, 1.0, 3.0, 1.0], 1, "1, 3"),
+        # n_star 5e-13 above the minimum: level 2 is within 1e-12 of sigma[n_star]
+        # but not of the minimum, so it is not named.
+        ([1.0 + 5e-13, 1.0, 1.0 + 1.2e-12, 3.0], 0, "0, 1"),
+    ], ids=["pair", "flat", "inner-pair", "n-star-above-the-minimum"])
+    def test_tied_minimum_refused(self, sigma, n_star, tied):
+        """Levels within 1e-12 of the minimum are refused by the problem, before any solve."""
+        p = DiagonalObservable(np.array(sigma), n_star)
+        for alpha2 in (0.0, 1.0):
+            with pytest.raises(ValueError, match=f"^the minimum energy is tied at levels {tied};"):
+                SynthesisProblem(sigma=p, alpha2=alpha2)
+
+    def test_gap_beyond_the_tie_tolerance_accepted(self):
+        """A gap of 1e-9 is no tie: the tolerance is 1e-12, not ASSUMPTION_TOL (1e-8)."""
+        p = DiagonalObservable(np.array([1.0, 1.0 + 1e-9, 2.0]), 0)
+        assert SynthesisProblem(sigma=p).sigma is p
+        assert not assumption_report(p)["nondegenerate_spectrum"].passed
 
     def test_small_instance(self):
         p = DiagonalObservable(np.array([3.0, 1.0, 2.0]), 1)
@@ -278,9 +298,9 @@ class TestSolver:
         assert (problem.gamma1, problem.gamma2, problem.alpha2) == (2.0, 1.5, 1.0)
 
     def test_zero_sigma_rejected(self):
-        problem = SynthesisProblem(sigma=DiagonalObservable(np.zeros(3), 0))
-        with pytest.raises(ValueError, match="^sigma must not be the zero vector$"):
-            solve_synthesis(problem)
+        """sigma = 0 ties at every level, so the problem itself refuses it."""
+        with pytest.raises(ValueError, match="^the minimum energy is tied at levels 0, 1, 2;"):
+            SynthesisProblem(sigma=DiagonalObservable(np.zeros(3), 0))
 
     @pytest.mark.parametrize("max_iter", [0, -5, 2.5, True, "100"])
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
@@ -308,6 +328,33 @@ def parity_problem(case):
     p = DiagonalObservable(np.array([float.fromhex(x) for x in case["sigma"]]), case["n_star"])
     return SynthesisProblem(sigma=p, **{key: float.fromhex(case[key])
                                         for key in ("gamma1", "gamma2", "alpha2")})
+
+
+class TestStar:
+    """The converse of the tie refusal: every unique minimum can be synthesized.
+
+    The star R of ``star_connectivity`` is in the cone, meets the sign
+    condition and survives the round trip through H1, on seeded
+    sigma ~ U(0, 100) at every n from 2 to 32, and the dense program is
+    feasible on the draws with n <= 8.
+    """
+
+    @pytest.mark.parametrize("gamma1, gamma2", [(1.0, 1.0), (2.0, 3.0), (0.5, 40.0)])
+    def test_star_meets_the_sign_condition(self, gamma1, gamma2):
+        for n in range(2, 33):
+            sigma = np.random.default_rng(n).uniform(0.0, 100.0, n)
+            n_star = int(np.argmin(sigma))
+            r = star_connectivity(sigma, n_star, gamma1, gamma2)
+            assert in_cone(r), n
+            lam = r @ sigma
+            assert verify_lambda(lam, n_star)[0], n
+            want = max(gamma2, (n - 1) * gamma1)
+            assert abs(lam[n_star] - want) <= 1e-9 * want, n
+            back = r_of_hamiltonian(hamiltonian_of_r(r))
+            assert np.max(np.abs(back - r)) <= 1e-9 * np.max(np.abs(r)), n
+            if n <= 8:
+                problem = SynthesisProblem(DiagonalObservable(sigma, n_star), gamma1, gamma2)
+                assert solve_synthesis(problem).feasible, n
 
 
 class TestSolverParity:
@@ -444,7 +491,20 @@ class TestPipeline:
         ok, _ = verify_lambda(out.result.r @ p.sigma, p.n_star)
         assert ok
 
-    def test_pipeline_rejects_infeasible(self):
+    def test_pipeline_rejects_infeasible(self, monkeypatch):
+        """A tied minimum is a ValueError before the solve, with no warning."""
+        monkeypatch.setattr(synthesis, "solve_synthesis", None)
         p = DiagonalObservable(np.array([1.0, 1.0 + 1e-13]), 0)
-        with pytest.raises(InfeasibleLambda), pytest.warns(UserWarning, match="degenerate"):
-            synthesis_pipeline(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the minimum energy is tied at levels 0, 1;"):
+                synthesis_pipeline(p)
+
+    def test_untied_miss_raises_infeasible_lambda(self):
+        p = DiagonalObservable(SIGMA_SPARSE_MISS, 3)
+        with pytest.raises(InfeasibleLambda) as caught:
+            synthesis_pipeline(p, alpha2=1.0)
+        res = caught.value.result
+        assert (res.iterations, res.converged, res.feasible) == (1426, True, False)
+        assert res.lambda_tilde[2] == 0.0
+        assert synthesis_pipeline(p).result.feasible
