@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import (
     DiagonalObservable,
-    json_bool,
     json_int,
     json_number,
     json_numbers,
@@ -47,6 +46,7 @@ from .simulate import (
     write_trajectories_csv,
 )
 from .synthesis import (
+    LAMBDA_SUM_TOL,
     InfeasibleLambda,
     SynthesisProblem,
     assumption_report,
@@ -100,16 +100,6 @@ def _matrix(obj, section):
     return matrix_from_json(json_object(obj, section, _MATRIX_KEYS))
 
 
-def _section(raw, name, readers):
-    """The keys that raw[name] holds, each checked by its reader; readers names every key allowed.
-
-    A key the section leaves out is left out here too, so that the
-    dataclass's default applies.
-    """
-    obj = json_object(raw.get(name, {}), name, readers)
-    return {key: readers[key](value, f"{name}.{key}") for key, value in obj.items()}
-
-
 @dataclass
 class ExperimentConfig:
     """Everything one simulation run needs, loadable from a single JSON file."""
@@ -125,9 +115,11 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.realizations < 1:
+        if json_int(self.realizations, "ensemble.realizations") < 1:
             raise ValueError(f"ensemble.realizations is {self.realizations}, "
                              "but must be at least 1")
+        json_int(self.master_seed, "ensemble.master_seed")
+        self.success_floor = json_number(self.success_floor, "success_floor")
         # Written so that NaN fails the check too: simulate would run the
         # whole ensemble and then exit 1 whatever its success rate.
         if not 0.0 <= self.success_floor <= 1.0:
@@ -163,11 +155,10 @@ class ExperimentConfig:
         else:
             h1 = _matrix(h1_spec, "h1")
 
-        # Only the keys a config holds are passed on: the dataclasses'
-        # defaults stand for the rest.  LoopConfig checks the mode.
-        loop = _section(raw, "loop", {"mode": lambda mode, _: mode, "steps": json_int,
-                                      "fidelity_threshold": json_number,
-                                      "stop_at_threshold": json_bool})
+        # Only the keys a config holds are passed on, each checked by the type
+        # that holds it; the sections are copies, since raw is hashed.
+        loop = dict(json_object(raw.get("loop", {}), "loop",
+                                ("mode", "steps", "fidelity_threshold", "stop_at_threshold")))
         loop.setdefault("mode", "stochastic")
         if raw.get("measurement") is not None:
             loop["meas"] = QndMeasurement.from_json(raw["measurement"])
@@ -186,13 +177,11 @@ class ExperimentConfig:
             rho0 = _matrix(rho0_spec, "rho0")
         rho0 = _initial_state(rho0, p.dim, "rho0")
 
-        given = _section(raw, "ensemble", {"realizations": json_int, "master_seed": json_int})
+        given = dict(json_object(raw.get("ensemble", {}), "ensemble",
+                                 ("realizations", "master_seed")))
         if loop["mode"] != "deterministic" and "master_seed" not in given:
             raise ValueError("stochastic modes need ensemble.master_seed")
-        if "success_floor" in raw:
-            given["success_floor"] = json_number(raw["success_floor"], "success_floor")
-        if "output_dir" in raw:
-            given["output_dir"] = raw["output_dir"]
+        given.update((key, raw[key]) for key in ("success_floor", "output_dir") if key in raw)
         return cls(loop=LoopConfig(p=p, h1=h1, **loop), rho0=rho0, raw=raw, **given)
 
     def hash(self):
@@ -281,7 +270,8 @@ def cmd_synthesize(args):
     print(f"sign condition: {'satisfied' if ok else 'violated'}")
     print(f"feasible: {result.feasible}")
     if h1 is None:
-        print("infeasible: raise gamma1/gamma2 or drop --sparse", file=sys.stderr)
+        tip = "; without --sparse, every untied sigma has an exact solution" if args.sparse else ""
+        print(f"infeasible: {InfeasibleLambda(result)}{tip}", file=sys.stderr)
         return 2
     return 0
 
@@ -344,8 +334,7 @@ def cmd_reproduce_paper(args):
     chash = config_hash({"case": args.case, "seed": args.seed})
     result, h1 = _synthesize(args.out_dir, p, chash, alpha2=(1.0 if sparse else 0.0))
     if h1 is None:
-        print("infeasible: the reference synthesis misses the sign condition; "
-              "see synthesis.json", file=sys.stderr)
+        print(f"infeasible: {InfeasibleLambda(result)}", file=sys.stderr)
         return 2
 
     checks = [("synthesis feasible", result.feasible, f"residual {result.residual:.3e}")]
@@ -356,7 +345,7 @@ def cmd_reproduce_paper(args):
         checks.append(("sparse lambda pattern (-1,...,7,...)", dev <= 1e-3,
                        f"max deviation {dev:.2e}"))
     ssum = float(abs(result.lambda_tilde.sum()))
-    checks.append(("lambda entries sum to zero", ssum <= 1e-7, f"|sum| {ssum:.2e}"))
+    checks.append(("lambda entries sum to zero", ssum <= LAMBDA_SUM_TOL, f"|sum| {ssum:.2e}"))
 
     r_back = r_of_hamiltonian(h1)
     off = ~np.eye(8, dtype=bool)

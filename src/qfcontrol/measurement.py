@@ -179,9 +179,7 @@ class QndMeasurement:
         if isinstance(obj, dict) and "photon_box" in obj:
             pb = json_object(json_object(obj, "measurement", ("photon_box",))["photon_box"],
                              "measurement.photon_box", ("n", "phi0", "theta"))
-            return photon_box(json_int(pb["n"], "photon_box.n"),
-                              json_number(pb["phi0"], "photon_box.phi0"),
-                              json_number(pb["theta"], "photon_box.theta"))
+            return photon_box(pb["n"], pb["phi0"], pb["theta"])
         json_object(obj, "measurement", ("n", "m", "coeffs_re", "coeffs_im"))
         m, n = json_int(obj["m"], "measurement m"), json_int(obj["n"], "measurement n")
         c = (json_numbers(obj["coeffs_re"], "measurement coeffs_re")
@@ -222,9 +220,10 @@ def photon_box(n, phi0, theta):
     period pi, so theta = pi/4 with n = 8 leaves the pairs (k, k+4)
     indistinguishable; check_distinguishability flags them.
     """
-    if json_int(n, "n") < 2:
+    n, phi0, theta = (json_int(n, "photon_box.n"), json_number(phi0, "photon_box.phi0"),
+                      json_number(theta, "photon_box.theta"))
+    if n < 2:
         raise ValueError("dimension must be at least 2")
-    phi0, theta = json_number(phi0, "phi0"), json_number(theta, "theta")
     if not (np.isfinite(phi0) and np.isfinite(theta)):
         raise ValueError(f"phi0 and theta must be finite, but are {phi0!r} and {theta!r}")
     phases = phi0 + theta * np.arange(n)

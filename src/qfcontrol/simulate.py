@@ -130,7 +130,7 @@ class LoopConfig:
     def __post_init__(self):
         if self.mode not in ("deterministic", "stochastic", "open-loop"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if json_int(self.steps, "steps") < 1:
+        if json_int(self.steps, "loop.steps") < 1:
             raise ValueError("steps must be at least 1")
         if self.mode == "deterministic" and self.h0 is None:
             raise ValueError("deterministic mode needs a drift Hamiltonian (may be zero)")
@@ -139,8 +139,10 @@ class LoopConfig:
         if (self.mode == "deterministic") != (self.controller.kind == "linear"):
             raise ValueError(f"{self.mode} mode cannot use the {self.controller.kind} controller"
                              "; the linear controller runs the deterministic mode only")
-        json_bool(self.stop_at_threshold, "stop_at_threshold")
-        if not 0.0 < json_number(self.fidelity_threshold, "fidelity_threshold") <= 1.0:
+        json_bool(self.stop_at_threshold, "loop.stop_at_threshold")
+        object.__setattr__(self, "fidelity_threshold",
+                           json_number(self.fidelity_threshold, "loop.fidelity_threshold"))
+        if not 0.0 < self.fidelity_threshold <= 1.0:
             raise ValueError(f"fidelity_threshold is {self.fidelity_threshold}, "
                              "but must be in (0, 1]")
         dim = self.p.dim

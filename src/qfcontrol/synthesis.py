@@ -58,11 +58,18 @@ OBJECTIVE_TOL = 1e-9
 
 
 class InfeasibleLambda(RuntimeError):
-    """The solved lambda_tilde violates the sign condition; ``result`` is the solve."""
+    """The solve is infeasible; ``result`` is the solve, and the message reads it alone.
+
+    n_star is where the solver's lambda is positive: its box holds every other entry < 0.
+    """
 
     def __init__(self, result):
-        super().__init__("solved lambda_tilde fails the sign condition; raise "
-                         "gamma1/gamma2 or drop --sparse")
+        _, report = verify_lambda(result.lambda_tilde, int(np.argmax(result.lam)))
+        misses = [f"{f'level {i}' if i >= 0 else 'the sum'} is {value:+.6g} ({rule})"
+                  for i, value, rule, good in report if not good]
+        text = ("solved lambda_tilde misses the sign condition: " + "; ".join(misses) if misses
+                else f"solved lambda_tilde misses its fit: residual {result.residual:.3e}")
+        super().__init__(text + ("" if result.converged else "; stopped at max_iter"))
         self.result = result
 
 
@@ -204,6 +211,8 @@ class SynthesisProblem:
     alpha2: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.sigma, DiagonalObservable):
+            raise ValueError(f"sigma is {self.sigma!r}, but must be a DiagonalObservable")
         for name in ("gamma1", "gamma2", "alpha2"):
             object.__setattr__(self, name, json_number(getattr(self, name), name))
         # Written so that NaN fails too.

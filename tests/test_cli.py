@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import copy
 import json
 import re
 from dataclasses import MISSING, fields
@@ -99,7 +100,14 @@ class TestSynthesize:
         out = tmp_path / "out"
         code = main(["synthesize", "--p-diag", str(path), "--sparse", "--out-dir", str(out)])
         assert code == 2
-        assert "iterations = 1426" in capsys.readouterr().out
+        printed = capsys.readouterr()
+        assert "iterations = 1426" in printed.out
+        # One line, naming the level missed; no gamma helps the sparse program.
+        assert printed.err == (
+            "infeasible: solved lambda_tilde misses the sign condition: level 2 is +0 "
+            "(non-minimizer entry must be negative); without --sparse, every untied sigma "
+            "has an exact solution\n")
+        assert "gamma" not in printed.err
         assert json.loads((out / "synthesis.json").read_text())["feasible"] is False
         assert not (out / "h1.json").exists()
 
@@ -513,6 +521,34 @@ class TestMalformedConfig:
         key = MISSING_KEY[case]
         assert capsys.readouterr().err == f"error: bad config {path}: missing key '{key}'\n"
 
+    @pytest.mark.parametrize("path, value, message", [
+        ("loop.steps", 10.9, "loop.steps is 10.9, but must be an integer"),
+        ("loop.fidelity_threshold", True,
+         "loop.fidelity_threshold is True, but must be a number"),
+        ("loop.stop_at_threshold", "false",
+         "loop.stop_at_threshold is 'false', but must be true or false"),
+        ("measurement.photon_box.n", 8.9, "photon_box.n is 8.9, but must be an integer"),
+        ("measurement.photon_box.theta", "0.3",
+         "photon_box.theta is '0.3', but must be a number"),
+        ("ensemble.realizations", 2.7, "ensemble.realizations is 2.7, but must be an integer"),
+        ("ensemble.master_seed", "42", "ensemble.master_seed is '42', but must be an integer"),
+        ("success_floor", "0.5", "success_floor is '0.5', but must be a number"),
+    ], ids=["loop.steps", "loop.fidelity_threshold", "loop.stop_at_threshold", "photon_box.n",
+            "photon_box.theta", "ensemble.realizations", "ensemble.master_seed", "success_floor"])
+    def test_type_refused_by_its_holder(self, tmp_path, capsys, path, value, message):
+        """Each value's type is checked once, by the type that holds it, with
+        the text the config readers printed before them."""
+        cfg = inline_h1(experiment_config("unused", np.pi / 10))
+        *parents, key = path.split(".")
+        section = cfg
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: bad config {config}: {message}\n"
+
 
 class TestOutDirThatCannotBeMade:
     @pytest.mark.parametrize("argv", [
@@ -595,16 +631,34 @@ class TestReproducePaper:
         assert summary["first_hit"] == first_hit
         assert max(first_hit) >= 0 and min(first_hit) == -1
 
-    def test_infeasible_synthesis_exits_2(self, tmp_path, monkeypatch):
+    def test_infeasible_synthesis_exits_2(self, tmp_path, capsys, monkeypatch):
         def infeasible(p, phase_policy="positive", **problem):
             raise InfeasibleLambda(solve_synthesis(SynthesisProblem(sigma=p, **problem)))
 
         monkeypatch.setattr(cli, "synthesis_pipeline", infeasible)
         out = tmp_path / "rp"
         assert main(["reproduce-paper", "--case", "nonsparse", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: solved lambda_tilde misses") and err.count("\n") == 1
         assert (out / "synthesis.json").exists()
         assert not (out / "h1.json").exists()
         assert not (out / "trajectories.csv").exists()
+
+    def test_sparse_case_rows(self, tmp_path, capsys):
+        """The sparse case's star pattern and zero sum pass; at theta = pi/4
+        only the success-rate row fails."""
+        out = tmp_path / "rp"
+        assert main(["reproduce-paper", "--case", "sparse", "--seed", "0",
+                     "--out-dir", str(out)]) == 1
+        report = (out / "report.md").read_text()
+        assert capsys.readouterr().out == report + "\n"
+        rows = [line for line in report.splitlines() if line.startswith("| ")][1:]
+        assert any(row.startswith("| sparse lambda pattern (-1,...,7,...) | pass |")
+                   for row in rows)
+        assert any(row.startswith("| lambda entries sum to zero | pass |") for row in rows)
+        fails = [row for row in rows if "| FAIL |" in row]
+        assert len(fails) == 1
+        assert fails[0].startswith("| closed-loop success rate >= 0.95 | FAIL |")
 
 
 class TestExperimentConfig:
@@ -669,15 +723,30 @@ class TestExperimentConfig:
         seed = ExperimentConfig.from_json(deterministic).master_seed
         assert seed == defaults(ExperimentConfig)["master_seed"] == 0
 
+    def test_from_json_leaves_raw_as_it_was(self):
+        """raw is hashed into every output, so loading must not fill in its defaults."""
+        raw = inline_h1(experiment_config("unused", np.pi / 10))
+        del raw["loop"]["mode"]
+        before = copy.deepcopy(raw)
+        cfg = ExperimentConfig.from_json(raw)
+        assert cfg.loop.mode == "stochastic"
+        assert raw == before
+        assert cfg.raw is raw
+
     @pytest.mark.parametrize("field, value, message", [
         ("realizations", 0, "ensemble.realizations is 0, but must be at least 1"),
+        ("realizations", True, "ensemble.realizations is True, but must be an integer"),
+        ("master_seed", 1.5, "ensemble.master_seed is 1.5, but must be an integer"),
+        ("success_floor", "0.5", "success_floor is '0.5', but must be a number"),
         ("success_floor", float("nan"), "success_floor is nan, but must be in [0, 1]"),
         ("success_floor", 1.5, "success_floor is 1.5, but must be in [0, 1]"),
         ("output_dir", "", "output_dir is '', but must be a non-empty string"),
         ("output_dir", 5, "output_dir is 5, but must be a non-empty string"),
-    ], ids=["zero-realizations", "success-floor-nan", "success-floor-above-1",
+    ], ids=["zero-realizations", "realizations-true", "master-seed-fractional",
+            "success-floor-string", "success-floor-nan", "success-floor-above-1",
             "output-dir-empty", "output-dir-not-string"])
     def test_built_directly_checks_its_ranges(self, field, value, message):
+        """And the types of its ensemble and success_floor values, by name."""
         loop = ExperimentConfig.from_json(
             inline_h1(experiment_config("unused", np.pi / 10))).loop
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -59,15 +59,15 @@ class TestConstruction:
             photon_box(n, 0.125, 0.3)
 
     @pytest.mark.parametrize("phi0, theta, name, value", [
-        (True, 0.3, "phi0", "True"),
-        (0.125, np.True_, "theta", "np.True_"),
-        (0.125, "0.3", "theta", "'0.3'"),
-        ("0.125", 0.3, "phi0", "'0.125'"),
+        (True, 0.3, "photon_box.phi0", "True"),
+        (0.125, np.True_, "photon_box.theta", "np.True_"),
+        (0.125, "0.3", "photon_box.theta", "'0.3'"),
+        ("0.125", 0.3, "photon_box.phi0", "'0.125'"),
     ], ids=["phi0-true", "theta-numpy-true", "theta-string", "phi0-string"])
     def test_photon_box_angles_must_be_numbers(self, phi0, theta, name, value):
-        """Refused by name, where a bool would run as 0 or 1 and a string
-        would fail inside NumPy with a bare TypeError."""
-        message = f"^{name} is {re.escape(value)}, but must be a number$"
+        """Refused by the name a config gives, where a bool would run as 0 or 1
+        and a string would fail inside NumPy with a bare TypeError."""
+        message = f"^{re.escape(name)} is {re.escape(value)}, but must be a number$"
         with pytest.raises(ValueError, match=message):
             photon_box(4, phi0, theta)
 

@@ -297,6 +297,13 @@ class TestSolver:
         assert [type(getattr(problem, name)) for name in names] == [float] * 3
         assert (problem.gamma1, problem.gamma2, problem.alpha2) == (2.0, 1.5, 1.0)
 
+    @pytest.mark.parametrize("sigma", [[3.0, 1.0, 2.0], np.array([3.0, 1.0, 2.0]), None])
+    def test_sigma_must_be_a_diagonal_observable(self, sigma):
+        """Refused by name, where the tie check would fail with a bare AttributeError."""
+        with pytest.raises(ValueError, match=f"^sigma is {re.escape(repr(sigma))}, "
+                                             "but must be a DiagonalObservable$"):
+            SynthesisProblem(sigma=sigma)
+
     def test_zero_sigma_rejected(self):
         """sigma = 0 ties at every level, so the problem itself refuses it."""
         with pytest.raises(ValueError, match="^the minimum energy is tied at levels 0, 1, 2;"):
@@ -507,4 +514,19 @@ class TestPipeline:
         res = caught.value.result
         assert (res.iterations, res.converged, res.feasible) == (1426, True, False)
         assert res.lambda_tilde[2] == 0.0
+        # The message names the level the sign condition misses, and gives
+        # no advice on gamma, which cannot help the sparse program here.
+        assert str(caught.value) == ("solved lambda_tilde misses the sign condition: level 2 "
+                                     "is +0 (non-minimizer entry must be negative)")
+        assert "gamma" not in str(caught.value)
         assert synthesis_pipeline(p).result.feasible
+
+    def test_miss_names_max_iter_and_the_residual(self):
+        """A solve cut short says so; one whose signs hold but whose fit
+        misses names its residual instead of a level."""
+        problem = SynthesisProblem(sigma=DiagonalObservable(SIGMA8, 2))
+        res = solve_synthesis(problem, max_iter=3)
+        assert verify_lambda(res.lambda_tilde, 2)[0] and not res.feasible
+        assert str(InfeasibleLambda(res)) == (
+            f"solved lambda_tilde misses its fit: residual {res.residual:.3e}; "
+            "stopped at max_iter")
