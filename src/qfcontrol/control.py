@@ -77,7 +77,8 @@ class ControllerConfig:
 
     kappa applies to the linear law only; u_bar bounds the stochastic
     controllers; epsilon is the Lyapunov regularizer (0 by default, matching
-    the reference experiments).  Each is a number, stored as a float.
+    the reference experiments).  Each is a number, stored as a float.  A
+    refusal names its field by the config path, as in ``controller.u_bar``.
     """
 
     kind: str = "quadratic"
@@ -87,17 +88,21 @@ class ControllerConfig:
 
     def __post_init__(self):
         if self.kind not in ("linear", "exact-min", "quadratic"):
-            raise ValueError(f"unknown controller kind {self.kind!r}")
+            raise ValueError(f"controller.kind is {self.kind!r}, but must be 'linear', "
+                             "'exact-min' or 'quadratic'")
         for name in ("kappa", "u_bar", "epsilon"):
-            object.__setattr__(self, name, json_number(getattr(self, name), name))
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = json_number(getattr(self, name), f"controller.{name}")
+            object.__setattr__(self, name, value)
+            if not math.isfinite(value):
+                raise ValueError(f"controller.{name} is {value}, but must be finite")
         if self.kind == "linear" and self.kappa <= 0:
-            raise ValueError("linear feedback requires kappa > 0")
+            raise ValueError(f"controller.kappa is {self.kappa}, but the linear controller "
+                             "needs it > 0")
         if self.kind in ("exact-min", "quadratic") and self.u_bar <= 0:
-            raise ValueError("bounded controllers require u_bar > 0")
+            raise ValueError(f"controller.u_bar is {self.u_bar}, but the {self.kind} controller "
+                             "needs it > 0")
         if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+            raise ValueError(f"controller.epsilon is {self.epsilon}, but must be non-negative")
 
     def to_json(self):
         return {

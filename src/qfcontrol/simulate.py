@@ -115,7 +115,10 @@ def derive_seed(master_seed, index):
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Everything a trajectory engine needs except the initial state."""
+    """Everything a trajectory engine needs except the initial state.
+
+    A refusal names its field by the config path, as in ``loop.steps``.
+    """
 
     mode: str
     p: object                      # DiagonalObservable
@@ -129,21 +132,25 @@ class LoopConfig:
 
     def __post_init__(self):
         if self.mode not in ("deterministic", "stochastic", "open-loop"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if json_int(self.steps, "loop.steps") < 1:
-            raise ValueError("steps must be at least 1")
+            raise ValueError(f"loop.mode is {self.mode!r}, but must be 'deterministic', "
+                             "'stochastic' or 'open-loop'")
+        steps = json_int(self.steps, "loop.steps")
+        if steps < 1:
+            raise ValueError(f"loop.steps is {steps}, but must be at least 1")
         if self.mode == "deterministic" and self.h0 is None:
-            raise ValueError("deterministic mode needs a drift Hamiltonian (may be zero)")
+            raise ValueError("loop.mode is 'deterministic', which needs h0, a drift Hamiltonian "
+                             "(may be zero)")
         if self.mode != "deterministic" and self.meas is None:
-            raise ValueError(f"{self.mode} mode needs a measurement")
+            raise ValueError(f"loop.mode is {self.mode!r}, which needs a measurement")
         if (self.mode == "deterministic") != (self.controller.kind == "linear"):
-            raise ValueError(f"{self.mode} mode cannot use the {self.controller.kind} controller"
-                             "; the linear controller runs the deterministic mode only")
+            raise ValueError(f"loop.mode is {self.mode!r}, which the {self.controller.kind} "
+                             "controller cannot run; the linear controller runs the "
+                             "deterministic mode only")
         json_bool(self.stop_at_threshold, "loop.stop_at_threshold")
         object.__setattr__(self, "fidelity_threshold",
                            json_number(self.fidelity_threshold, "loop.fidelity_threshold"))
         if not 0.0 < self.fidelity_threshold <= 1.0:
-            raise ValueError(f"fidelity_threshold is {self.fidelity_threshold}, "
+            raise ValueError(f"loop.fidelity_threshold is {self.fidelity_threshold}, "
                              "but must be in (0, 1]")
         dim = self.p.dim
         for name, h in (("h1", self.h1), ("h0", self.h0)):
@@ -163,7 +170,8 @@ class Trajectory:
     fidelity/lyapunov/purity have one entry per visited state (steps+1 at
     most); u and outcome have one entry per executed step.  states maps the
     last step index to the final density matrix.  The arrays are views of
-    the rows of the run's log.
+    the rows of the run's log, or copies of their used parts when some
+    realization of the run stopped early.
     """
 
     u: np.ndarray
@@ -408,21 +416,35 @@ class _Log:
         diag = self.final.diagonal(axis1=1, axis2=2).real
         self.absorbed = np.where(np.maximum.reduce(diag, 1) >= _ABSORB_THRESHOLD,
                                  diag.argmax(axis=1), -1)
+        # A realization that stopped early leaves the tail of its rows unused.
+        self.stopped_early = bool(np.count_nonzero(self.steps_run < self.u.shape[1]))
 
     def trajectories(self):
-        """One Trajectory per realization, holding views of the log's rows.
+        """One Trajectory per realization, holding the used part of its log rows.
 
-        The log belongs to one run, so nothing else writes to the rows.
+        They are views of the rows while every realization ran all its steps.
+        Once one stopped early they are copies, so that no Trajectory keeps
+        the whole log, unused tails included, alive.  The log lets go of each
+        array as soon as its rows are taken, so the copies never sit beside
+        all of it; it is spent after this call, the run's last reader.
         """
+        taken = []
+        for name, extra in (("u", 0), ("outcome", 0), ("fidelity", 1), ("lyapunov", 1),
+                            ("purity", 1)):
+            log = getattr(self, name)
+            rows = [log[r, :s + extra] for r, s in enumerate(self.steps_run)]
+            taken.append([a.copy() for a in rows] if self.stopped_early else rows)
+            setattr(self, name, None)
         out = []
-        for r, s in enumerate(self.steps_run):
+        for r, (s, u, outcome, fidelity, lyapunov, purity) in enumerate(
+                zip(self.steps_run, *taken)):
             hit, level = int(self.first_hit[r]), int(self.absorbed[r])
             out.append(Trajectory(
-                u=self.u[r, :s],
-                outcome=self.outcome[r, :s],
-                fidelity=self.fidelity[r, :s + 1],
-                lyapunov=self.lyapunov[r, :s + 1],
-                purity=self.purity[r, :s + 1],
+                u=u,
+                outcome=outcome,
+                fidelity=fidelity,
+                lyapunov=lyapunov,
+                purity=purity,
                 states={int(s): self.final[r]},
                 first_hit=hit if hit >= 0 else None,
                 absorbed_state=level if level >= 0 else None,
@@ -605,15 +627,21 @@ def run_ensemble(cfg, rho0, n_realizations, master_seed):
         raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")
     log = _run(cfg, rho0, [derive_seed(master_seed, i) for i in range(n_realizations)])
     absorbed = log.absorbed
+    # A copy, like the trajectories, when a row's tail went unused.
+    final_fidelity = log.fidelity[:, -1]
+    final_fidelity = final_fidelity.copy() if log.stopped_early else final_fidelity
+    mean_fidelity_curve = np.add.reduce(log.fidelity, 0, initial=0.0) / n_realizations
+    mean_lyapunov_curve = np.add.reduce(log.lyapunov, 0, initial=0.0) / n_realizations
     return EnsembleResult(
         realizations=n_realizations,
-        final_fidelity=log.fidelity[:, -1],
+        final_fidelity=final_fidelity,
         first_hit=log.first_hit,
         absorbed_state=absorbed,
-        mean_fidelity_curve=np.add.reduce(log.fidelity, 0, initial=0.0) / n_realizations,
-        mean_lyapunov_curve=np.add.reduce(log.lyapunov, 0, initial=0.0) / n_realizations,
+        mean_fidelity_curve=mean_fidelity_curve,
+        mean_lyapunov_curve=mean_lyapunov_curve,
         hit_histogram=np.bincount(absorbed[absorbed >= 0], minlength=cfg.p.dim),
         unabsorbed=int(np.count_nonzero(absorbed < 0)),
+        # The log's last reader: it lets go of its arrays.
         trajectories=log.trajectories(),
     )
 

@@ -252,9 +252,19 @@ class SynthesisResult:
         }
 
 
-def _r_of_edge_weights(w, n):
-    """R(w): w at (i, j) and (j, i) for the edges i < j, in np.triu_indices order."""
-    i, j = np.triu_indices(n, 1)
+def _edges(n):
+    """The ends (i, j) of the edges i < j of n levels, in np.triu_indices(n, 1) order.
+
+    np.nonzero walks the mask in row-major order, as np.triu_indices does,
+    at about a quarter of its cost.
+    """
+    levels = np.arange(n)
+    return np.nonzero(np.less.outer(levels, levels))
+
+
+def _r_of_edge_weights(w, edges, n):
+    """R(w): w at (i, j) and (j, i) for the edges (i, j) of ``_edges(n)``."""
+    i, j = edges
     r = np.zeros((n, n))
     r[i, j] = r[j, i] = w
     # Minus each row's sum, added in column order; 0.0 - keeps a zero row's at +0.0.
@@ -293,6 +303,16 @@ def solve_synthesis(problem, max_iter=50000):
     On the reference sparse solve the probe alone rejects 23,900 of its
     24,266 iterations.
 
+    The iterate lives in three buffers made once per solve, z, the new
+    iterate and z_bar = 2 z_new - z, whose w and lambda views are made
+    before the loop.  Each new iterate is written into the buffer of the
+    iterate before z, which no later line reads, and the two then swap
+    names; the matrix-vector products and ufuncs are bound to locals.
+    Without the penalty the shift on w is +0.0 everywhere, and x - 0.0 is
+    x bit for bit, -0.0 and NaN included, so that subtraction is skipped.
+    Each value is still made by the same IEEE operation on the same
+    operands, only stored elsewhere, so every result keeps its bits.
+
     With the sparsity penalty on, the identified support is polished by
     alternating the lambda clip with an exact least-squares solve on the
     support, which removes the slow first-order tail.  The polished weights
@@ -315,13 +335,15 @@ def solve_synthesis(problem, max_iter=50000):
 
     # (A w)_n = (R(w) sigma)_n: the column of edge e = (i, j) touches rows i
     # and j with -(sig_i - sig_j) and +(sig_i - sig_j).
-    edge_i, edge_j = np.triu_indices(n, 1)
+    edges = edge_i, edge_j = _edges(n)
     n_edges, gap = edge_i.size, sig[edge_i] - sig[edge_j]
     amat = np.zeros((n, n_edges))
     amat[edge_i, np.arange(n_edges)] = -gap
     amat[edge_j, np.arange(n_edges)] = gap
 
-    knorm = float(np.sqrt(np.linalg.norm(amat, 2) ** 2 + 1.0))
+    # ||A||_2 from the LAPACK call np.linalg.norm(amat, 2) makes, without its
+    # wrapper: the largest singular value, the same bits.
+    knorm = float(np.sqrt(np.linalg.svd(amat, compute_uv=False).max() ** 2 + 1.0))
     tau = sig_d = 0.95 / knorm
     # Bounds of z = [w; lambda], the step -tau [A^T y; -y] as step * [A^T y; y]
     # (filled into grad), and the penalty shift on w.
@@ -334,7 +356,7 @@ def solve_synthesis(problem, max_iter=50000):
     # place, so the step never copies it.
     grad = np.zeros(n_edges + n)
     grad_w, y = grad[:n_edges], grad[n_edges:]
-    amat_t = amat.T
+    penalized = problem.alpha2 > 0
     penalty = 4.0 * problem.alpha2
 
     def box_clip(lam):
@@ -344,7 +366,13 @@ def solve_synthesis(problem, max_iter=50000):
         resid = (amat.dot(w_vec) - lam_vec) * scale
         return math.sqrt(resid.dot(resid)) + penalty * float(np.add.reduce(w_vec))
 
-    z = z_bar = np.minimum(np.maximum(np.zeros(n_edges + n), lo), hi)
+    # The three buffers of the iterate and their views (see the docstring).
+    z = np.minimum(np.maximum(np.zeros(n_edges + n), lo), hi)
+    z_new, z_bar = np.empty_like(z), z.copy()
+    z_w, z_lam, new_w, new_lam = z[:n_edges], z[n_edges:], z_new[:n_edges], z_new[n_edges:]
+    bar_w, bar_lam = z_bar[:n_edges], z_bar[n_edges:]
+    dot, dot_t, y_dot = amat.dot, amat.T.dot, y.dot
+    multiply, add, maximum, minimum = np.multiply, np.add, np.maximum, np.minimum
     # The objective of z, or None where its drift test failed and it was
     # never needed; probe is the entry the drift test checks first.
     prev_obj = None
@@ -356,22 +384,23 @@ def solve_synthesis(problem, max_iter=50000):
     # arithmetic) and x + x for 2x, so every bit is the same; ndarray.dot
     # makes the same BLAS call as @ with less dispatch.
     for k in range(1, max_iter + 1):
-        t = amat.dot(z_bar[:n_edges])
-        t -= z_bar[n_edges:]
+        t = dot(bar_w)
+        t -= bar_lam
         t *= sig_d
         y += t
         # Onto the unit ball, the dual of the residual's 2-norm; a NaN norm
         # scales too.
-        nrm = math.sqrt(y.dot(y))
+        nrm = math.sqrt(y_dot(y))
         if not nrm <= 1.0:
             y *= 1.0 / nrm
-        amat_t.dot(y, out=grad_w)
-        z_new = step * grad
+        dot_t(y, out=grad_w)
+        multiply(step, grad, out=z_new)
         z_new += z
-        z_new -= shift
-        np.maximum(z_new, lo, out=z_new)
-        np.minimum(z_new, hi, out=z_new)
-        z_bar = z_new + z_new
+        if penalized:  # else the shift is +0.0, and x - 0.0 is x bit for bit
+            z_new -= shift
+        maximum(z_new, lo, out=z_new)
+        minimum(z_new, hi, out=z_new)
+        add(z_new, z_new, out=z_bar)
         z_bar -= z
         # Only an iterate that passes the drift test can extend the calm run,
         # so the objective is computed only then, and the full test only
@@ -382,21 +411,22 @@ def solve_synthesis(problem, max_iter=50000):
             np.abs(drift, out=drift)
             if scale * float(np.maximum.reduce(drift)) <= 1e-11:
                 if prev_obj is None:
-                    prev_obj = objective_of(z[:n_edges], z[n_edges:])
-                obj = objective_of(z_new[:n_edges], z_new[n_edges:])
+                    prev_obj = objective_of(z_w, z_lam)
+                obj = objective_of(new_w, new_lam)
             else:
                 probe = int(drift.argmax())
         settled = (obj is not None
                    and abs(obj - prev_obj) <= OBJECTIVE_TOL * max(1.0, abs(obj)))
         calm = calm + 1 if settled else 0
-        z, prev_obj = z_new, obj
+        z, z_w, z_lam, z_new, new_w, new_lam = z_new, new_w, new_lam, z, z_w, z_lam
+        prev_obj = obj
         if calm >= 25:
             iterations = k
             converged = True
             break
-    w, lam = z[:n_edges], z[n_edges:]
+    w, lam = z_w, z_lam
 
-    if problem.alpha2 > 0:
+    if penalized:
         # Support polish: the first-order phase identifies the sparsity
         # pattern quickly but crawls toward the exact weights; on the support
         # the residual-zero point is unique, so finish it off exactly.
@@ -418,7 +448,7 @@ def solve_synthesis(problem, max_iter=50000):
                     and objective_of(cand, cand_lam) <= objective_of(w, lam) + 1e-12):
                 w, lam = cand, cand_lam
 
-    r = _r_of_edge_weights(w, n)
+    r = _r_of_edge_weights(w, edges, n)
     lam_out = lam * scale
     lambda_tilde = r @ sigma
     residual = float(np.linalg.norm(lambda_tilde - lam_out, 2))

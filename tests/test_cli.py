@@ -533,11 +533,30 @@ class TestMalformedConfig:
         ("ensemble.realizations", 2.7, "ensemble.realizations is 2.7, but must be an integer"),
         ("ensemble.master_seed", "42", "ensemble.master_seed is '42', but must be an integer"),
         ("success_floor", "0.5", "success_floor is '0.5', but must be a number"),
+        ("loop.steps", 0, "loop.steps is 0, but must be at least 1"),
+        ("loop.fidelity_threshold", 1.5, "loop.fidelity_threshold is 1.5, but must be in (0, 1]"),
+        ("loop.fidelity_threshold", float("nan"),
+         "loop.fidelity_threshold is nan, but must be in (0, 1]"),
+        ("loop.mode", "filtered",
+         "loop.mode is 'filtered', but must be 'deterministic', 'stochastic' or 'open-loop'"),
+        ("controller.kind", "pid",
+         "controller.kind is 'pid', but must be 'linear', 'exact-min' or 'quadratic'"),
+        ("controller.u_bar", True, "controller.u_bar is True, but must be a number"),
+        ("controller.u_bar", float("nan"), "controller.u_bar is nan, but must be finite"),
+        ("controller.u_bar", 0,
+         "controller.u_bar is 0.0, but the quadratic controller needs it > 0"),
+        ("controller.kappa", float("inf"), "controller.kappa is inf, but must be finite"),
+        ("controller.epsilon", float("nan"), "controller.epsilon is nan, but must be finite"),
+        ("controller.epsilon", -1, "controller.epsilon is -1.0, but must be non-negative"),
     ], ids=["loop.steps", "loop.fidelity_threshold", "loop.stop_at_threshold", "photon_box.n",
-            "photon_box.theta", "ensemble.realizations", "ensemble.master_seed", "success_floor"])
+            "photon_box.theta", "ensemble.realizations", "ensemble.master_seed", "success_floor",
+            "loop.steps-zero", "loop.fidelity_threshold-above-1", "loop.fidelity_threshold-nan",
+            "loop.mode-unknown", "controller.kind-unknown", "controller.u_bar-true",
+            "controller.u_bar-nan", "controller.u_bar-zero", "controller.kappa-infinite",
+            "controller.epsilon-nan", "controller.epsilon-negative"])
     def test_type_refused_by_its_holder(self, tmp_path, capsys, path, value, message):
-        """Each value's type is checked once, by the type that holds it, with
-        the text the config readers printed before them."""
+        """Each value's type and range are checked once, by the type that holds
+        it, and every refusal names the value by its dotted config path."""
         cfg = inline_h1(experiment_config("unused", np.pi / 10))
         *parents, key = path.split(".")
         section = cfg

@@ -81,22 +81,27 @@ class TestLyapunov:
 
     def test_negative_epsilon_rejected(self):
         """V_eps's regularizer is checked where it is configured."""
-        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+        with pytest.raises(ValueError, match=r"^controller\.epsilon is -0\.1, but must be "
+                                             "non-negative$"):
             ControllerConfig(epsilon=-0.1)
 
 
 class TestControllerConfig:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^controller.kind is 'pid', but must be 'linear', "
+                                             "'exact-min' or 'quadratic'$"):
             ControllerConfig(kind="pid")
 
     def test_linear_needs_positive_kappa(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^controller.kappa is 0.0, but the linear "
+                                             "controller needs it > 0$"):
             ControllerConfig(kind="linear", kappa=0.0)
 
     def test_bounded_needs_positive_u_bar(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(kind="quadratic", u_bar=0.0)
+        for kind in ("quadratic", "exact-min"):
+            with pytest.raises(ValueError, match=f"^controller.u_bar is 0.0, but the {kind} "
+                                                 "controller needs it > 0$"):
+                ControllerConfig(kind=kind, u_bar=0.0)
 
     def test_json_round_trip(self):
         cfg = ControllerConfig(kind="exact-min", u_bar=0.2, epsilon=0.1)
@@ -105,10 +110,10 @@ class TestControllerConfig:
             ControllerConfig.from_json({**cfg.to_json(), "tie_break": "random-sign"})
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"u_bar": True}, "u_bar is True"),
-        ({"epsilon": np.True_}, "epsilon is np.True_"),
-        ({"kind": "linear", "kappa": "0.1"}, "kappa is '0.1'"),
-        ({"u_bar": "0.1"}, "u_bar is '0.1'"),
+        ({"u_bar": True}, "controller.u_bar is True"),
+        ({"epsilon": np.True_}, "controller.epsilon is np.True_"),
+        ({"kind": "linear", "kappa": "0.1"}, "controller.kappa is '0.1'"),
+        ({"u_bar": "0.1"}, "controller.u_bar is '0.1'"),
     ], ids=["u-bar-true", "epsilon-numpy-true", "kappa-string", "u-bar-string"])
     def test_parameters_must_be_numbers(self, kwargs, message):
         """Refused by name, where a bool would run as 0 or 1 and a string
@@ -117,7 +122,7 @@ class TestControllerConfig:
             ControllerConfig(**kwargs)
 
     def test_from_json_refuses_a_bool_by_name(self):
-        with pytest.raises(ValueError, match="^u_bar is True, but must be a number$"):
+        with pytest.raises(ValueError, match="^controller.u_bar is True, but must be a number$"):
             ControllerConfig.from_json({"kind": "quadratic", "u_bar": True})
 
     def test_parameters_are_stored_as_floats(self):
@@ -175,7 +180,10 @@ class TestLinearFeedback:
         (-1, "kappa must be positive"),
     ])
     def test_bad_gain_refused_by_name(self, kappa, message):
-        """A gain that is not a finite positive number, as ControllerConfig refuses it."""
+        """A gain that is not a finite positive number, refused by its argument's name.
+
+        LinearLaw is a library call, not a config section, so its refusals say
+        kappa where ControllerConfig's say controller.kappa."""
         p = DiagonalObservable(np.array([2.0, 1.0]), 1)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LinearLaw(p, np.array([[0.0, 1.0], [1.0, 0.0]]), kappa)

@@ -1,5 +1,6 @@
 """Unit tests for the trajectory engines and the ensemble runner."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -149,7 +150,8 @@ class TestLoopConfig:
 
     @pytest.mark.parametrize("mode", ["stochastic", "open-loop"])
     def test_linear_controller_only_in_deterministic_mode(self, mode):
-        with pytest.raises(ValueError, match=f"{mode} mode cannot use the linear"):
+        message = f"^loop.mode is '{mode}', which the linear controller cannot run"
+        with pytest.raises(ValueError, match=message):
             LoopConfig(mode=mode, p=observable8(), h1=coupling8(),
                        meas=photon_box(8, 1 / 8, np.pi / 10),
                        controller=ControllerConfig(kind="linear"))
@@ -533,7 +535,8 @@ class TestDeterministicLoop:
         assert np.allclose(t.fidelity, t.fidelity[0], atol=1e-9)
 
     def test_requires_linear_controller(self):
-        with pytest.raises(ValueError, match="deterministic mode cannot use the quadratic"):
+        message = "^loop.mode is 'deterministic', which the quadratic controller cannot run"
+        with pytest.raises(ValueError, match=message):
             LoopConfig(
                 mode="deterministic",
                 p=observable8(),
@@ -630,6 +633,44 @@ class TestEnsemble:
                 curve = getattr(t, name)
                 total += np.concatenate([curve, np.full(cfg.steps + 1 - curve.size, curve[-1])])
             assert np.array_equal(getattr(res, f"mean_{name}_curve"), total / n), name
+
+    @pytest.mark.parametrize("mode", ["stochastic", "open-loop"])
+    def test_early_stopped_rows_keep_only_their_used_logs(self, mode):
+        """Once a realization stops early, every logged array is a copy of its used part.
+
+        No Trajectory array, and not final_fidelity, shares memory with
+        another's, so no unused tail of the log stays alive; every value
+        keeps the bits of the log it came from.  With every row run to the
+        end, they stay views of the log.
+        """
+        if mode == "stochastic":
+            cfg, n = stochastic_config(steps=200, fidelity_threshold=0.9995), 12
+        else:
+            cfg = LoopConfig(mode="open-loop", p=observable8(), h1=np.zeros((8, 8)),
+                             meas=photon_box(8, 1 / 8, np.pi / 10), steps=120)
+            n = 16
+        log = simulate._run(cfg, seed_state(), [derive_seed(6, i) for i in range(n)])
+        res = run_ensemble(cfg, seed_state(), n, 6)
+        steps = [t.steps_run for t in res.trajectories]
+        assert min(steps) < cfg.steps == max(steps)
+        names = ("u", "outcome", "fidelity", "lyapunov", "purity")
+        arrays = [res.final_fidelity]
+        for r, t in enumerate(res.trajectories):
+            s = t.steps_run
+            for name in names:
+                got = getattr(t, name)
+                want = getattr(log, name)[r, :s + (name not in ("u", "outcome"))]
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (r, name)
+                arrays.append(got)
+        assert np.array_equal(res.final_fidelity.view(np.uint64),
+                              log.fidelity[:, -1].view(np.uint64))
+        assert all(a.base is None for a in arrays)
+        for k, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[k + 1:]), k
+        full = run_ensemble(dataclasses.replace(cfg, stop_at_threshold=False), seed_state(), n, 6)
+        assert [t.steps_run for t in full.trajectories] == [cfg.steps] * n
+        assert all(t.fidelity.base is not None for t in full.trajectories)
+        assert full.final_fidelity.base is not None
 
     def test_requires_realizations(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from qfcontrol import (
     synthesis_pipeline,
     verify_lambda,
 )
-from qfcontrol.synthesis import CONE_TOL, _r_of_edge_weights, cone_violations, in_cone
+from qfcontrol.synthesis import CONE_TOL, _edges, _r_of_edge_weights, cone_violations, in_cone
 from helpers import coinciding_gaps_by_pairs, random_hermitian, star_connectivity
 
 SIGMA8 = np.array(
@@ -108,7 +108,8 @@ class TestRMaps:
                 ref[i, j] = ref[j, i] = w[e]
                 ref[i, i] -= w[e]
                 ref[j, j] -= w[e]
-            assert np.array_equal(_r_of_edge_weights(w, n).view(np.uint64), ref.view(np.uint64))
+            r = _r_of_edge_weights(w, _edges(n), n)
+            assert np.array_equal(r.view(np.uint64), ref.view(np.uint64))
 
     def test_r_row_sums_vanish(self):
         rng = np.random.default_rng(2)
@@ -376,9 +377,12 @@ class TestSolverParity:
     benchmark's random set.  Six more, a random sigma each at n = 5, 9 and
     12 with gamma1 != gamma2 at alpha2 = 0 and 1, run to convergence, are
     solves whose entry of largest drift changes while they run (up to 40
-    times), and the last case caps the n = 9 sparse one ten iterations
-    before its stop, inside a calm run.  A change to the solver's arithmetic
-    or to its drift test fails here by name.  The bits are those of one
+    times), and one more caps the n = 9 sparse one ten iterations before its
+    stop, inside a calm run.  The last six cap the reference sigma at
+    max_iter = 1, 2 and 3, at alpha2 = 0 and 1: the first iterations, where
+    the extrapolated iterate still equals the iterate and each of the
+    solver's buffers is written for the first time.  A change to the
+    solver's arithmetic or to its drift test fails here by name.  The bits are those of one
     NumPy/OpenBLAS build; another BLAS kernel may round the matrix-vector
     products differently.
     """
@@ -403,7 +407,7 @@ class TestSolverParity:
         assert (res.iterations, res.converged) == (1000, False)
         assert res.to_json()["converged"] is False
         # Capped ten iterations before its stop, 15 iterations into its calm run.
-        case = PARITY[-1]
+        case = next(c for c in PARITY if c["max_iter"] == 5536)
         res = solve_synthesis(parity_problem(case), max_iter=case["max_iter"])
         assert (res.iterations, res.converged) == (5536, False)
 
