@@ -169,9 +169,8 @@ class Trajectory:
 
     fidelity/lyapunov/purity have one entry per visited state (steps+1 at
     most); u and outcome have one entry per executed step.  states maps the
-    last step index to the final density matrix.  The arrays are views of
-    the rows of the run's log, or copies of their used parts when some
-    realization of the run stopped early.
+    last step index to the final density matrix.  The arrays are copies of
+    the used parts of the rows of the run's log.
     """
 
     u: np.ndarray
@@ -416,25 +415,22 @@ class _Log:
         diag = self.final.diagonal(axis1=1, axis2=2).real
         self.absorbed = np.where(np.maximum.reduce(diag, 1) >= _ABSORB_THRESHOLD,
                                  diag.argmax(axis=1), -1)
-        # A realization that stopped early leaves the tail of its rows unused.
-        self.stopped_early = bool(np.count_nonzero(self.steps_run < self.u.shape[1]))
 
-    def trajectories(self):
-        """One Trajectory per realization, holding the used part of its log rows.
+    def take_trajectories(self):
+        """One Trajectory per realization, holding copies of the used part of its log rows.
 
-        They are views of the rows while every realization ran all its steps.
-        Once one stopped early they are copies, so that no Trajectory keeps
-        the whole log, unused tails included, alive.  The log lets go of each
-        array as soon as its rows are taken, so the copies never sit beside
-        all of it; it is spent after this call, the run's last reader.
+        Copies, so that no Trajectory keeps the whole log alive, the unused
+        tail of a row that stopped early included.  The log gives up each of
+        its five arrays as soon as its rows are copied, so the copies never
+        sit beside all of it; after this call it has no u, outcome, fidelity,
+        lyapunov or purity, and a read of one raises AttributeError.
         """
         taken = []
         for name, extra in (("u", 0), ("outcome", 0), ("fidelity", 1), ("lyapunov", 1),
                             ("purity", 1)):
             log = getattr(self, name)
-            rows = [log[r, :s + extra] for r, s in enumerate(self.steps_run)]
-            taken.append([a.copy() for a in rows] if self.stopped_early else rows)
-            setattr(self, name, None)
+            taken.append([log[r, :s + extra].copy() for r, s in enumerate(self.steps_run)])
+            delattr(self, name)
         out = []
         for r, (s, u, outcome, fidelity, lyapunov, purity) in enumerate(
                 zip(self.steps_run, *taken)):
@@ -583,7 +579,7 @@ def run_trajectory(cfg, rho0, seed=None):
         raise ValueError(f"{cfg.mode} mode {'takes no' if deterministic else 'needs a'} seed")
     if seed is not None and json_int(seed, "seed") < 0:
         raise ValueError(f"seed is {seed}, but must be nonnegative")
-    return _run(cfg, rho0, [seed]).trajectories()[0]
+    return _run(cfg, rho0, [seed]).take_trajectories()[0]
 
 
 @dataclass
@@ -627,22 +623,16 @@ def run_ensemble(cfg, rho0, n_realizations, master_seed):
         raise ValueError(f"ensembles are not defined for mode {cfg.mode!r}")
     log = _run(cfg, rho0, [derive_seed(master_seed, i) for i in range(n_realizations)])
     absorbed = log.absorbed
-    # A copy, like the trajectories, when a row's tail went unused.
-    final_fidelity = log.fidelity[:, -1]
-    final_fidelity = final_fidelity.copy() if log.stopped_early else final_fidelity
-    mean_fidelity_curve = np.add.reduce(log.fidelity, 0, initial=0.0) / n_realizations
-    mean_lyapunov_curve = np.add.reduce(log.lyapunov, 0, initial=0.0) / n_realizations
     return EnsembleResult(
         realizations=n_realizations,
-        final_fidelity=final_fidelity,
+        final_fidelity=log.fidelity[:, -1].copy(),
         first_hit=log.first_hit,
         absorbed_state=absorbed,
-        mean_fidelity_curve=mean_fidelity_curve,
-        mean_lyapunov_curve=mean_lyapunov_curve,
+        mean_fidelity_curve=np.add.reduce(log.fidelity, 0, initial=0.0) / n_realizations,
+        mean_lyapunov_curve=np.add.reduce(log.lyapunov, 0, initial=0.0) / n_realizations,
         hit_histogram=np.bincount(absorbed[absorbed >= 0], minlength=cfg.p.dim),
         unabsorbed=int(np.count_nonzero(absorbed < 0)),
-        # The log's last reader: it lets go of its arrays.
-        trajectories=log.trajectories(),
+        trajectories=log.take_trajectories(),  # last: it empties the log
     )
 
 

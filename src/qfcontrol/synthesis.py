@@ -307,7 +307,7 @@ def solve_synthesis(problem, max_iter=50000):
     iterate and z_bar = 2 z_new - z, whose w and lambda views are made
     before the loop.  Each new iterate is written into the buffer of the
     iterate before z, which no later line reads, and the two then swap
-    names; the matrix-vector products and ufuncs are bound to locals.
+    names.
     Without the penalty the shift on w is +0.0 everywhere, and x - 0.0 is
     x bit for bit, -0.0 and NaN included, so that subtraction is skipped.
     Each value is still made by the same IEEE operation on the same
@@ -371,8 +371,7 @@ def solve_synthesis(problem, max_iter=50000):
     z_new, z_bar = np.empty_like(z), z.copy()
     z_w, z_lam, new_w, new_lam = z[:n_edges], z[n_edges:], z_new[:n_edges], z_new[n_edges:]
     bar_w, bar_lam = z_bar[:n_edges], z_bar[n_edges:]
-    dot, dot_t, y_dot = amat.dot, amat.T.dot, y.dot
-    multiply, add, maximum, minimum = np.multiply, np.add, np.maximum, np.minimum
+    amat_t = amat.T
     # The objective of z, or None where its drift test failed and it was
     # never needed; probe is the entry the drift test checks first.
     prev_obj = None
@@ -384,23 +383,23 @@ def solve_synthesis(problem, max_iter=50000):
     # arithmetic) and x + x for 2x, so every bit is the same; ndarray.dot
     # makes the same BLAS call as @ with less dispatch.
     for k in range(1, max_iter + 1):
-        t = dot(bar_w)
+        t = amat.dot(bar_w)
         t -= bar_lam
         t *= sig_d
         y += t
         # Onto the unit ball, the dual of the residual's 2-norm; a NaN norm
         # scales too.
-        nrm = math.sqrt(y_dot(y))
+        nrm = math.sqrt(y.dot(y))
         if not nrm <= 1.0:
             y *= 1.0 / nrm
-        dot_t(y, out=grad_w)
-        multiply(step, grad, out=z_new)
+        amat_t.dot(y, out=grad_w)
+        np.multiply(step, grad, out=z_new)
         z_new += z
         if penalized:  # else the shift is +0.0, and x - 0.0 is x bit for bit
             z_new -= shift
-        maximum(z_new, lo, out=z_new)
-        minimum(z_new, hi, out=z_new)
-        add(z_new, z_new, out=z_bar)
+        np.maximum(z_new, lo, out=z_new)
+        np.minimum(z_new, hi, out=z_new)
+        np.add(z_new, z_new, out=z_bar)
         z_bar -= z
         # Only an iterate that passes the drift test can extend the calm run,
         # so the objective is computed only then, and the full test only

@@ -1,6 +1,5 @@
 """Unit tests for the trajectory engines and the ensemble runner."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -636,12 +635,11 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("mode", ["stochastic", "open-loop"])
     def test_early_stopped_rows_keep_only_their_used_logs(self, mode):
-        """Once a realization stops early, every logged array is a copy of its used part.
+        """Every logged array is a copy of its used part, here with some rows stopped early.
 
         No Trajectory array, and not final_fidelity, shares memory with
         another's, so no unused tail of the log stays alive; every value
-        keeps the bits of the log it came from.  With every row run to the
-        end, they stay views of the log.
+        keeps the bits of the log it came from.
         """
         if mode == "stochastic":
             cfg, n = stochastic_config(steps=200, fidelity_threshold=0.9995), 12
@@ -667,10 +665,6 @@ class TestEnsemble:
         assert all(a.base is None for a in arrays)
         for k, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[k + 1:]), k
-        full = run_ensemble(dataclasses.replace(cfg, stop_at_threshold=False), seed_state(), n, 6)
-        assert [t.steps_run for t in full.trajectories] == [cfg.steps] * n
-        assert all(t.fidelity.base is not None for t in full.trajectories)
-        assert full.final_fidelity.base is not None
 
     def test_requires_realizations(self):
         with pytest.raises(ValueError):

@@ -378,11 +378,16 @@ class TestSolverParity:
     12 with gamma1 != gamma2 at alpha2 = 0 and 1, run to convergence, are
     solves whose entry of largest drift changes while they run (up to 40
     times), and one more caps the n = 9 sparse one ten iterations before its
-    stop, inside a calm run.  The last six cap the reference sigma at
-    max_iter = 1, 2 and 3, at alpha2 = 0 and 1: the first iterations, where
-    the extrapolated iterate still equals the iterate and each of the
-    solver's buffers is written for the first time.  A change to the
-    solver's arithmetic or to its drift test fails here by name.  The bits are those of one
+    stop, inside a calm run.  The last seven cap the reference sigma at
+    max_iter = 1, 2, 3 and 4 at alpha2 = 0, and at 1, 2 and 3 at alpha2 =
+    0.1: the first iterations, where the extrapolated iterate still equals
+    the iterate and each of the solver's buffers is written for the first
+    time.  The weights leave zero in the first iteration at both alpha2
+    (at alpha2 = 1 they stay zero until the sixth), so the penalty shift
+    shows in the alpha2 = 0.1 cases; lambda leaves its bounds in the fourth
+    iteration at alpha2 = 0 and in the first through the polish at 0.1.  A
+    change to the solver's arithmetic or to its drift test fails here by
+    name.  The bits are those of one
     NumPy/OpenBLAS build; another BLAS kernel may round the matrix-vector
     products differently.
     """
