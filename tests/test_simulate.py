@@ -665,6 +665,10 @@ class TestEnsemble:
         assert all(a.base is None for a in arrays)
         for k, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[k + 1:]), k
+        # Taking the trajectories spends the log: a later read fails by name.
+        log.take_trajectories()
+        with pytest.raises(AttributeError, match="fidelity"):
+            log.fidelity
 
     def test_requires_realizations(self):
         with pytest.raises(ValueError):
