@@ -47,6 +47,7 @@ from .simulate import (
 )
 from .synthesis import (
     LAMBDA_SUM_TOL,
+    PHASE_POLICIES,
     InfeasibleLambda,
     SynthesisProblem,
     assumption_report,
@@ -423,8 +424,7 @@ def build_parser():
                      help="sparsity penalty on (alpha2 = 1): a star-shaped H1")
     syn.add_argument("--gamma1", type=float, default=1.0)
     syn.add_argument("--gamma2", type=float, default=1.0)
-    syn.add_argument("--phase-policy", default="positive",
-                     choices=("positive", "alternating", "imaginary-off-diagonal"))
+    syn.add_argument("--phase-policy", default="positive", choices=PHASE_POLICIES)
     syn.set_defaults(func=cmd_synthesize)
 
     sim = sub.add_parser("simulate", help="run a configured ensemble")

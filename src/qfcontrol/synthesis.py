@@ -36,6 +36,7 @@ from .core import (ASSUMPTION_TOL, HERMITICITY_TOL, DiagonalObservable, _as_squa
 __all__ = [
     "CONE_TOL",
     "InfeasibleLambda",
+    "PHASE_POLICIES",
     "SynthesisProblem",
     "SynthesisResult",
     "PipelineResult",
@@ -55,6 +56,9 @@ LAMBDA_SUM_TOL = 1e-7
 # this much, relative to its size, and the iterate has settled too (see
 # solve_synthesis), for 25 iterations in a row.
 OBJECTIVE_TOL = 1e-9
+
+# The free phases of H1 that hamiltonian_of_r can choose (see there).
+PHASE_POLICIES = ("positive", "alternating", "imaginary-off-diagonal")
 
 
 class InfeasibleLambda(RuntimeError):
@@ -126,12 +130,14 @@ def hamiltonian_of_r(r, phase_policy="positive"):
     """Control Hamiltonian with |H1_ij| = sqrt(R_ij / 2) and zero diagonal.
 
     The square-root convention sqrt(R/2) makes the round trip through
-    r_of_hamiltonian exact.  ``phase_policy`` selects the free phases:
-    all-positive entries, alternating signs, or purely imaginary
-    off-diagonals; every choice is Hermitian.  R must be square, real,
+    r_of_hamiltonian exact.  ``phase_policy``, one of ``PHASE_POLICIES``,
+    selects the free phases: all-positive entries, alternating signs, or
+    purely imaginary off-diagonals; every choice is Hermitian.  Any other
+    name is a ValueError, before R is read.  R must be square, real,
     finite and symmetric within ``CONE_TOL``; its upper triangle is copied
     onto the lower one, so H1 is exactly Hermitian.
     """
+    _check_phase_policy(phase_policy)
     r = _as_square_complex(r, "R")
     if np.count_nonzero(r.imag):
         raise ValueError("R must be real")
@@ -141,8 +147,8 @@ def hamiltonian_of_r(r, phase_policy="positive"):
         raise ValueError(f"R is asymmetric by {asymmetry:.3e}, beyond tolerance")
     n = r.shape[0]
     off = r.copy()
-    lower_i, lower_j = np.tril_indices(n, -1)
-    off[lower_i, lower_j] = r[lower_j, lower_i]
+    upper_i, upper_j = _edges(n)
+    off[upper_j, upper_i] = r[upper_i, upper_j]
     np.fill_diagonal(off, 0.0)
     if float(np.min(off)) < -CONE_TOL:
         raise ValueError(f"off-diagonal entry {np.min(off):.3e} below tolerance")
@@ -152,21 +158,27 @@ def hamiltonian_of_r(r, phase_policy="positive"):
     elif phase_policy == "alternating":
         signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
         h1 = (signs * mag).astype(complex)
-    elif phase_policy == "imaginary-off-diagonal":
+    else:
         phases = 1j * np.sign(np.subtract.outer(np.arange(n), np.arange(n)))
         h1 = phases * mag
-    else:
-        raise ValueError(f"unknown phase policy {phase_policy!r}")
     return h1
+
+
+def _check_phase_policy(phase_policy):
+    if phase_policy not in PHASE_POLICIES:
+        raise ValueError(f"unknown phase policy {phase_policy!r}")
 
 
 def verify_lambda(lambda_tilde, n_star):
     """Sign-condition verdict on lambda_tilde, with a per-entry report.
 
     The inequalities are strict, the condition the convergence proposition
-    needs.
+    needs.  An n_star that is not an index of lambda_tilde (negative ones
+    included) is an IndexError.
     """
     lam = np.asarray(lambda_tilde, dtype=float)
+    if not 0 <= n_star < lam.size:
+        raise IndexError(f"n_star is {n_star}, but lambda_tilde has {lam.size} entries")
     report = []
     ok = True
     for i, v in enumerate(lam):
@@ -303,15 +315,26 @@ def solve_synthesis(problem, max_iter=50000):
     On the reference sparse solve the probe alone rejects 23,900 of its
     24,266 iterations.
 
-    The iterate lives in three buffers made once per solve, z, the new
-    iterate and z_bar = 2 z_new - z, whose w and lambda views are made
-    before the loop.  Each new iterate is written into the buffer of the
-    iterate before z, which no later line reads, and the two then swap
-    names.
+    No iteration and no objective evaluation allocates: every vector they
+    write is a row of a buffer made once per solve.  One holds z, the new
+    iterate, z_bar = 2 z_new - z, the drift |z_new - z| and [A^T y; y],
+    one the bounds, the step and the shift, and one t = sig_d (A w_bar -
+    lambda_bar) and the objective's residual; the w and lambda views are
+    made before the loop.  Each new iterate is written into the buffer of the iterate
+    before z, which no later line reads, and the two then swap names.
     Without the penalty the shift on w is +0.0 everywhere, and x - 0.0 is
     x bit for bit, -0.0 and NaN included, so that subtraction is skipped.
-    Each value is still made by the same IEEE operation on the same
-    operands, only stored elsewhere, so every result keeps its bits.
+    The objective then drops its term 0.0 * sum(w), which is a signed zero
+    while y is finite: each projection leaves ||y|| <= 1, so a step moves
+    each weight by at most tau ||A|| < 1 and the clip at 0 keeps it
+    non-negative, and the fit it is added to, a square root of a sum of
+    squares, is never -0.0, so adding +-0.0 leaves its bits.  y turns
+    non-finite only when gamma / ||sigma|| overflows; the NaN then reaches
+    w, lambda and the fit, and the objective is NaN either way.  Each
+    2-norm is x.dot(x) and a square root, the steps np.linalg.norm takes
+    for a real vector, without its wrapper.  Each value is still made by
+    the same IEEE operation on the same operands, only stored elsewhere,
+    so every result keeps its bits.
 
     With the sparsity penalty on, the identified support is polished by
     alternating the lambda clip with an exact least-squares solve on the
@@ -325,7 +348,10 @@ def solve_synthesis(problem, max_iter=50000):
     sigma = problem.sigma.sigma
     n = sigma.size
     n_star = problem.sigma.n_star
-    scale = float(np.linalg.norm(sigma))
+    # ||sigma|| by np.linalg.norm's own steps for a real vector, without its
+    # wrapper: ravel (a view unless sigma is strided), dot, square root.
+    flat = sigma.ravel("K")
+    scale = math.sqrt(flat.dot(flat))
     sig = sigma / scale
     g1 = problem.gamma1 / scale
     g2 = problem.gamma2 / scale
@@ -337,24 +363,29 @@ def solve_synthesis(problem, max_iter=50000):
     # and j with -(sig_i - sig_j) and +(sig_i - sig_j).
     edges = edge_i, edge_j = _edges(n)
     n_edges, gap = edge_i.size, sig[edge_i] - sig[edge_j]
-    amat = np.zeros((n, n_edges))
-    amat[edge_i, np.arange(n_edges)] = -gap
-    amat[edge_j, np.arange(n_edges)] = gap
+    amat, columns = np.zeros((n, n_edges)), np.arange(n_edges)
+    amat[edge_i, columns] = -gap
+    amat[edge_j, columns] = gap
 
     # ||A||_2 from the LAPACK call np.linalg.norm(amat, 2) makes, without its
     # wrapper: the largest singular value, the same bits.
     knorm = float(np.sqrt(np.linalg.svd(amat, compute_uv=False).max() ** 2 + 1.0))
     tau = sig_d = 0.95 / knorm
     # Bounds of z = [w; lambda], the step -tau [A^T y; -y] as step * [A^T y; y]
-    # (filled into grad), and the penalty shift on w.
-    others = np.arange(n) != n_star
-    lo = np.concatenate((np.zeros(n_edges), np.where(others, -np.inf, g2)))
-    hi = np.concatenate((np.full(n_edges, np.inf), np.where(others, -g1, np.inf)))
-    step = np.concatenate((np.full(n_edges, -tau), np.full(n, tau)))
-    shift = np.concatenate((np.full(n_edges, tau * a2_edge), np.zeros(n)))
-    # [A^T y; y] in one buffer: the dual iterate y is its tail, updated in
-    # place, so the step never copies it.
-    grad = np.zeros(n_edges + n)
+    # (filled into grad), and the penalty shift on w, as the rows of one buffer.
+    bounds = np.empty((4, n_edges + n))
+    lo, hi, step, shift = bounds
+    lo[:n_edges], lo[n_edges:], lo[n_edges + n_star] = 0.0, -np.inf, g2
+    hi[:n_edges], hi[n_edges:], hi[n_edges + n_star] = np.inf, -g1, np.inf
+    step[:n_edges], step[n_edges:] = -tau, tau
+    shift[:n_edges], shift[n_edges:] = tau * a2_edge, 0.0
+    # The iterate z, the new one, z_bar, the drift |z_new - z| and [A^T y; y]
+    # (grad), as the rows of one buffer; the dual iterate y is grad's tail,
+    # updated in place, so the step never copies it.  t and the objective's
+    # residual share one more.
+    work = np.zeros((5, n_edges + n))
+    z, z_new, z_bar, drift, grad = work
+    t, resid = np.empty((2, n))
     grad_w, y = grad[:n_edges], grad[n_edges:]
     penalized = problem.alpha2 > 0
     penalty = 4.0 * problem.alpha2
@@ -363,12 +394,17 @@ def solve_synthesis(problem, max_iter=50000):
         return np.minimum(np.maximum(lam, lo[n_edges:]), hi[n_edges:])
 
     def objective_of(w_vec, lam_vec):
-        resid = (amat.dot(w_vec) - lam_vec) * scale
-        return math.sqrt(resid.dot(resid)) + penalty * float(np.add.reduce(w_vec))
+        amat.dot(w_vec, out=resid)
+        np.subtract(resid, lam_vec, out=resid)
+        np.multiply(resid, scale, out=resid)
+        fit = math.sqrt(resid.dot(resid))
+        # Without the penalty its term is a signed zero (see the docstring).
+        return fit + penalty * float(np.add.reduce(w_vec)) if penalized else fit
 
-    # The three buffers of the iterate and their views (see the docstring).
-    z = np.minimum(np.maximum(np.zeros(n_edges + n), lo), hi)
-    z_new, z_bar = np.empty_like(z), z.copy()
+    # z starts at the clip of zero to its bounds, as does z_bar.
+    np.maximum(z, lo, out=z)
+    np.minimum(z, hi, out=z)
+    z_bar[:] = z
     z_w, z_lam, new_w, new_lam = z[:n_edges], z[n_edges:], z_new[:n_edges], z_new[n_edges:]
     bar_w, bar_lam = z_bar[:n_edges], z_bar[n_edges:]
     amat_t = amat.T
@@ -383,7 +419,7 @@ def solve_synthesis(problem, max_iter=50000):
     # arithmetic) and x + x for 2x, so every bit is the same; ndarray.dot
     # makes the same BLAS call as @ with less dispatch.
     for k in range(1, max_iter + 1):
-        t = amat.dot(bar_w)
+        amat.dot(bar_w, out=t)
         t -= bar_lam
         t *= sig_d
         y += t
@@ -406,7 +442,7 @@ def solve_synthesis(problem, max_iter=50000):
         # after its probe entry has passed (see the docstring).
         obj = None
         if scale * abs(z_new.item(probe) - z.item(probe)) <= 1e-11:
-            drift = z_new - z
+            np.subtract(z_new, z, out=drift)
             np.abs(drift, out=drift)
             if scale * float(np.maximum.reduce(drift)) <= 1e-11:
                 if prev_obj is None:
@@ -450,17 +486,19 @@ def solve_synthesis(problem, max_iter=50000):
     r = _r_of_edge_weights(w, edges, n)
     lam_out = lam * scale
     lambda_tilde = r @ sigma
-    residual = float(np.linalg.norm(lambda_tilde - lam_out, 2))
+    # Both 2-norms as np.linalg.norm takes them, without its wrapper.
+    miss = lambda_tilde - lam_out
+    residual = math.sqrt(miss.dot(miss))
     sign_ok, _ = verify_lambda(lambda_tilde, n_star)
     # A sign pattern made of round-off noise is not a solution: the fit to
     # the box-feasible lambda must actually be achieved.
-    feasible = sign_ok and residual <= 1e-6 * max(1.0, float(np.linalg.norm(lam_out)))
+    feasible = sign_ok and residual <= 1e-6 * max(1.0, math.sqrt(lam_out.dot(lam_out)))
     return SynthesisResult(
         r=r,
         lam=lam_out,
         lambda_tilde=lambda_tilde,
         residual=residual,
-        objective=float(objective_of(w, lam)),
+        objective=objective_of(w, lam),
         iterations=iterations,
         converged=converged,
         feasible=bool(feasible),
@@ -569,8 +607,9 @@ def synthesis_pipeline(p, phase_policy="positive", **problem):
     the solved lambda_tilde fails the sign condition: the raised
     InfeasibleLambda carries the solve as ``result``.  ``phase_policy``
     picks one of the Hamiltonians that share the solved R (see
-    hamiltonian_of_r).
+    hamiltonian_of_r); an unknown one is a ValueError, before the solve.
     """
+    _check_phase_policy(phase_policy)
     result = solve_synthesis(SynthesisProblem(sigma=p, **problem))
     if not result.feasible:
         raise InfeasibleLambda(result)

@@ -141,6 +141,16 @@ class TestSynthesize:
         assert main(["synthesize", "--p-diag", str(path), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: bad p-diag file {path}: missing key 'diag'\n"
 
+    def test_phase_policy_choices_are_the_synthesis_tuple(self, capsys):
+        parser = cli.build_parser()
+        for policy in synthesis.PHASE_POLICIES:
+            args = ["synthesize", "--p-diag", "p.json", "--phase-policy", policy]
+            assert parser.parse_args(args).phase_policy == policy
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["synthesize", "--p-diag", "p.json", "--phase-policy", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--alpha1", "1"], ["--alpha2", "1"], ["--norm", "l1"]])
     def test_removed_solver_flags_are_rejected(self, capsys, p_diag_file, flag):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -22,7 +23,8 @@ from qfcontrol import (
     synthesis_pipeline,
     verify_lambda,
 )
-from qfcontrol.synthesis import CONE_TOL, _edges, _r_of_edge_weights, cone_violations, in_cone
+from qfcontrol.synthesis import (CONE_TOL, PHASE_POLICIES, _edges, _r_of_edge_weights,
+                                 cone_violations, in_cone)
 from helpers import coinciding_gaps_by_pairs, random_hermitian, star_connectivity
 
 SIGMA8 = np.array(
@@ -111,6 +113,39 @@ class TestRMaps:
             r = _r_of_edge_weights(w, _edges(n), n)
             assert np.array_equal(r.view(np.uint64), ref.view(np.uint64))
 
+    def test_hamiltonian_matches_the_entry_loop_bit_for_bit(self):
+        """H1 equals an entry-by-entry build from R's upper triangle, to the last bit.
+
+        The lower triangle differs from the upper one by up to 0.8 CONE_TOL,
+        and the upper one holds weights over eleven decades, exact zeros and
+        entries just below zero: an H1 entry read from the lower triangle,
+        or a phase made by other operations, gets other bits.  Each phase is
+        the complex product that NumPy forms, in Python's complex arithmetic.
+        """
+        rng = np.random.default_rng(11)
+        for _ in range(120):
+            n = int(rng.integers(2, 25))
+            upper = rng.exponential(size=(n, n)) * 10.0 ** rng.uniform(-8, 3, size=(n, n))
+            upper[rng.random((n, n)) < rng.random()] = 0.0
+            upper[rng.random((n, n)) < 0.1] = -0.4 * CONE_TOL
+            upper = np.triu(upper, 1)
+            r = upper + upper.T + np.tril(rng.uniform(-0.4, 0.4, size=(n, n)), -1) * CONE_TOL
+            np.fill_diagonal(r, -rng.exponential(size=n))
+            for policy in PHASE_POLICIES:
+                ref = np.zeros((n, n), dtype=complex)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        mag = complex(math.sqrt(max(float(r[i, j]), 0.0) / 2.0), 0.0)
+                        if policy == "positive":
+                            ref[i, j] = ref[j, i] = mag
+                        elif policy == "alternating":
+                            ref[i, j] = ref[j, i] = complex((-1.0) ** (i + j) * mag.real, 0.0)
+                        else:
+                            ref[i, j] = 1j * complex(-1.0, 0.0) * mag
+                            ref[j, i] = 1j * complex(1.0, 0.0) * mag
+                h1 = hamiltonian_of_r(r, policy)
+                assert np.array_equal(h1.view(np.uint64), ref.view(np.uint64)), (n, policy)
+
     def test_r_row_sums_vanish(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -125,7 +160,7 @@ class TestRMaps:
 
     def test_round_trip_from_cone(self):
         rng = np.random.default_rng(4)
-        for policy in ("positive", "alternating", "imaginary-off-diagonal"):
+        for policy in PHASE_POLICIES:
             r = random_cone_point(rng, 6)
             h1 = hamiltonian_of_r(r, policy)
             assert np.allclose(h1, h1.conj().T)
@@ -144,7 +179,7 @@ class TestRMaps:
             hamiltonian_of_r(r)
 
     def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown phase policy 'spiral'$"):
             hamiltonian_of_r(np.zeros((3, 3)), "spiral")
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
@@ -171,7 +206,7 @@ class TestRMaps:
         """The upper triangle fixes H1, so it is Hermitian under every policy."""
         r = random_cone_point(np.random.default_rng(7), 5)
         r[3, 1] += 0.5 * CONE_TOL
-        for policy in ("positive", "alternating", "imaginary-off-diagonal"):
+        for policy in PHASE_POLICIES:
             h1 = hamiltonian_of_r(r, policy)
             assert np.array_equal(h1, h1.conj().T)
 
@@ -190,6 +225,13 @@ class TestVerifyLambda:
         ok, report = verify_lambda(np.array([-1.0, 3.0, -1.0]), 1)
         assert not ok
         assert any(i == -1 for i, _, _, good in report)
+
+    @pytest.mark.parametrize("n_star", [3, 7, -1])
+    def test_n_star_outside_the_vector_raises(self, n_star):
+        """No verdict, and no report on entry 0, for a minimizer that is not an entry."""
+        message = f"^n_star is {n_star}, but lambda_tilde has 3 entries$"
+        with pytest.raises(IndexError, match=message):
+            verify_lambda([1.0, -1.0, -2.0], n_star)
 
 
 class TestSolver:
@@ -515,6 +557,14 @@ class TestPipeline:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^the minimum energy is tied at levels 0, 1;"):
                 synthesis_pipeline(p)
+
+    def test_unknown_phase_policy_refused_before_the_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_synthesis was called")
+
+        monkeypatch.setattr(synthesis, "solve_synthesis", no_solve)
+        with pytest.raises(ValueError, match="^unknown phase policy 'bogus'$"):
+            synthesis_pipeline(DiagonalObservable(SIGMA8, 2), "bogus", alpha2=1.0)
 
     def test_untied_miss_raises_infeasible_lambda(self):
         p = DiagonalObservable(SIGMA_SPARSE_MISS, 3)
