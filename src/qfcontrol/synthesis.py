@@ -315,26 +315,16 @@ def solve_synthesis(problem, max_iter=50000):
     On the reference sparse solve the probe alone rejects 23,900 of its
     24,266 iterations.
 
-    No iteration and no objective evaluation allocates: every vector they
-    write is a row of a buffer made once per solve.  One holds z, the new
-    iterate, z_bar = 2 z_new - z, the drift |z_new - z| and [A^T y; y],
-    one the bounds, the step and the shift, and one t = sig_d (A w_bar -
-    lambda_bar) and the objective's residual; the w and lambda views are
-    made before the loop.  Each new iterate is written into the buffer of the iterate
-    before z, which no later line reads, and the two then swap names.
-    Without the penalty the shift on w is +0.0 everywhere, and x - 0.0 is
-    x bit for bit, -0.0 and NaN included, so that subtraction is skipped.
-    The objective then drops its term 0.0 * sum(w), which is a signed zero
-    while y is finite: each projection leaves ||y|| <= 1, so a step moves
-    each weight by at most tau ||A|| < 1 and the clip at 0 keeps it
-    non-negative, and the fit it is added to, a square root of a sum of
-    squares, is never -0.0, so adding +-0.0 leaves its bits.  y turns
-    non-finite only when gamma / ||sigma|| overflows; the NaN then reaches
-    w, lambda and the fit, and the objective is NaN either way.  Each
-    2-norm is x.dot(x) and a square root, the steps np.linalg.norm takes
-    for a real vector, without its wrapper.  Each value is still made by
-    the same IEEE operation on the same operands, only stored elsewhere,
-    so every result keeps its bits.
+    No iteration allocates: every vector it writes lives in a buffer made
+    once per solve (see the comments in the code), whose w and lambda views
+    are made before the loop.  Each new iterate is written into the buffer
+    of the iterate before z, which no later line reads, and the two then
+    swap names.  Without the penalty the shift on w is +0.0 everywhere, and
+    x - 0.0 is x bit for bit, -0.0 and NaN included, so that subtraction is
+    skipped.  Each 2-norm is x.dot(x) and a square root, the steps
+    np.linalg.norm takes for a real vector, without its wrapper.  Each
+    value is still made by the same IEEE operation on the same operands,
+    only stored elsewhere, so every result keeps its bits.
 
     With the sparsity penalty on, the identified support is polished by
     alternating the lambda clip with an exact least-squares solve on the
@@ -381,11 +371,11 @@ def solve_synthesis(problem, max_iter=50000):
     shift[:n_edges], shift[n_edges:] = tau * a2_edge, 0.0
     # The iterate z, the new one, z_bar, the drift |z_new - z| and [A^T y; y]
     # (grad), as the rows of one buffer; the dual iterate y is grad's tail,
-    # updated in place, so the step never copies it.  t and the objective's
-    # residual share one more.
+    # updated in place, so the step never copies it.  t = sig_d (A w_bar -
+    # lambda_bar) has a buffer of its own.
     work = np.zeros((5, n_edges + n))
     z, z_new, z_bar, drift, grad = work
-    t, resid = np.empty((2, n))
+    t = np.empty(n)
     grad_w, y = grad[:n_edges], grad[n_edges:]
     penalized = problem.alpha2 > 0
     penalty = 4.0 * problem.alpha2
@@ -394,12 +384,8 @@ def solve_synthesis(problem, max_iter=50000):
         return np.minimum(np.maximum(lam, lo[n_edges:]), hi[n_edges:])
 
     def objective_of(w_vec, lam_vec):
-        amat.dot(w_vec, out=resid)
-        np.subtract(resid, lam_vec, out=resid)
-        np.multiply(resid, scale, out=resid)
-        fit = math.sqrt(resid.dot(resid))
-        # Without the penalty its term is a signed zero (see the docstring).
-        return fit + penalty * float(np.add.reduce(w_vec)) if penalized else fit
+        resid = (amat.dot(w_vec) - lam_vec) * scale
+        return math.sqrt(resid.dot(resid)) + penalty * float(np.add.reduce(w_vec))
 
     # z starts at the clip of zero to its bounds, as does z_bar.
     np.maximum(z, lo, out=z)
@@ -498,7 +484,7 @@ def solve_synthesis(problem, max_iter=50000):
         lam=lam_out,
         lambda_tilde=lambda_tilde,
         residual=residual,
-        objective=objective_of(w, lam),
+        objective=float(objective_of(w, lam)),
         iterations=iterations,
         converged=converged,
         feasible=bool(feasible),
