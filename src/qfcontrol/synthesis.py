@@ -316,10 +316,9 @@ def solve_synthesis(problem, max_iter=50000):
     24,266 iterations.
 
     No iteration allocates: every vector it writes lives in a buffer made
-    once per solve (see the comments in the code), whose w and lambda views
-    are made before the loop.  Each new iterate is written into the buffer
-    of the iterate before z, which no later line reads, and the two then
-    swap names.  Without the penalty the shift on w is +0.0 everywhere, and
+    once per solve, whose w and lambda views are made before the loop.
+    Each new iterate is written into the buffer of the iterate before z,
+    which no later line reads, and the two then swap names.  Without the penalty the shift on w is +0.0 everywhere, and
     x - 0.0 is x bit for bit, -0.0 and NaN included, so that subtraction is
     skipped.  Each 2-norm is x.dot(x) and a square root, the steps
     np.linalg.norm takes for a real vector, without its wrapper.  Each
