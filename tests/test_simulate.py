@@ -851,6 +851,56 @@ class TestInvariantsAlongTrajectories:
             assert density_violations(t.states[t.steps_run]) == []
 
 
+class TestSignFlippedBasis:
+    """D H1 D from rho0 runs as H1 from D rho0 D, to the bit, with D = diag((-1)^i).
+
+    D commutes with P, with every diagonal Kraus operator and with a
+    diagonal H0, and conjugating by it only flips the sign of the entries
+    with i + j odd, so both runs make the same IEEE operations on operands
+    that differ at most in sign: the same draws, controls and logs, and
+    final states that are each other's conjugates by D (equal in value; a
+    zero may come out with the other sign).  A phase choice of H1 that
+    differs from another by D therefore brings no new dynamics.
+    """
+
+    @staticmethod
+    def assert_same_runs(flipped, plain, d):
+        for name in ("u", "outcome", "fidelity", "lyapunov", "purity"):
+            a, b = getattr(flipped, name), getattr(plain, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (flipped.first_hit, flipped.absorbed_state) == (plain.first_hit,
+                                                               plain.absorbed_state)
+        steps = flipped.steps_run
+        assert np.array_equal(flipped.states[steps], d[:, None] * plain.states[steps] * d)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 24))
+    def test_d_h1_d_runs_as_h1_from_d_rho0_d(self, seed, n):
+        rng = np.random.default_rng(seed)
+        sigma = rng.permutation(rng.uniform(0.0, 50.0, n))
+        p = DiagonalObservable(sigma, int(np.argmin(sigma)))
+        h1 = hamiltonian_of_r(solve_synthesis(SynthesisProblem(sigma=p)).r, "positive")
+        d = (-1.0) ** np.arange(n)
+        h1_d = d[:, None] * h1 * d
+        rho0 = random_mixed_density(rng, n)
+        rho0_d = d[:, None] * rho0 * d
+        meas = photon_box(n, 1 / 8, rng.uniform(0.0, np.pi))
+        for kind in ("quadratic", "exact-min"):
+            controller = ControllerConfig(kind=kind, u_bar=0.2)
+            cfg, cfg_d = (LoopConfig(mode="stochastic", p=p, h1=h, meas=meas,
+                                     controller=controller, steps=30, fidelity_threshold=0.9)
+                          for h in (h1, h1_d))
+            plain = run_ensemble(cfg, rho0_d, 3, seed)
+            flipped = run_ensemble(cfg_d, rho0, 3, seed)
+            for a, b in zip(flipped.trajectories, plain.trajectories, strict=True):
+                self.assert_same_runs(a, b, d)
+        h0 = np.diag(rng.uniform(0.0, 2 * np.pi, n)).astype(complex)
+        cfg, cfg_d = (LoopConfig(mode="deterministic", p=p, h1=h, h0=h0,
+                                 controller=ControllerConfig(kind="linear", kappa=0.05),
+                                 steps=40) for h in (h1, h1_d))
+        self.assert_same_runs(run_trajectory(cfg_d, rho0), run_trajectory(cfg, rho0_d), d)
+
+
 class TestArtifacts:
     def test_config_hash_stable_and_order_free(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
