@@ -4,7 +4,8 @@ Exit codes are a stable contract across subcommands:
 
     0  success
     1  I/O or validation failure (main prints one error line, no traceback)
-    2  infeasible synthesis (sign condition cannot be met)
+    2  infeasible synthesis (sign condition cannot be met), or argparse's
+       usage error (an unknown flag, or an unknown --phase-policy choice)
     3  partial simulation failure (some realization aborted)
 
 Every output file embeds a hash of the configuration that produced it, so

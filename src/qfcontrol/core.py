@@ -129,8 +129,8 @@ def json_object(value, name, keys):
     return value
 
 
-def _as_square_complex(m, name="matrix"):
-    a = np.asarray(m, dtype=complex)
+def _as_square(m, name="matrix", dtype=complex):
+    a = np.asarray(m, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"{name} must be a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
@@ -163,7 +163,7 @@ def density_violations(m):
     Empty list means the matrix is a valid density matrix at the module
     tolerances.
     """
-    a = _as_square_complex(m, "density matrix")
+    a = _as_square(m, "density matrix")
     out = []
     herm = float(np.max(np.abs(a - a.conj().T)))
     if herm > HERMITICITY_TOL:
@@ -183,7 +183,7 @@ def validate_density(m):
     Raises :class:`DensityInvariantError` carrying the violation report
     otherwise.
     """
-    a = _as_square_complex(m, "density matrix")
+    a = _as_square(m, "density matrix")
     bad = density_violations(a)
     if bad:
         raise DensityInvariantError(bad)
@@ -260,7 +260,7 @@ class HermitianPropagator:
     """
 
     def __init__(self, h):
-        h = _as_square_complex(h, "hamiltonian")
+        h = _as_square(h, "hamiltonian")
         if not is_hermitian(h):
             raise ValueError("propagator requires a Hermitian Hamiltonian")
         self.h = h
@@ -291,7 +291,7 @@ class HermitianPropagator:
 
 def matrix_to_json(a):
     """Serialize a complex matrix as {"n", "re", "im"} (row-major lists)."""
-    a = _as_square_complex(a)
+    a = _as_square(a)
     return {"n": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ASSUMPTION_TOL, HERMITICITY_TOL, DiagonalObservable, _as_square_complex,
+from .core import (ASSUMPTION_TOL, HERMITICITY_TOL, DiagonalObservable, _as_square,
                    is_hermitian, json_int, json_number)
 
 __all__ = [
@@ -58,7 +58,7 @@ LAMBDA_SUM_TOL = 1e-7
 OBJECTIVE_TOL = 1e-9
 
 # The free phases of H1 that hamiltonian_of_r can choose (see there).
-PHASE_POLICIES = ("positive", "alternating", "imaginary-off-diagonal")
+PHASE_POLICIES = ("positive", "imaginary-off-diagonal")
 
 
 class InfeasibleLambda(RuntimeError):
@@ -117,7 +117,7 @@ def r_of_hamiltonian(h1):
     must be a non-empty square matrix; any other shape is a ValueError that
     names it.
     """
-    h1 = _as_square_complex(h1, "H1")
+    h1 = _as_square(h1, "H1")
     if not is_hermitian(h1):
         raise ValueError("r_of_hamiltonian requires a Hermitian input")
     r = 2.0 * np.abs(h1) ** 2
@@ -131,15 +131,15 @@ def hamiltonian_of_r(r, phase_policy="positive"):
 
     The square-root convention sqrt(R/2) makes the round trip through
     r_of_hamiltonian exact.  ``phase_policy``, one of ``PHASE_POLICIES``,
-    selects the free phases: all-positive entries, alternating signs, or
-    purely imaginary off-diagonals; every choice is Hermitian.  Any other
-    name is a ValueError, before R is read.  R must be square, real,
-    finite and symmetric within ``CONE_TOL``; its upper triangle is copied
-    onto the lower one, so H1 is exactly Hermitian.
+    selects the free phases: all-positive entries or purely imaginary
+    off-diagonals, both Hermitian.  Any other name is a ValueError, before
+    R is read.  R must be square, real, finite and symmetric within
+    ``CONE_TOL``; its upper triangle is copied onto the lower one.
     """
     _check_phase_policy(phase_policy)
-    r = _as_square_complex(r, "R")
-    if np.count_nonzero(r.imag):
+    r = np.asarray(r)  # read as complex only if it may hold complex entries
+    r = _as_square(r, "R", float if r.dtype.kind in "biuf" else complex)
+    if r.dtype.kind == "c" and np.count_nonzero(r.imag):
         raise ValueError("R must be real")
     r = r.real
     asymmetry = float(np.max(np.abs(r - r.T)))
@@ -154,14 +154,8 @@ def hamiltonian_of_r(r, phase_policy="positive"):
         raise ValueError(f"off-diagonal entry {np.min(off):.3e} below tolerance")
     mag = np.sqrt(np.maximum(off, 0.0) / 2.0)
     if phase_policy == "positive":
-        h1 = mag.astype(complex)
-    elif phase_policy == "alternating":
-        signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
-        h1 = (signs * mag).astype(complex)
-    else:
-        phases = 1j * np.sign(np.subtract.outer(np.arange(n), np.arange(n)))
-        h1 = phases * mag
-    return h1
+        return mag.astype(complex)
+    return 1j * np.sign(np.subtract.outer(np.arange(n), np.arange(n))) * mag
 
 
 def _check_phase_policy(phase_policy):
@@ -173,10 +167,12 @@ def verify_lambda(lambda_tilde, n_star):
     """Sign-condition verdict on lambda_tilde, with a per-entry report.
 
     The inequalities are strict, the condition the convergence proposition
-    needs.  An n_star that is not an index of lambda_tilde (negative ones
-    included) is an IndexError.
+    needs.  A non-vector lambda_tilde is a ValueError naming its shape, and
+    an n_star outside it (negative ones included) an IndexError.
     """
     lam = np.asarray(lambda_tilde, dtype=float)
+    if lam.ndim != 1:
+        raise ValueError(f"lambda_tilde must be a vector, got shape {lam.shape}")
     if not 0 <= n_star < lam.size:
         raise IndexError(f"n_star is {n_star}, but lambda_tilde has {lam.size} entries")
     report = []
@@ -318,9 +314,10 @@ def solve_synthesis(problem, max_iter=50000):
     No iteration allocates: every vector it writes lives in a buffer made
     once per solve, whose w and lambda views are made before the loop.
     Each new iterate is written into the buffer of the iterate before z,
-    which no later line reads, and the two then swap names.  Without the penalty the shift on w is +0.0 everywhere, and
-    x - 0.0 is x bit for bit, -0.0 and NaN included, so that subtraction is
-    skipped.  Each 2-norm is x.dot(x) and a square root, the steps
+    which no later line reads, and the two then swap names.  Without the
+    penalty the shift on w is +0.0 everywhere, and x - 0.0 is x bit for
+    bit, -0.0 and NaN included, so that subtraction is skipped.  Each
+    2-norm is x.dot(x) and a square root, the steps
     np.linalg.norm takes for a real vector, without its wrapper.  Each
     value is still made by the same IEEE operation on the same operands,
     only stored elsewhere, so every result keeps its bits.

@@ -146,10 +146,11 @@ class TestSynthesize:
         for policy in synthesis.PHASE_POLICIES:
             args = ["synthesize", "--p-diag", "p.json", "--phase-policy", policy]
             assert parser.parse_args(args).phase_policy == policy
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["synthesize", "--p-diag", "p.json", "--phase-policy", "bogus"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        for policy in ("bogus", "alternating"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["synthesize", "--p-diag", "p.json", "--phase-policy", policy])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{policy}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--alpha1", "1"], ["--alpha2", "1"], ["--norm", "l1"]])
     def test_removed_solver_flags_are_rejected(self, capsys, p_diag_file, flag):

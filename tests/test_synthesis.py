@@ -138,8 +138,6 @@ class TestRMaps:
                         mag = complex(math.sqrt(max(float(r[i, j]), 0.0) / 2.0), 0.0)
                         if policy == "positive":
                             ref[i, j] = ref[j, i] = mag
-                        elif policy == "alternating":
-                            ref[i, j] = ref[j, i] = complex((-1.0) ** (i + j) * mag.real, 0.0)
                         else:
                             ref[i, j] = 1j * complex(-1.0, 0.0) * mag
                             ref[j, i] = 1j * complex(1.0, 0.0) * mag
@@ -179,8 +177,10 @@ class TestRMaps:
             hamiltonian_of_r(r)
 
     def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="^unknown phase policy 'spiral'$"):
-            hamiltonian_of_r(np.zeros((3, 3)), "spiral")
+        """'alternating', D H1 D for the positive H1 with D = diag((-1)^i), adds no runs."""
+        for policy in ("spiral", "alternating"):
+            with pytest.raises(ValueError, match=f"^unknown phase policy '{policy}'$"):
+                hamiltonian_of_r(np.zeros((3, 3)), policy)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
     def test_rejects_non_square(self, shape):
@@ -225,6 +225,15 @@ class TestVerifyLambda:
         ok, report = verify_lambda(np.array([-1.0, 3.0, -1.0]), 1)
         assert not ok
         assert any(i == -1 for i, _, _, good in report)
+
+    @pytest.mark.parametrize("lambda_tilde, shape", [
+        (np.array([[-1.0, 2.0], [3.0, -4.0]]), "(2, 2)"),
+        (np.array(1.0), "()"),
+    ], ids=["matrix", "scalar"])
+    def test_non_vector_is_refused_by_shape(self, lambda_tilde, shape):
+        message = re.escape(f"lambda_tilde must be a vector, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_lambda(lambda_tilde, 0)
 
     @pytest.mark.parametrize("n_star", [3, 7, -1])
     def test_n_star_outside_the_vector_raises(self, n_star):
@@ -563,8 +572,9 @@ class TestPipeline:
             raise AssertionError("solve_synthesis was called")
 
         monkeypatch.setattr(synthesis, "solve_synthesis", no_solve)
-        with pytest.raises(ValueError, match="^unknown phase policy 'bogus'$"):
-            synthesis_pipeline(DiagonalObservable(SIGMA8, 2), "bogus", alpha2=1.0)
+        for policy in ("bogus", "alternating"):
+            with pytest.raises(ValueError, match=f"^unknown phase policy '{policy}'$"):
+                synthesis_pipeline(DiagonalObservable(SIGMA8, 2), policy, alpha2=1.0)
 
     def test_untied_miss_raises_infeasible_lambda(self):
         p = DiagonalObservable(SIGMA_SPARSE_MISS, 3)
