@@ -6,7 +6,10 @@ Three controllers are provided:
 - exact-min:  u = argmin over [-u_bar, u_bar] of the exact expected
               post-step Lyapunov value, a trigonometric polynomial in u
               evaluated in closed form (grid, then at most NEWTON_STEPS
-              Newton steps, stopping once a step moves no row).
+              Newton steps, stopping once a step moves no row).  At
+              eps = 0, a row whose slope at 0 provably keeps its sign on
+              the whole interval takes the downhill bound with no search:
+              the search would return that bound, bit for bit.
 - quadratic:  closed-form minimization of the second-order expansion of the
               same objective, the fast approximation used in practice.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -194,6 +198,55 @@ class ExactMinLaw:
     more at the last step's u when every step moved some row.  If f ends
     above the grid point's value, the grid point is kept.
 
+    At eps = 0, ``controls`` first tests each row for a certificate that the
+    search ends at a bound.  With S_k = sum_jk |c_jk| |omega_jk|^k, f''' is
+    at most S_3 in size, so by Taylor's theorem every |u| <= u_bar has
+
+        |f'(u) - f'(0)| <= u_bar |f''(0)| + (u_bar^2 / 2) S_3,
+
+    and L = |f'(0)| - u_bar |f''(0)| - (u_bar^2 / 2) S_3 > 0 makes f strictly
+    monotone on [-u_bar, u_bar], with |f'| >= L: its minimum is at the bound
+    -sign(f'(0)) u_bar.  The certificate is the computed test
+
+        |f'(0)| - u_bar |f''(0)| > margin S_0 + (u_bar^2 / 2)(1 + 2 gamma k) S_3,
+        margin = 4 gamma / h,   gamma = (2 n^2 + 16) 2^-53,   k = u_bar / h,
+
+    with f'(0) and f''(0) the sums of c' and c'' and h the smallest spacing
+    of the grid, so k >= (GRID_POINTS - 1) / 2 = 64.  Its rounding is bounded
+    against the exact f of the stored c and omega, and where it holds the
+    search returns the bound, bit for bit, in three steps:
+
+    1. Rounding.  A grid value is the real part of a product of n^2 complex
+       terms, a sum of 2 n^2 real products, and each phase carries the
+       rounding of its angle u omega_jk (at most 2^-53 u_bar |omega_jk|)
+       and of exp (cos and sin within 1 ulp each).  Besides the sum, a
+       term of f, f' or f'' carries fewer than 16 roundings in all,
+       counting those of c' and c'' against c.  So a
+       computed f is within gamma (S_0 + u_bar S_1) of the exact one, a
+       computed f' within gamma (S_1 + u_bar S_2), and the two sides of the
+       test within gamma (S_1 + u_bar S_2) and a factor 1 - gamma of theirs.
+       With A = S_0 / u_bar and B = u_bar^2 S_3, x <= 2/3 + x^3/3 and
+       x^2 <= 1/3 + 2 x^3/3 at x = u_bar |omega_jk| give S_1 <= (2 A + B) / 3
+       and u_bar S_2 <= (A + 2 B) / 3, and the test then gives
+       L > gamma ((4 k (1 - gamma) - 1) A + (k (1 - gamma) - 3/2) B)
+         >= gamma ((10 k / 3 + 1) A + (2 k / 3 + 1) B).
+    2. The grid.  np.linspace puts -u_bar and u_bar at the ends exactly,
+       and every other grid point lies at least h from the downhill end,
+       so its exact f is above the end's by at least
+       L h > 2 gamma k (5 A + B) / 3 >= 2 gamma (S_0 + u_bar S_1), twice the
+       rounding of a grid value.  The computed values fall strictly toward
+       that end, with no tie, and the grid picks it.
+    3. Newton.  At the end, the computed f' is within
+       gamma (S_1 + u_bar S_2) <= gamma (A + B) < L of the exact one, so it
+       keeps its sign, and the first step, clipped to the bracket, stays
+       at the end.  The steps stop there, and the fallback to the grid
+       point keeps the same u.
+
+    So a certified row takes -sign(f'(0)) u_bar, and only the other rows run
+    the search; a row's result does not depend on the stack, so
+    ``controls`` returns minimize's u bit for bit.  A NaN row fails the test
+    and runs the search.  At eps > 0 every row runs it.
+
     The eigendecomposition comes from the propagator's cache.  Every product
     is a stacked matmul and every sum runs over one state's own entries, so
     row r's result has the same bits whatever the stack's size.  That lets
@@ -227,7 +280,13 @@ class ExactMinLaw:
         self._phase_rate = self._orders[1]
         self._sigma_orders = (p.sigma @ self._mix) * self._orders
         self.grid = np.linspace(-cfg.u_bar, cfg.u_bar, GRID_POINTS)
-        self._grid_phase = np.exp(self.grid[:, None] * self._phase_rate)
+        self._u_bar = _frozen(cfg.u_bar)
+        # The certificate's right side is |c| times margin + t |omega|^3
+        # (see the class docstring).
+        h = float(np.min(np.diff(self.grid)))
+        gamma = (2 * n * n + 16) * 2.0**-53
+        taylor = 0.5 * cfg.u_bar**2 * (1.0 + 2.0 * gamma * cfg.u_bar / h)
+        self._certificate = 4.0 * gamma / h + taylor * np.abs(omega) ** 3
         # Grid indices in order of preference: closest to 0, then positive.
         self._preference = np.lexsort((-self.grid, np.abs(self.grid)))
         # The bracket of every grid point: its neighbours, or itself at an end.
@@ -261,6 +320,11 @@ class ExactMinLaw:
             branches = table.swapaxes(1, 2), weights
         return coeffs, branches
 
+    @cached_property
+    def _grid_phase(self):
+        """exp(-i omega u) at every grid point, (GRID_POINTS, n^2), built by the first search."""
+        return np.exp(self.grid[:, None] * self._phase_rate)
+
     def objective(self, rho, u):
         """f, f' and f'' at u[r] for every state of a stack rho of shape (R, n, n)."""
         return self._derivatives(self._coefficients(rho), np.asarray(u, dtype=float))
@@ -285,7 +349,10 @@ class ExactMinLaw:
             blocks = [self.minimize(rho[r:r + _EPS_BLOCK])
                       for r in range(0, len(rho), _EPS_BLOCK)]
             return tuple(np.concatenate(parts) for parts in zip(*blocks))
-        terms = self._coefficients(rho)
+        return self._search(self._coefficients(rho))
+
+    def _search(self, terms):
+        """The grid and Newton search: u and f(u) for every row of the coefficients."""
         coeffs, branches = terms
         values = (self._grid_phase @ coeffs[:, 0, :, None]).real[..., 0]
         if branches is not None:
@@ -319,8 +386,23 @@ class ExactMinLaw:
         return np.where(worse, start, u) + _ZERO, np.where(worse, floor, f)
 
     def controls(self, rho):
-        """u for every state of a stack rho of shape (R, n, n)."""
-        return self.minimize(rho)[0]
+        """u for every state of a stack rho of shape (R, n, n): minimize's u, bit for bit.
+
+        At eps = 0 a row that meets the certificate (see the class
+        docstring) takes its bound, and only the others run the search.
+        """
+        if self.cfg.epsilon > 0:
+            return self.minimize(rho)[0]
+        coeffs = self._coefficients(rho)[0]
+        # f'(0) and f''(0): the phases at u = 0 are all 1.
+        slopes = np.add.reduce(coeffs[:, 1:].real, -1)
+        sure = (np.abs(slopes[:, 0]) - self._u_bar * np.abs(slopes[:, 1])
+                > np.abs(coeffs[:, 0]) @ self._certificate)
+        u = np.copysign(self._u_bar, -slopes[:, 0])
+        if np.count_nonzero(sure) < len(u):
+            rest = ~sure
+            u[rest] = self._search((coeffs[rest], None))[0]
+        return u
 
 
 class QuadraticLaw:
@@ -335,6 +417,10 @@ class QuadraticLaw:
     curvature is a_0 - eps sum_i (d_i'^2 + d_i d_i''), while the printed term
     equals +(eps/4) sum_i d_i'^2; the exact slope adds -eps sum_i d_i d_i',
     which b leaves out.
+
+    Written out, b = -2 sum_{i<j} (sigma_j - sigma_i) Im(H1_ij rho_ji).  For
+    a real H1 and a real rho it is 0 bit for bit: i [H1, P] is then purely
+    imaginary, so every product of its trace against rho has real part +-0.
 
     u is clip(-b/a, -u_bar, u_bar) when a > 0, else the endpoint downhill of
     b; with b = 0 a flat concave parabola ties at the endpoints and takes

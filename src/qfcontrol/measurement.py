@@ -70,6 +70,10 @@ class QndMeasurement:
             raise ValueError("coeffs must be an (m, n) array")
         if c.shape[0] < 2:
             raise ValueError("a measurement needs at least two outcomes")
+        # Refused here, before the completeness check's max would fail inside
+        # NumPy on an empty array.
+        if c.shape[1] == 0:
+            raise ValueError("coeffs has no levels: a measurement needs at least one")
         colsums = (np.abs(c) ** 2).sum(axis=0)
         worst = float(np.abs(colsums - 1.0).max())
         # Written so that a NaN coefficient, whose worst is NaN, fails too.

@@ -507,6 +507,17 @@ class TestMalformedConfig:
         assert "Traceback" not in err
         assert not (tmp_path / "sim").exists()
 
+    def test_a_measurement_with_no_levels_is_refused_by_name(self, tmp_path, capsys):
+        """Its coeffs are (2, 0): refused by the measurement, not by NumPy's empty max."""
+        cfg = experiment_config("unused", np.pi / 10)
+        cfg["h1"] = zeros_json(8)
+        cfg["measurement"] = {"n": 0, "m": 2, "coeffs_re": [[], []], "coeffs_im": [[], []]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: bad config {path}: coeffs has no levels: "
+                                           "a measurement needs at least one\n")
+
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("case", sorted(UNKNOWN_KEY))
     def test_unknown_key_is_named(self, tmp_path, capsys, command, case):

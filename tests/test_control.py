@@ -201,6 +201,26 @@ class TestQuadraticFeedback:
         with pytest.raises(ValueError, match="quadratic coefficients came out complex"):
             law.coefficients(rho)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16),
+           epsilon=st.sampled_from([0.0, 5.0]))
+    def test_slope_is_zero_for_a_real_h1_and_a_real_state(self, seed, dim, epsilon):
+        """b = -2 sum_{i<j} (sigma_j - sigma_i) Im(H1_ij rho_ji) is 0 bit for bit.
+
+        i [H1, P] is purely imaginary when H1 is real, so every product of
+        the trace against a real rho has real part +-0.  eps moves only a.
+        """
+        rng = np.random.default_rng(seed)
+        sigma = rng.uniform(0.0, 10.0, dim)
+        p = DiagonalObservable(sigma, int(np.argmin(sigma)))
+        h1 = rng.normal(size=(dim, dim))
+        g = rng.normal(size=(100, dim, dim))
+        rho = g @ g.swapaxes(1, 2)
+        rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+        cfg = ControllerConfig(kind="quadratic", u_bar=0.1, epsilon=epsilon)
+        _, b = QuadraticLaw(p, h1 + h1.T, cfg).coefficients(rho.astype(complex))
+        assert np.count_nonzero(b) == 0
+
     def test_coefficients_match_taylor(self):
         """a and b are the exact curvature and slope of the rotation energy."""
         rng = np.random.default_rng(3)
@@ -512,6 +532,63 @@ def bits(*arrays):
     return [a.tobytes() for a in arrays]
 
 
+def reference_exact_min_law():
+    """The exact_min benchmark's law and its H1: reference instance, dense H1, theta = pi/10."""
+    p = DiagonalObservable(SIGMA8, 2)
+    h1 = hamiltonian_of_r(solve_synthesis(SynthesisProblem(sigma=p)).r, "positive")
+    law = ExactMinLaw(p, h1, photon_box(8, 1 / 8, np.pi / 10),
+                      ControllerConfig(kind="exact-min", u_bar=0.1))
+    return law, h1
+
+
+def reference_rho0():
+    rho0 = np.ones((8, 8), dtype=complex) / 16.0
+    rho0[0, 0] += 0.5
+    return rho0
+
+
+def certificate_sides(law, rho):
+    """Slack and margin term of ExactMinLaw's certificate, as controls forms its sides.
+
+    The slack is |f'(0)| - u_bar |f''(0)| less the right side, positive on
+    a certified row; the margin term is margin * sum |c_jk|, the margin
+    being the certificate's weight at omega = 0, its smallest.
+    """
+    coeffs = law._coefficients(rho)[0]
+    slopes = np.add.reduce(coeffs[:, 1:].real, -1)
+    size = np.abs(coeffs[:, 0])
+    slack = (np.abs(slopes[:, 0]) - law.cfg.u_bar * np.abs(slopes[:, 1])
+             - size @ law._certificate)
+    return slack, law._certificate.min() * np.add.reduce(size, -1)
+
+
+def certificate_edge(law, rho, levels):
+    """States around each level of slack, in margin terms, between rho and its diagonal.
+
+    The diagonal's f'(0) is 0, so it fails the certificate.  Where rho
+    passes with room, bisection on the segment finds, for each level x,
+    the adjacent points whose states have slack above x margin terms and
+    at or below it.  None where rho does not pass.
+    """
+    diag = np.diag(rho.diagonal())
+
+    def states(t):
+        return (1.0 - t)[:, None, None] * rho + t[:, None, None] * diag
+
+    def above(t):
+        slack, margin = certificate_sides(law, states(t))
+        return slack > levels * margin
+
+    lo, hi = np.zeros(len(levels)), np.ones(len(levels))
+    if np.count_nonzero(above(lo)) < len(levels) or np.count_nonzero(above(hi)):
+        return None
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        up = above(mid)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return states(np.concatenate([lo, hi]))
+
+
 class TestNewtonStop:
     """The Newton steps stop once a step moves no row, with the bits of running all of them."""
 
@@ -523,7 +600,40 @@ class TestNewtonStop:
         p, h1, meas, rho, cfg, rng = random_exact_min_instance(seed, dim, regularized)
         stack = np.stack([rho] + [random_density(rng, dim) for _ in range(rows - 1)])
         law = ExactMinLaw(p, h1, meas, cfg)
-        assert bits(*law.minimize(stack)) == bits(*minimize_every_step(law, stack))
+        want = minimize_every_step(law, stack)
+        assert bits(*law.minimize(stack)) == bits(*want)
+        assert bits(law.controls(stack)) == bits(want[0])
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 10),
+           log_u_bar=st.floats(-3.0, np.log10(2.0)), log_scale=st.floats(-2.0, 1.0))
+    def test_controls_equal_every_step_at_the_certificate_edge(self, seed, dim, log_u_bar,
+                                                              log_scale):
+        """controls has the bits of the full search on stacks of certified and other rows.
+
+        At eps = 0, u_bar from 1e-3 to 2 and H1 scaled by 0.01-10.  The stack
+        holds eight random states, a NaN row and, where one of the states
+        is certified, rows on both sides of slack -4 to 4 margin terms.
+        """
+        rng = np.random.default_rng(seed)
+        meas = random_measurement(rng, int(rng.integers(2, 5)), dim)
+        sigma = rng.uniform(0.0, 10.0, dim)
+        p = DiagonalObservable(sigma, int(np.argmin(sigma)))
+        cfg = ControllerConfig(kind="exact-min", u_bar=10.0**log_u_bar)
+        law = ExactMinLaw(p, 10.0**log_scale * random_hermitian(rng, dim), meas, cfg)
+        rows = np.stack([random_density(rng, dim) for _ in range(8)]
+                        + [np.full((dim, dim), np.nan, dtype=complex)])
+        certified = rows[:8][certificate_sides(law, rows[:8])[0] > 0]
+        if len(certified):
+            edge = certificate_edge(law, certified[0], np.array([-4.0, -2.0, -1.0, 0.0, 1.0,
+                                                                  2.0, 4.0]))
+            if edge is not None:
+                slack, margin = certificate_sides(law, edge)
+                assert np.count_nonzero(slack > 0) and np.count_nonzero(slack <= 0)
+                assert np.count_nonzero(np.abs(slack) <= 5.0 * margin) == len(edge)
+                rows = np.concatenate([rows, edge])
+        stack = rows[rng.permutation(len(rows))]
+        assert bits(law.controls(stack)) == bits(minimize_every_step(law, stack)[0])
 
     @pytest.fixture
     def derivative_calls(self, monkeypatch):
@@ -539,11 +649,7 @@ class TestNewtonStop:
 
     @pytest.fixture(scope="class")
     def reference_law(self):
-        """The exact_min benchmark's law: the reference instance, dense H1, theta = pi/10."""
-        p = DiagonalObservable(SIGMA8, 2)
-        h1 = hamiltonian_of_r(solve_synthesis(SynthesisProblem(sigma=p)).r, "positive")
-        return ExactMinLaw(p, h1, photon_box(8, 1 / 8, np.pi / 10),
-                           ControllerConfig(kind="exact-min", u_bar=0.1))
+        return reference_exact_min_law()[0]
 
     def test_a_decision_at_the_bound_stops_after_one_step(self, reference_law,
                                                           derivative_calls):
@@ -553,12 +659,39 @@ class TestNewtonStop:
         one evaluation in all.  That f is 1 ulp above the grid product's
         value at the same u, so the law returns the grid's value.
         """
-        rho0 = np.ones((8, 8), dtype=complex) / 16.0
-        rho0[0, 0] += 0.5
+        rho0 = reference_rho0()
         u, f = reference_law.minimize(rho0[None])
         assert len(derivative_calls) == 1
         assert u[0] == 0.1
         assert bits(u, f) == bits(*minimize_every_step(reference_law, rho0[None]))
+
+    def test_controls_from_rho0_run_the_search(self, reference_law, derivative_calls):
+        """From the reference rho0, f'(0) is exactly 0, so no certificate can hold.
+
+        H1 and rho0 are real, so f is even in u (see QuadraticLaw's b), and
+        the grid's values at -u_bar and u_bar tie, broken toward u_bar.
+        controls runs the search, with minimize's one evaluation, and
+        returns its u.
+        """
+        rho0 = reference_rho0()[None]
+        u = reference_law.controls(rho0)
+        assert len(derivative_calls) == 1
+        assert bits(u) == bits(reference_law.minimize(rho0)[0])
+
+    def test_a_certified_decision_builds_no_grid(self, derivative_calls):
+        """From rho0 rotated by the law's first control, u = u_bar is certified.
+
+        controls makes no Newton evaluation and never builds the grid's
+        phase table; minimize, which builds it, returns the same u.
+        """
+        law, h1 = reference_exact_min_law()
+        rho = rotated(h1, reference_rho0(), 0.1)[None]
+        assert certificate_sides(law, rho)[0][0] > 0
+        u = law.controls(rho)
+        assert len(derivative_calls) == 0
+        assert "_grid_phase" not in law.__dict__
+        assert u[0] == 0.1
+        assert bits(u) == bits(law.minimize(rho)[0])
 
     def test_an_interior_decision_runs_every_step(self, reference_law, derivative_calls):
         """Near |n*>, with a complex coherence, u stays inside the bound.
@@ -575,3 +708,13 @@ class TestNewtonStop:
         assert 0.0 < u[0] < 0.1
         assert bits(u, f) == bits(*minimize_every_step(reference_law, rho))
         assert bits(f) == bits(reference_law.objective(rho, u)[0])
+
+    def test_an_interior_decision_runs_every_step_in_controls(self, reference_law,
+                                                              derivative_calls):
+        """The same state through controls: uncertified, it runs the same search."""
+        psi = np.zeros(8, dtype=complex)
+        psi[2], psi[1] = np.sqrt(0.99), 0.1j
+        rho = np.outer(psi, psi.conj())[None]
+        u = reference_law.controls(rho)
+        assert len(derivative_calls) == NEWTON_STEPS
+        assert bits(u) == bits(reference_law.minimize(rho)[0])

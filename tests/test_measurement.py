@@ -90,6 +90,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QndMeasurement(np.ones((1, 3)))
 
+    def test_needs_a_level(self):
+        """Refused by name, where the completeness check's max would fail in NumPy."""
+        with pytest.raises(ValueError, match="^coeffs has no levels: a measurement needs at "
+                                             "least one$"):
+            QndMeasurement(np.zeros((2, 0)))
+
 
 class TestOutcomes:
     def test_probabilities_sum_to_one(self):
@@ -334,6 +340,11 @@ class TestSerialization:
     ], ids=["beside-photon-box", "inside-photon-box", "written-out"])
     def test_unknown_key_is_refused_by_name(self, obj, key):
         with pytest.raises(ValueError, match=f"^unknown config key {re.escape(key)}$"):
+            QndMeasurement.from_json(obj)
+
+    def test_a_config_with_no_levels_is_refused_by_name(self):
+        obj = {"n": 0, "m": 2, "coeffs_re": [[], []], "coeffs_im": [[], []]}
+        with pytest.raises(ValueError, match="^coeffs has no levels"):
             QndMeasurement.from_json(obj)
 
     def test_arrays_must_match_the_claimed_shape(self):
